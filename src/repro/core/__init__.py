@@ -11,7 +11,6 @@ Public entry point: :class:`~repro.core.flat_index.FLATIndex`.
 from repro.core.delta import DeltaIndex
 from repro.core.flat_index import BuildReport, CrawlStats, FLATIndex
 from repro.core.metadata import MetadataRecord, pack_records_into_pages
-from repro.core.multicrawl import crawl_multi
 from repro.core.neighbors import compute_neighbors, neighbor_counts
 from repro.core.partition import Partition, compute_partitions, coverage_gaps_exist
 from repro.core.seed_index import RecordBatch, SeedIndex
@@ -38,7 +37,6 @@ __all__ = [
     "compute_neighbors",
     "compute_partitions",
     "coverage_gaps_exist",
-    "crawl_multi",
     "neighbor_counts",
     "pack_records_into_pages",
     "publish_fork_generation",

@@ -9,14 +9,13 @@ seed index, then breadth-first-search the neighbor graph — reading an
 object page only if the record's *page MBR* intersects the query and
 expanding neighbors only if its *partition MBR* does.
 
-The BFS is executed one whole *frontier* at a time: each level's record
-ids are fetched as a struct-of-arrays batch (decoding every touched
-metadata leaf at most once), both MBR tests run as single vectorized
-calls over the frontier, object pages are bulk-read, and the visited
-set is a numpy bitmask.  The original record-at-a-time crawl is kept as
-:meth:`FLATIndex.range_query_scalar` — the reference implementation a
-differential test holds the batched engine to (same pages read, same
-element ids returned).
+The BFS is the crawl kernel in :mod:`repro.core.crawl`, which runs one
+whole *frontier* at a time over ``(record, query)`` pairs:
+:meth:`FLATIndex.range_query` is a group of one and
+:meth:`FLATIndex.range_query_multi` a group of many.  The original
+record-at-a-time crawl is kept as :meth:`FLATIndex.range_query_scalar`
+— the reference implementation a differential test holds the kernel to
+(same pages read, same element ids returned).
 
 Known deviation from the paper's pseudocode: Algorithm 2 as printed
 only marks pages visited when their page MBR intersects the query, so
@@ -64,7 +63,9 @@ from repro.storage.stats import (
     CATEGORY_METADATA,
     CATEGORY_OBJECT,
     CATEGORY_SEED_INTERNAL,
+    IOStats,
 )
+from repro.core.crawl import crawl
 from repro.core.metadata import MetadataRecord
 from repro.core.neighbors import compute_neighbors, neighbor_counts
 from repro.core.partition import compute_partitions
@@ -136,7 +137,7 @@ class CrawlStats:
     #: Visited-set footprint, measured as 8 bytes per visited record id
     #: in *both* engines so the metric stays comparable (the batched
     #: crawl's reusable bitmask is persistent index state, like the
-    #: record directory, not per-query bookkeeping).
+    #: record table, not per-query bookkeeping).
     visited_bytes: int = 0
     result_count: int = 0
 
@@ -186,9 +187,8 @@ class FLATIndex:
         self.last_crawl_stats: CrawlStats | None = None
         #: Expanding-radius rounds of the most recent :meth:`knn_query`.
         self.last_knn_rounds: int = 0
-        #: Reusable visited bitmask for the batched crawl (cleared per
-        #: query), so query cost never includes an O(record_count)
-        #: allocation.
+        #: Reusable visited bitmask of the crawl kernel (per clone;
+        #: managed by :func:`~repro.core.crawl.crawl`).
         self._visited_scratch: np.ndarray | None = None
         #: Lazily built kNN directories — ``element_page``/``element_slot``
         #: (element id -> object page / slot) and ``cover`` (the covering
@@ -341,10 +341,10 @@ class FLATIndex:
 
         *store* must expose the same page ids (typically a
         :meth:`~repro.storage.pagestore.PageStore.view` of this index's
-        store).  Directories — the record directory, the object-page
-        element ids, the build report — are shared read-only; per-query
-        scratch state is per-clone, so each serving worker can crawl
-        concurrently over its own stat-isolated store.
+        store).  Directories — the record directory and record table,
+        the object-page element ids, the build report — are shared
+        read-only; per-query scratch state is per-clone, so each serving
+        worker can crawl concurrently over its own stat-isolated store.
         """
         clone = FLATIndex(
             store,
@@ -669,6 +669,7 @@ class FLATIndex:
 
     def _invalidate_query_state(self) -> None:
         self._knn_state.clear()
+        self.seed_index.records.clear()
 
     def _page_elements(self, page_id: int) -> np.ndarray:
         """Current element MBRs of an object page (maintenance read)."""
@@ -1120,10 +1121,8 @@ class FLATIndex:
     def range_query(self, query: np.ndarray) -> np.ndarray:
         """All element ids whose MBR intersects *query* (Algorithm 2).
 
-        Frontier-batched BFS: every level of the crawl is processed as
-        one :class:`~repro.core.seed_index.RecordBatch`, so the two MBR
-        guards run as vectorized predicates over the whole frontier and
-        each metadata leaf is decoded at most once per query.  Visits
+        Seeds one record, then runs the crawl kernel
+        (:func:`~repro.core.crawl.crawl`) as a group of one.  Visits
         exactly the record set (and reads exactly the page set) of
         :meth:`range_query_scalar` — the guards depend only on the
         record, not on the path the BFS took to it.
@@ -1131,67 +1130,18 @@ class FLATIndex:
         query = np.asarray(query, dtype=np.float64)
         stats = CrawlStats()
         self.last_crawl_stats = stats
-
         seeded = self.seed_index.seed_query(query)
-        pages_read = set(self.seed_index.last_probe_object_page_ids)
-        stats.object_pages_read = len(pages_read)
-        if seeded is None:
-            # The delta can hold elements outside the crawled space
-            # (e.g. inserts past the committed space box), so the
-            # overlay applies even when seeding found nothing.
-            return self._overlay_delta(
-                np.empty(0, dtype=np.int64), query, stats
-            )
-        start_record, _slots = seeded
-        stats.seeded = True
-
-        results: list = []
-        record_count = self.seed_index.record_count
-        if self._visited_scratch is None or len(self._visited_scratch) < record_count:
-            # (Re)sized when the write path has grown the record set.
-            self._visited_scratch = np.zeros(record_count, dtype=bool)
-        else:
-            self._visited_scratch.fill(False)
-        visited = self._visited_scratch
-        frontier = np.array([start_record.record_id], dtype=np.int64)
-        visited[frontier] = True
-        while frontier.size:
-            stats.max_queue_length = max(stats.max_queue_length, len(frontier))
-            stats.records_dequeued += len(frontier)
-            batch = self.seed_index.fetch_records_batch(frontier)
-
-            page_hits = boxes_intersect_box(batch.page_mbrs, query)
-            hit_page_ids = batch.object_page_ids[page_hits]
-            pages_read.update(int(pid) for pid in hit_page_ids)
-            stats.object_pages_read = len(pages_read)
-            for page_id, elements in zip(
-                hit_page_ids, self.store.read_elements_many(hit_page_ids)
-            ):
-                mask = boxes_intersect_box(elements, query)
-                if mask.any():
-                    results.append(
-                        self.object_page_element_ids[int(page_id)][mask]
-                    )
-
-            partition_hits = boxes_intersect_box(batch.partition_mbrs, query)
-            candidates = batch.neighbors_of(partition_hits)
-            if candidates.size:
-                candidates = np.unique(candidates)
-                frontier = candidates[~visited[candidates]]
-                visited[frontier] = True
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-
-        # Every visited record was dequeued exactly once; 8 bytes per
-        # retained id matches the scalar crawl's visited-set accounting.
-        stats.visited_bytes = stats.records_dequeued * 8
-        if not results:
-            stats.result_count = 0
-            return self._overlay_delta(
-                np.empty(0, dtype=np.int64), query, stats
-            )
-        out = np.sort(np.concatenate(results))
-        stats.result_count = len(out)
+        stats.seeded = seeded is not None
+        start = np.asarray(
+            [] if seeded is None else [seeded[0].record_id], dtype=np.int64
+        )
+        (out,) = crawl(
+            self, query[None, :], start, np.zeros_like(start), stats=stats,
+            probed=self.seed_index.last_probe_object_page_ids,
+        )
+        # The delta can hold elements outside the crawled space (e.g.
+        # inserts past the committed space box), so the overlay applies
+        # even when seeding found nothing.
         return self._overlay_delta(out, query, stats)
 
     def _overlay_delta(
@@ -1271,25 +1221,68 @@ class FLATIndex:
         """Serve a batch of range queries with one joint crawl.
 
         Returns one sorted id array per query, each exactly
-        :meth:`range_query`'s answer; every metadata leaf and object
-        page touched by the group is decoded once, not once per query.
-        With ``cold=True`` each query is charged its serial cold-cache
-        page reads (identical ``IOStats`` read totals); ``cold=False``
-        serves the group warm through this store's persistent caches.
-        See :func:`repro.core.multicrawl.crawl_multi`.
-        """
-        from repro.core.multicrawl import crawl_multi
+        :meth:`range_query`'s answer: every query is seeded on its own,
+        then the crawl kernel (:func:`~repro.core.crawl.crawl`) walks
+        the whole group in one BFS over ``(record, query)`` pairs.
 
-        results = crawl_multi(self, queries, cold=cold)
+        ``cold=False`` serves the group warm through this store's
+        caches.  ``cold=True`` reproduces the paper's regime per query:
+        caches are cleared before each seed, the crawl reads through a
+        private :meth:`~repro.storage.pagestore.PageStore.view` (one
+        physical read and decode per touched page per group), and each
+        query is charged every unique page it touched — a ``(page,
+        query)`` matrix minus what its seed descent already paid — so
+        read totals equal a serial cold loop's.  Cache and decode hits
+        of the crawl are not reproduced.
+        """
+        queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        count = len(queries)
+        if count == 0:
+            return []
+        store = self.store
+        stats = CrawlStats()
+        self.last_crawl_stats = stats
+        starts = np.full(count, -1, dtype=np.int64)
+        probed: list = []
+        seed_reads = np.zeros((len(store), count), dtype=bool) if cold else None
+        for qi, query in enumerate(queries):
+            if cold:
+                store.clear_cache()
+            seeded = self.seed_index.seed_query(query)
+            if cold:
+                # The unbounded buffer was cleared just before this seed,
+                # so it holds exactly the pages the descent read (and
+                # charged natively) for this query.
+                seed_reads[store.buffer.page_ids(), qi] = True
+            probed.extend(
+                page * count + qi
+                for page in self.seed_index.last_probe_object_page_ids
+            )
+            if seeded is not None:
+                starts[qi] = seeded[0].record_id
+        alive = np.flatnonzero(starts >= 0)
+        stats.seeded = bool(alive.size)
+        engine = self.with_store(store.view()) if cold else self
+        charged = np.zeros_like(seed_reads) if cold else None
+        results = crawl(
+            engine, queries, starts[alive], alive, stats=stats, probed=probed,
+            charged=charged,
+        )
+        if cold:
+            per_page = (charged & ~seed_reads).sum(axis=1)
+            for page in np.flatnonzero(per_page).tolist():
+                store.stats.record_read(
+                    store.backend.category(page), int(per_page[page])
+                )
+            store.stats.merge(
+                IOStats(decode_misses=engine.store.stats.decode_misses)
+            )
         if self.delta is not None and not self.delta.is_empty:
-            queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
             results = [
                 self.delta.overlay(ids, query)
                 for ids, query in zip(results, queries)
             ]
-            self.last_crawl_stats.result_count = sum(
-                len(ids) for ids in results
-            )
+            stats.result_count = sum(len(ids) for ids in results)
         return results
 
     def point_query(self, point: np.ndarray) -> np.ndarray:

@@ -14,6 +14,8 @@ Two roles (Sec. V-B.1/V-B.2):
 
 from __future__ import annotations
 
+import copy
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +42,7 @@ from repro.rtree.str_bulk import str_groups
 class RecordBatch:
     """A struct-of-arrays view of many metadata records at once.
 
-    Produced by :meth:`SeedIndex.fetch_records_batch`; the crawl engine
+    Produced by :meth:`SeedIndex.fetch_records_batch`; the crawl kernel
     consumes whole BFS frontiers in this form so intersection tests run
     as single vectorized calls instead of per-record Python loops.
     Neighbor pointers are stored in CSR form: the neighbors of row ``i``
@@ -73,6 +75,55 @@ class RecordBatch:
         return self.neighbor_ids[np.arange(total) + shift]
 
 
+class RecordTable:
+    """The metadata records of one index generation, as id-indexed arrays.
+
+    Filled leaf by leaf from the decoded pages a crawl reads anyway, so
+    each leaf is copied in once per generation and a frontier gathers
+    its rows with one fancy index.  Shared by :meth:`SeedIndex.with_store`
+    clones (loads lock: thread-mode workers crawl siblings at once); a
+    cache, so never pickled, and dropped when the write path rewrites
+    leaves.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.clear()
+
+    def __reduce__(self):
+        return (RecordTable, ())
+
+    def clear(self) -> None:
+        """Forget every row."""
+        #: Leaf page ids whose records are loaded.
+        self.leaves: set = set()
+        self.page_mbrs = self.partition_mbrs = np.empty((0, 6))
+        self.object_page_ids = self.neighbor_counts = np.empty(0, dtype=np.int64)
+        self.neighbors: list = []
+
+    def load(self, leaf: int, record_ids: np.ndarray, records: list,
+             record_count: int) -> None:
+        """Copy one decoded leaf's *records* into the rows *record_ids*."""
+        with self._lock:
+            if leaf in self.leaves:
+                return
+            if not self.leaves:
+                self.page_mbrs = np.empty((record_count, 6), dtype=np.float64)
+                self.partition_mbrs = np.empty((record_count, 6), dtype=np.float64)
+                self.object_page_ids = np.empty(record_count, dtype=np.int64)
+                self.neighbor_counts = np.zeros(record_count, dtype=np.int64)
+                self.neighbors = [None] * record_count
+            for rid, (page_mbr, partition_mbr, object_page_id, nbrs) in zip(
+                record_ids.tolist(), records
+            ):
+                self.page_mbrs[rid] = page_mbr
+                self.partition_mbrs[rid] = partition_mbr
+                self.object_page_ids[rid] = object_page_id
+                self.neighbors[rid] = np.asarray(nbrs, dtype=np.int64)
+                self.neighbor_counts[rid] = len(nbrs)
+            self.leaves.add(leaf)
+
+
 class SeedIndex:
     """Seed tree + metadata records for one FLAT index."""
 
@@ -103,10 +154,12 @@ class SeedIndex:
         #: leaf page id -> record ids stored on it, in slot order.
         self.leaf_record_ids = leaf_record_ids
         #: Object page ids probed (read + decoded) by the most recent
-        #: :meth:`seed_query` call, in probe order.  The crawl engines
-        #: consult this so a page the seed phase already read is not
+        #: :meth:`seed_query` call, in probe order.  The crawl kernel
+        #: consults this so a page the seed phase already read is not
         #: counted again in :class:`~repro.core.flat_index.CrawlStats`.
         self.last_probe_object_page_ids: list = []
+        #: Decoded records of this generation (:class:`RecordTable`).
+        self.records = RecordTable()
 
     @property
     def record_count(self) -> int:
@@ -187,21 +240,16 @@ class SeedIndex:
     def with_store(self, store: PageStore) -> "SeedIndex":
         """A shallow clone reading its pages from *store*.
 
-        The tree layout and record directory are shared read-only (all
-        index structures are bulkloaded and immutable); only the store —
-        and with it the caches and I/O accounting — is swapped.  Used to
-        give each serving worker a stat-isolated view of one index.
+        The tree layout, record directory and record table are shared
+        read-only (all index structures are bulkloaded and immutable);
+        only the store — and with it the caches and I/O accounting — is
+        swapped.  Used to give each serving worker a stat-isolated view
+        of one index.
         """
-        return SeedIndex(
-            store,
-            self.root_id,
-            self.height,
-            self.leaf_page_ids,
-            self.record_page,
-            self.record_slot,
-            self.leaf_record_ids,
-            fanout=self.fanout,
-        )
+        clone = copy.copy(self)
+        clone.store = store
+        clone.last_probe_object_page_ids = []
+        return clone
 
     # -- record access ------------------------------------------------------
 
@@ -231,48 +279,33 @@ class SeedIndex:
     def fetch_records_batch(self, record_ids) -> RecordBatch:
         """Read many metadata records as one struct-of-arrays batch.
 
-        Ids are grouped by metadata leaf page so every touched leaf is
-        read once and — via the store's decoded-page cache — decoded at
-        most once per query, no matter how many of its records the
-        crawl's frontiers request.
+        Every distinct leaf the ids sit on is read once through the
+        store, in ascending page order, so the buffer pool and the
+        decoded-page cache see — and count — exactly those reads.  The
+        rows come from the generation's :class:`RecordTable`, which
+        copies a leaf's decoded records once, not once per batch.
         """
         ids = np.atleast_1d(np.asarray(record_ids, dtype=np.int64))
-        n = len(ids)
-        if n and not (0 <= ids.min() and ids.max() < self.record_count):
+        if ids.size and not (0 <= ids.min() and ids.max() < self.record_count):
             raise ValueError("record id out of range in batch")
-        page_mbrs = np.empty((n, 6), dtype=np.float64)
-        partition_mbrs = np.empty((n, 6), dtype=np.float64)
-        object_page_ids = np.empty(n, dtype=np.int64)
-        neighbor_lists = [()] * n
-
-        leaf_ids = self.record_page[ids]
-        order = np.argsort(leaf_ids, kind="stable")
-        boundaries = np.flatnonzero(np.diff(leaf_ids[order])) + 1
-        for group in np.split(order, boundaries) if n else []:
-            raw = self.store.read_metadata(int(leaf_ids[group[0]]))
-            for pos in group:
-                slot = int(self.record_slot[ids[pos]])
-                page_mbr, partition_mbr, object_page_id, nbrs = raw[slot]
-                page_mbrs[pos] = page_mbr
-                partition_mbrs[pos] = partition_mbr
-                object_page_ids[pos] = object_page_id
-                neighbor_lists[pos] = nbrs
-
-        counts = np.fromiter(
-            (len(nbrs) for nbrs in neighbor_lists), dtype=np.int64, count=n
-        )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        neighbor_ids = np.fromiter(
-            (nid for nbrs in neighbor_lists for nid in nbrs),
-            dtype=np.int64,
-            count=int(offsets[-1]),
+        table = self.records
+        for leaf in np.unique(self.record_page[ids]).tolist():
+            records = self.store.read_metadata(leaf)
+            if leaf not in table.leaves:
+                table.load(
+                    leaf, self.leaf_record_ids[leaf], records, self.record_count
+                )
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(table.neighbor_counts[ids], out=offsets[1:])
+        neighbor_ids = np.concatenate(
+            [table.neighbors[rid] for rid in ids.tolist()]
+            or [np.empty(0, np.int64)]
         )
         return RecordBatch(
             record_ids=ids,
-            page_mbrs=page_mbrs,
-            partition_mbrs=partition_mbrs,
-            object_page_ids=object_page_ids,
+            page_mbrs=table.page_mbrs[ids],
+            partition_mbrs=table.partition_mbrs[ids],
+            object_page_ids=table.object_page_ids[ids],
             neighbor_offsets=offsets,
             neighbor_ids=neighbor_ids,
         )
@@ -338,6 +371,24 @@ class SeedIndex:
             for cid in child_ids[mask][::-1]:
                 stack.append((int(cid), level - 1))
         return None
+
+    def leaves_meeting(self, box: np.ndarray) -> list:
+        """Leaf page ids whose tree key meets *box*, in depth-first order.
+
+        Reads every internal page on the way down through the store; the
+        leaves themselves are not read.
+        """
+        leaves: list = []
+        stack = [(self.root_id, self.height)]
+        while stack:
+            page_id, level = stack.pop()
+            if level == 0:
+                leaves.append(page_id)
+                continue
+            child_ids, child_mbrs, _leaf = decode_node_page(self.store.read(page_id))
+            for cid in child_ids[boxes_intersect_box(child_mbrs, box)]:
+                stack.append((int(cid), level - 1))
+        return leaves
 
     # -- introspection ---------------------------------------------------------
 

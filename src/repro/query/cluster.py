@@ -136,6 +136,10 @@ class _ShardServer:
         self.stopping = threading.Event()
         self._swap_lock = threading.Lock()
         self.prefetch_config = PrefetchConfig()
+        #: Staging crawls that raised, over every connection (reported
+        #: by ``status``; a failed prediction never fails its query).
+        self.prefetch_failures = 0
+        self._failures_lock = threading.Lock()
         index = restore_index(self.shard_dir, generation=generation)
         #: ``(generation, index, local->global id map)`` — swapped
         #: atomically by ``reload``; handlers read it once per request.
@@ -230,7 +234,8 @@ class _ShardServer:
                 try:
                     prefetcher.prefetch(hint)
                 except Exception:  # prediction must never fail a query
-                    pass
+                    with self._failures_lock:
+                        self.prefetch_failures += 1
             hits = element_ids[local] if local.size else _EMPTY_IDS
             return hits, dict(diff.reads), dict(diff.prefetch_hits)
         if kind == "knn":
@@ -264,6 +269,7 @@ class _ShardServer:
                 "generation": generation,
                 "element_count": int(index.element_count),
                 "pid": os.getpid(),
+                "prefetch_failures": self.prefetch_failures,
             }
         if kind == "shutdown":
             return None

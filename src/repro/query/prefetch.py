@@ -11,12 +11,13 @@ buffer pool *before* the next query arrives:
   extrapolates the next box from the centroid velocity and the recent
   extents — with confidence gating, so a session whose boxes jump
   around unpredictably prefetches nothing at all;
-* :class:`Prefetcher` runs the predicted box through the *existing*
-  query machinery — the :class:`~repro.query.planner.QueryPlanner`
-  prunes shards for a sharded index, :meth:`FLATIndex.range_query
-  <repro.core.flat_index.FLATIndex.range_query>` crawls a monolithic
-  one — on a private **staging clone** whose caches are never cleared,
-  and stages every page the crawl touches into a :class:`PrefetchArea`;
+* :class:`Prefetcher` crawls the predicted window with the demand
+  crawl kernel (:func:`~repro.core.crawl.crawl`, filter off, started at
+  every record on the seed leaves whose key meets the window; the
+  :class:`~repro.query.planner.QueryPlanner` first prunes shards of a
+  sharded index) on a private **staging clone** whose caches are never
+  cleared, and stages every page the crawl touches into a
+  :class:`PrefetchArea`;
 * demand-side worker stores consult the shared area on every buffer
   miss (:meth:`PageStore.read <repro.storage.pagestore.PageStore.read>`):
   a staged page is consumed without physical I/O and counted as a
@@ -46,10 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geometry.intersect import boxes_intersect_box
 from repro.storage.decoded_cache import DECODE_ELEMENT, DECODE_METADATA
 from repro.storage.pagestore import PageStore
-from repro.storage.serial import decode_node_page
 from repro.storage.stats import IOStats
 
 
@@ -301,41 +300,6 @@ class TrajectoryModel:
         return out
 
 
-class _CrawlMemo:
-    """Decoded-record caches of one staging engine (one generation).
-
-    The staging crawl replays the demand BFS's *page* accesses, but the
-    index generation it serves is immutable — so every metadata record
-    (page MBR, partition MBR, object page id, neighbor ids) is decoded
-    into flat arrays exactly once per leaf, and later crawls run the
-    BFS as pure numpy gathers over these arrays plus the (cheap, cached)
-    staging reads of the touched pages.
-    """
-
-    def __init__(self, record_count: int):
-        self.page_mbrs = np.empty((record_count, 6), dtype=np.float64)
-        self.partition_mbrs = np.empty((record_count, 6), dtype=np.float64)
-        self.object_page_ids = np.empty(record_count, dtype=np.int64)
-        self.neighbors: list = [None] * record_count
-        self.loaded = np.zeros(record_count, dtype=bool)
-        #: Decoded internal node pages: page id -> (child ids, child MBRs).
-        self.nodes: dict = {}
-        #: Per-crawl visited scratch, reused across crawls.
-        self.visited = np.zeros(record_count, dtype=bool)
-
-    def load_leaf(self, store, seed, leaf_id: int) -> None:
-        """Decode one metadata leaf into the flat record arrays."""
-        raw = store.read_metadata(leaf_id)
-        ids = seed.leaf_record_ids[leaf_id]
-        for slot, (page_mbr, partition_mbr, object_page_id, nbrs) in enumerate(raw):
-            rid = int(ids[slot])
-            self.page_mbrs[rid] = page_mbr
-            self.partition_mbrs[rid] = partition_mbr
-            self.object_page_ids[rid] = object_page_id
-            self.neighbors[rid] = np.asarray(nbrs, dtype=np.int64)
-        self.loaded[ids] = True
-
-
 class Prefetcher:
     """Warms a generation's buffer pools ahead of a session's next box.
 
@@ -373,10 +337,6 @@ class Prefetcher:
             self.areas = [PrefetchArea(self.config.area_capacity)]
             self._stores = [StagingPageStore(index.store.backend, self.areas[0])]
             self._engines = [index.with_store(self._stores[0])]
-        #: Per-engine :class:`_CrawlMemo`, created lazily on the first
-        #: staging crawl — valid for the prefetcher's whole life because
-        #: one prefetcher serves exactly one immutable index generation.
-        self._crawl_memos: list = [None] * len(self._engines)
 
     def attach(self, clone) -> None:
         """Point a worker clone's store(s) at the staging area(s)."""
@@ -408,88 +368,31 @@ class Prefetcher:
                 self._stage_crawl(0, box)
             return sum(area.staged for area in self.areas) - before
 
-    def _stage_crawl(self, engine_id: int, query: np.ndarray) -> None:
-        """Stage every page a demand crawl of *query* could touch.
+    def _stage_crawl(self, engine_id: int, window: np.ndarray) -> None:
+        """Stage every page a demand crawl inside *window* could read.
 
         Staging needs the *page set* of a crawl, not its result ids, so
-        this replays the seed-and-crawl protocol at page granularity
-        over memoized record arrays (:class:`_CrawlMemo`):
-
-        1. descend the seed tree, staging every internal page and every
-           metadata leaf whose key intersects the window;
-        2. run the neighbor-link BFS with *all* records of those leaves
-           as the initial frontier — a superset of the demand crawl's
-           single seed record — staging each frontier's metadata leaves
-           and page-MBR-intersecting object pages.
-
-        Expansion uses the demand rule (partition MBR intersects) with
-        the wider window, and BFS closure is monotone in its start set,
-        so the staged pages are a **superset** of the pages any demand
-        query inside the window reads — including metadata leaves whose
-        tree key misses the window but that the BFS reaches over
-        neighbor links.  Extras count as waste, never as hits that did
-        not happen.  Engines without the FLAT seed-tree internals fall
-        back to a full ``range_query``.
+        this runs the demand crawl kernel (:func:`~repro.core.crawl.crawl`)
+        with the element filter off, started at *all* records of the
+        seed leaves whose key meets the window (the descent to them
+        stages the internal pages above) instead of at one seed record.
+        Expansion uses the demand rule with the wider window, and BFS
+        closure is monotone in its start set, so the staged pages are a
+        **superset** of the pages any demand query inside the window
+        reads — including leaves whose tree key misses the window but
+        that the BFS reaches over neighbor links.  Extras count as
+        waste, never as hits that did not happen.
         """
+        # Function-local: repro.core imports repro.query at module level.
+        from repro.core.crawl import crawl
+
         engine = self._engines[engine_id]
-        seed = getattr(engine, "seed_index", None)
-        if seed is None:
-            engine.range_query(query)
-            return
-        memo = self._crawl_memos[engine_id]
-        if memo is None:
-            memo = self._crawl_memos[engine_id] = _CrawlMemo(seed.record_count)
-        store = engine.store
-
-        stack = [(seed.root_id, seed.height)]
-        start_leaves: list = []
-        while stack:
-            page_id, level = stack.pop()
-            if level == 0:
-                start_leaves.append(page_id)
-                continue
-            payload = store.read(page_id)
-            node = memo.nodes.get(page_id)
-            if node is None:
-                child_ids, child_mbrs, _leaf = decode_node_page(payload)
-                node = (child_ids, child_mbrs)
-                memo.nodes[page_id] = node
-            child_ids, child_mbrs = node
-            for cid in child_ids[boxes_intersect_box(child_mbrs, query)]:
-                stack.append((int(cid), level - 1))
-        if not start_leaves:
-            return
-
-        visited = memo.visited
-        visited.fill(False)
-        # The first BFS round below loads and stages the start leaves
-        # themselves (they are exactly the first frontier's leaves).
-        frontier = np.concatenate(
-            [seed.leaf_record_ids[leaf] for leaf in start_leaves]
-        )
-        visited[frontier] = True
-        while frontier.size:
-            unloaded = frontier[~memo.loaded[frontier]]
-            if unloaded.size:
-                for leaf in np.unique(seed.record_page[unloaded]):
-                    memo.load_leaf(store, seed, int(leaf))
-            # Stage every leaf this frontier sits on — the demand BFS
-            # reads them all via fetch_records_batch.
-            for leaf in np.unique(seed.record_page[frontier]):
-                store.read_metadata(int(leaf))
-            page_hits = boxes_intersect_box(memo.page_mbrs[frontier], query)
-            store.read_elements_many(memo.object_page_ids[frontier[page_hits]])
-            expand = frontier[
-                boxes_intersect_box(memo.partition_mbrs[frontier], query)
-            ]
-            if expand.size:
-                candidates = np.unique(
-                    np.concatenate([memo.neighbors[int(r)] for r in expand])
-                )
-                frontier = candidates[~visited[candidates]]
-                visited[frontier] = True
-            else:
-                frontier = np.empty(0, dtype=np.int64)
+        seed = engine.seed_index
+        leaves = seed.leaves_meeting(window)
+        if leaves:
+            rids = np.concatenate([seed.leaf_record_ids[leaf] for leaf in leaves])
+            crawl(engine, window[None, :], rids,
+                  np.zeros(len(rids), dtype=np.int64), collect=False)
 
     # -- reporting -------------------------------------------------------
 

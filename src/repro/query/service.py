@@ -344,7 +344,8 @@ def _process_run_group(version: int, spec, queries, cold: bool,
     """Serve one query group in a worker process.
 
     Returns ``(pid, per-query id arrays, IOStats delta, prefetch info,
-    exec seconds)``.  *hint* is an optional predicted next box: the
+    exec seconds)``; the prefetch info counts a failed hint crawl under
+    ``"failures"``.  *hint* is an optional predicted next box: the
     worker warms its process-local prefetch area with it *after*
     answering the demand queries (the warm hint piggybacks on the
     dispatch — prefetching never blocks the foreground query).
@@ -372,12 +373,16 @@ def _process_run_group(version: int, spec, queries, cold: bool,
     demand_delta = store.stats.diff(before)
     prefetch_info = None
     if prefetcher is not None:
+        failures = 0
         if hint is not None:
             try:
                 prefetcher.prefetch(hint)
             except Exception:
-                pass  # advisory: a failed hint crawl must not fail the task
+                # Advisory: a failed hint crawl must not fail the task,
+                # but the parent counts it.
+                failures = 1
         prefetch_info = _process_prefetch_delta(prefetcher, pf_io, pf_counters)
+        prefetch_info["failures"] = failures
     return os.getpid(), results, demand_delta, prefetch_info, elapsed
 
 
@@ -751,7 +756,7 @@ class QueryService:
 
     @property
     def prefetch_failures(self) -> int:
-        """Background prefetch crawls that raised (and were swallowed)."""
+        """Staging crawls that raised (and were swallowed), in either mode."""
         return self._prefetch_failures
 
     def _prefetcher(self, version: int, index) -> Prefetcher:
@@ -1071,7 +1076,7 @@ class QueryService:
     def _run_session_process(self, queries, session_id, report) -> list:
         delta = IOStats()
         prefetch_reads: dict = {}
-        staged = consumed = 0
+        staged = consumed = failures = 0
         pids: set = set()
         latencies = []
         results = []
@@ -1098,9 +1103,10 @@ class QueryService:
                     )
                 staged += prefetch_info["staged"]
                 consumed += prefetch_info["consumed"]
+                failures += prefetch_info["failures"]
         report.wall_seconds = time.perf_counter() - t0
         report.latencies_seconds = latencies
-        self._absorb_process_batch(pids, delta)
+        self._absorb_process_batch(pids, delta, failures)
         report.workers_used = len(pids)
         report.reads_by_category = dict(sorted(delta.reads.items()))
         report.decodes_by_kind = dict(sorted(delta.decode_misses.items()))
@@ -1432,18 +1438,22 @@ class QueryService:
                 sorted(delta.prefetch_hits.items())
             )
 
-    def _absorb_process_batch(self, pids: set, delta: IOStats) -> None:
+    def _absorb_process_batch(self, pids: set, delta: IOStats,
+                              prefetch_failures: int = 0) -> None:
         """Fold one batch's merged worker deltas into lifetime counters."""
         with self._process_lock:
             self._process_stats.merge(delta)
             self._worker_pids.update(pids)
+            self._prefetch_failures += prefetch_failures
 
     def _absorb_process_future(self, future) -> None:
         """Done-callback of a :meth:`submit`-path process task."""
         if future.cancelled() or future.exception() is not None:
             return
-        pid, _results, delta, _prefetch, _elapsed = future.result()
-        self._absorb_process_batch({pid}, delta)
+        pid, _results, delta, prefetch, _elapsed = future.result()
+        self._absorb_process_batch(
+            {pid}, delta, prefetch["failures"] if prefetch else 0
+        )
 
     # -- introspection --------------------------------------------------
 

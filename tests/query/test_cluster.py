@@ -8,11 +8,13 @@ shard servers are real processes talking over sockets; the tests keep
 the fleets small (3 shards) so the suite stays fast.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.core import DeltaIndex, ShardedFLATIndex
-from repro.query import ClusterError, ClusterRouter
+from repro.query import ClusterError, ClusterRouter, Prefetcher
 from repro.query.workload import (
     random_points,
     random_range_queries,
@@ -174,6 +176,31 @@ class TestTrajectorySessions:
         _root, oracle, queries, _points = snapshot_root
         got = cluster_no_replicas.range_query(queries[0], session_id="solo")
         assert np.array_equal(got, oracle.range_query(queries[0]))
+
+
+    def test_status_counts_swallowed_staging_failures(self, snapshot_root,
+                                                      monkeypatch):
+        """A shard server whose staging crawls raise keeps answering
+        exactly, and its ``status`` reply counts every failure."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("servers inherit the patched prefetcher only by fork")
+        root, oracle, _queries, _points = snapshot_root
+        walk = trajectory_range_queries(SPACE, 2e-5, 24, seed=13)
+        with ClusterRouter.launch(root) as router:
+            router.run(walk, session_id="tracer")
+            healthy = router.status()
+
+        def fail(self, box):
+            raise RuntimeError("staging crawl failed")
+
+        monkeypatch.setattr(Prefetcher, "prefetch", fail)
+        with ClusterRouter.launch(root) as router:
+            results, _report = router.run(walk, session_id="tracer")
+            failing = router.status()
+        for got, query in zip(results, walk):
+            assert np.array_equal(got, oracle.range_query(query))
+        assert [entry["prefetch_failures"] for entry in healthy] == [0] * SHARDS
+        assert sum(entry["prefetch_failures"] for entry in failing) > 0
 
 
 class TestDeltaOverlayAtGather:

@@ -13,12 +13,16 @@ model's confidence gating and the service/session integration in
 thread, process and sharded modes.
 """
 
+import multiprocessing
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FLATIndex, ShardedFLATIndex
+from repro.geometry.intersect import boxes_intersect_box
 from repro.query import (
     MODE_PROCESS,
     PrefetchArea,
@@ -29,6 +33,7 @@ from repro.query import (
     trajectory_range_queries,
 )
 from repro.storage import PageStore
+from repro.storage.serial import decode_node_page
 
 SPACE = np.array([0.0, 0.0, 0.0, 102.0, 102.0, 102.0])
 
@@ -269,6 +274,97 @@ class TestAccountingIdentity:
         assert counters["staged"] >= counters["consumed"]
 
 
+# -- the staged page set --------------------------------------------------
+
+
+def reference_staged_pages(index, window) -> set:
+    """The staging protocol, rebuilt from the raw pages.
+
+    Descend to every seed leaf whose key meets *window*, then BFS from
+    all of those leaves' records over partition-box hits.  The staged
+    set is the internal pages on the way down, every leaf the BFS
+    reaches, and each reached object page whose page box meets the
+    window.
+    """
+    seed = index.seed_index
+    records = {record.record_id: record for record in seed.iter_records()}
+    staged: set = set()
+    start: list = []
+    stack = [(seed.root_id, seed.height)]
+    while stack:
+        page_id, level = stack.pop()
+        if level == 0:
+            start.extend(int(rid) for rid in seed.leaf_record_ids[page_id])
+            continue
+        staged.add(page_id)
+        child_ids, child_mbrs, _leaf = decode_node_page(
+            index.store.read_silent(page_id)
+        )
+        for cid in child_ids[boxes_intersect_box(child_mbrs, window)]:
+            stack.append((int(cid), level - 1))
+    visited = set(start)
+    queue = deque(start)
+    while queue:
+        record = records[queue.popleft()]
+        staged.add(int(seed.record_page[record.record_id]))
+        if boxes_intersect_box(record.page_mbr[None, :], window)[0]:
+            staged.add(record.object_page_id)
+        if boxes_intersect_box(record.partition_mbr[None, :], window)[0]:
+            for rid in record.neighbor_ids:
+                if rid not in visited:
+                    visited.add(rid)
+                    queue.append(rid)
+    return staged
+
+
+def assert_area_holds_exactly(area, expected: set) -> None:
+    assert len(area) == len(expected)
+    assert all(page in area for page in expected)
+
+
+STAGING_WINDOWS = [
+    walk_boxes(1)[0],
+    np.array([10.0, 40, 30, 35, 52, 44]),  # a multi-step lookahead window
+    np.array([60.0, 5, 70, 61, 6, 71]),
+    np.array([300.0, 300, 300, 301, 301, 301]),  # outside the data
+]
+
+
+@pytest.fixture(scope="module")
+def sharded_index():
+    rng = np.random.default_rng(8)
+    lo = rng.uniform(0, 100, size=(2500, 3))
+    mbrs = np.concatenate([lo, lo + rng.uniform(0.01, 2, size=(2500, 3))], axis=1)
+    return ShardedFLATIndex.build(mbrs, 3, space_mbr=SPACE)
+
+
+class TestStagedPageSet:
+    @pytest.mark.parametrize("backing", ["memory", "file"])
+    @pytest.mark.parametrize("window", STAGING_WINDOWS)
+    def test_prefetch_stages_exactly_the_protocol_set(self, backed_indexes,
+                                                      backing, window):
+        index = backed_indexes[backing]
+        prefetcher = Prefetcher(index)
+        prefetcher.prefetch(window)
+        assert_area_holds_exactly(
+            prefetcher.areas[0], reference_staged_pages(index, window)
+        )
+
+    @pytest.mark.parametrize("window", STAGING_WINDOWS)
+    def test_sharded_prefetch_stages_exactly_per_shard(self, sharded_index,
+                                                       window):
+        prefetcher = Prefetcher(sharded_index)
+        prefetcher.prefetch(window)
+        selected = set(sharded_index.planner.shards_for_box(window).tolist())
+        for shard, area in zip(sharded_index.shards, prefetcher.areas):
+            expected = (
+                reference_staged_pages(shard.index, window)
+                if shard.shard_id in selected
+                else set()
+            )
+            assert_area_holds_exactly(area, expected)
+
+
 # -- service integration -------------------------------------------------
 
 
@@ -373,3 +469,33 @@ class TestServiceSessions:
         flat, _queries, _expected = session_setup
         with pytest.raises(ValueError):
             QueryService(flat, workers=1, prefetch_config=PrefetchConfig())
+
+    def test_staging_failures_are_counted_in_both_modes(self, session_setup,
+                                                         monkeypatch):
+        """A staging crawl that raises never fails the query, and the
+        service counts it whether a thread or a worker process ran it."""
+        flat, queries, expected = session_setup
+
+        def fail(self, box):
+            raise RuntimeError("staging crawl failed")
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(Prefetcher, "prefetch", fail)
+        fork = {"mode": MODE_PROCESS,
+                "mp_context": multiprocessing.get_context("fork")}
+        failures = {}
+        for name, kwargs in (("thread", {}), ("process", fork)):
+            with QueryService(flat, workers=1, clear_cache_per_query=True,
+                              prefetch=True, **kwargs) as service:
+                report = service.run_session(queries, "walker")
+                failures[name] = service.prefetch_failures
+            assert report.query_count == len(queries)
+        assert failures["process"] == failures["thread"] > 0
+
+        # The submit path counts through the task's done-callback.
+        with QueryService(flat, workers=1, clear_cache_per_query=True,
+                          prefetch=True, **fork) as service:
+            for query, want in zip(queries, expected):
+                got = service.submit(query, session_id="walker").result()
+                assert np.array_equal(got, want)
+        assert service.prefetch_failures == failures["thread"]
