@@ -456,8 +456,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.prefetch:
-        if args.out == Path("BENCH_serving.json"):
-            args.out = Path("BENCH_prefetch.json")
+        if args.out == parser.get_default("out"):
+            args.out = args.out.with_name("BENCH_prefetch.json")
         report = run_prefetch_bench(
             args.elements,
             args.side,

@@ -12,9 +12,10 @@ measures two workloads per configuration:
   a brute-force k-nearest baseline.
 
 On top of the single-threaded accounting, each shard count is served
-through :class:`QueryService` at increasing worker counts — sharded
-range queries execute scatter–gather (one pool task per touched
-shard) — reporting throughput vs shard count and worker count.
+through :class:`QueryService` at increasing worker counts — one pool
+task per query, whose worker clone prunes, crawls the touched shards
+in turn and merges — reporting throughput vs shard count and worker
+count.
 
 Run ``python benchmarks/bench_shards.py`` to print a summary and emit
 ``BENCH_shards.json`` (the scale-out trajectory artifact tracked

@@ -439,45 +439,24 @@ class ShardedFLATIndex:
         stops when the next shard's box is strictly farther than the
         current k-th candidate — it cannot contain anything closer, nor
         an equal-distance element that would win the id tie-break from
-        a *strictly* farther box.
+        a *strictly* farther box (:meth:`QueryPlanner.knn_walk
+        <repro.query.planner.QueryPlanner.knn_walk>`).
         """
         point = np.asarray(point, dtype=np.float64).reshape(3)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        order, shard_dists = self.planner.shards_by_distance(point)
-        best_ids = np.empty(0, dtype=np.int64)
-        best_dists = np.empty(0, dtype=np.float64)
-        delta = self.delta if self.delta is not None and not self.delta.is_empty else None
-        shard_k = k
-        if delta is not None:
-            # Tombstones can hollow out a shard's local top k, hiding
-            # live elements sitting just behind them — ask each shard
-            # for enough extras to survive the global mask.
-            shard_k = k + delta.tombstone_count
-            ids, dists = delta.knn_candidates(point)
-            keep = np.lexsort((ids, dists))[:k]
-            best_ids, best_dists = ids[keep], dists[keep]
-        selected = []
         stats = CrawlStats()
-        for sid, shard_dist in zip(order, shard_dists):
-            if len(best_ids) >= k and shard_dist > best_dists[-1]:
-                break
+
+        def visit(sid: int, shard_k: int) -> tuple:
             shard = self.shards[sid]
-            local, local_dists = shard.index.knn_query(
+            local, dists = shard.index.knn_query(
                 point, shard_k, return_distances=True
             )
             _merge_crawl_stats(stats, shard.index.last_crawl_stats)
-            selected.append(int(sid))
-            hit_ids = shard.to_global(local)
-            if delta is not None:
-                alive = ~delta.tombstoned(hit_ids)
-                hit_ids, local_dists = hit_ids[alive], local_dists[alive]
-            ids = np.concatenate([best_ids, hit_ids])
-            dists = np.concatenate([best_dists, local_dists])
-            keep = np.lexsort((ids, dists))[:k]
-            best_ids, best_dists = ids[keep], dists[keep]
+            return shard.to_global(local), dists
+
+        best_ids, best_dists, self.last_plan = self.planner.knn_walk(
+            point, k, visit, self.delta
+        )
         stats.result_count = len(best_ids)
-        self.last_plan = QueryPlan(len(self.shards), selected)
         self.last_crawl_stats = stats
         if return_distances:
             return best_ids, best_dists

@@ -32,10 +32,10 @@ from repro.query.prefetch import (
     PrefetchArea,
     PrefetchConfig,
     Prefetcher,
+    SessionTracker,
     TrajectoryModel,
 )
 from repro.query.service import (
-    GatherFuture,
     MODE_PROCESS,
     MODE_THREAD,
     QueryService,
@@ -55,7 +55,6 @@ __all__ = [
     "ClusterReport",
     "ClusterRouter",
     "ClusterUpdateReport",
-    "GatherFuture",
     "MODE_PROCESS",
     "MODE_THREAD",
     "PAPER_LSS_FRACTION",
@@ -72,6 +71,7 @@ __all__ = [
     "SCALED_LSS_FRACTION",
     "SCALED_SN_FRACTION",
     "ServiceReport",
+    "SessionTracker",
     "ShardServerHandle",
     "TrajectoryModel",
     "UpdateReport",

@@ -14,9 +14,15 @@ and ``(directory, generation)`` reattach across process boundaries
   servers share page bytes through the OS page cache) and answers
   range / point / kNN requests over a
   :mod:`multiprocessing.connection` listener (length-prefixed pickle
-  frames on an ``AF_UNIX`` socket, authkey-authenticated).  Servers
-  return **global** element ids: the shard's local→global id map
-  travels to the server at launch and with every reload.
+  frames on an ``AF_UNIX`` socket, authkey-authenticated).  Each
+  connection is one serving worker, exactly like a
+  :class:`~repro.query.service.QueryService` pool thread: it owns a
+  :class:`~repro.query.service.WorkerEngines` cache and a
+  :class:`~repro.query.prefetch.SessionTracker`, and answers a range
+  request with :func:`~repro.query.service.serve_task` — staging a
+  session's predicted window after the answer.  Servers return
+  **global** element ids: the shard's local→global id map travels to
+  the server at launch and with every reload.
 * :class:`ClusterRouter` — the query tier's front door.  It keeps a
   *control replica* of the whole sharded index (a read-only
   :meth:`~repro.core.sharded.ShardedFLATIndex.restore` of the same
@@ -74,7 +80,8 @@ import numpy as np
 
 from repro.geometry.mbr import point_as_box
 from repro.query.planner import QueryPlan, QueryPlanner
-from repro.query.prefetch import PrefetchConfig, Prefetcher, TrajectoryModel
+from repro.query.prefetch import PrefetchConfig, SessionTracker
+from repro.query.service import WorkerEngines, serve_task
 
 # repro.core imports stay function-local: repro.core.flat_index imports
 # repro.query at module level, so a top-level import here would close an
@@ -103,27 +110,11 @@ class ClusterError(RuntimeError):
 #
 # One process per shard server.  The process restores the shard index
 # from its snapshot directory, then serves request/reply streams: one
-# handler thread per accepted connection, each with its own
-# stat-isolated engine clone per generation (the same per-worker-clone
-# discipline as QueryService), over the single shared mmap.
-
-
-class _ConnectionState:
-    """One connection's per-generation clones and prefetch machinery.
-
-    Sessions live on the connection: a router funnels all its sessions
-    through its single connection to each server, so the per-session
-    trajectory models need no cross-connection sharing (and no locks —
-    each connection is served by exactly one handler thread).
-    """
-
-    def __init__(self):
-        #: generation -> (engine clone, stat-isolated store view).
-        self.engines: dict = {}
-        #: generation -> :class:`Prefetcher` over that engine's store.
-        self.prefetchers: dict = {}
-        #: session id -> {"model": TrajectoryModel, "covered": window}.
-        self.sessions: dict = {}
+# handler thread per accepted connection.  Each connection is a serving
+# worker like a QueryService pool thread — it owns one WorkerEngines
+# (stat-isolated clones of the newest generations over the single shared
+# mmap, each with its prefetcher) and one SessionTracker, and answers
+# range requests with the same serve_task body.
 
 
 class _ShardServer:
@@ -143,106 +134,51 @@ class _ShardServer:
         index = restore_index(self.shard_dir, generation=generation)
         #: ``(generation, index, local->global id map)`` — swapped
         #: atomically by ``reload``; handlers read it once per request.
+        #: A connection's next request after a reload clones the new
+        #: index while requests already executing finish on the old
+        #: clone — the server-side fork-swap.
         self.current = (
             int(generation),
             index,
             np.asarray(element_ids, dtype=np.int64),
         )
 
-    # -- per-connection engine clones ----------------------------------
+    def connection_state(self) -> tuple:
+        """A new connection's ``(WorkerEngines, SessionTracker)``.
 
-    def _engine(self, state: _ConnectionState) -> tuple:
-        """This connection's engine for the currently served generation.
-
-        Clones are keyed by generation: after a reload, the next
-        request builds a fresh clone of the new index while requests
-        already executing finish on the old one — the server-side
-        fork-swap.
+        Sessions live on the connection: a router funnels all its
+        sessions through its single connection to each server, and each
+        connection is served by exactly one handler thread.
         """
-        generation, index, element_ids = self.current
-        entry = state.engines.get(generation)
-        if entry is None:
-            store = index.store.view()
-            entry = state.engines[generation] = (index.with_store(store), store)
-        return generation, index, entry[0], entry[1], element_ids
-
-    # -- prefetching ----------------------------------------------------
-
-    def _session_hint(self, state: _ConnectionState, session_id, query):
-        """Observe *query* for the session; a staging window when due.
-
-        The same covered-window discipline as
-        :meth:`QueryService._session_hint
-        <repro.query.service.QueryService._session_hint>`: one staging
-        crawl covers a multi-step lookahead window and re-prefetching
-        waits until the prediction walks out of it.
-        """
-        entry = state.sessions.get(session_id)
-        if entry is None:
-            entry = state.sessions[session_id] = {
-                "model": TrajectoryModel(self.prefetch_config),
-                "covered": None,
-            }
-        model = entry["model"]
-        model.observe(query)
-        next_box = model.predict()
-        if next_box is None:
-            entry["covered"] = None
-            return None
-        covered = entry["covered"]
-        if (
-            covered is not None
-            and np.all(covered[:3] <= next_box[:3])
-            and np.all(covered[3:] >= next_box[3:])
-        ):
-            return None
-        window = model.predict(self.prefetch_config.lookahead)
-        entry["covered"] = window
-        return window
-
-    def _prefetcher(self, state: _ConnectionState, generation: int,
-                    index, store) -> Prefetcher:
-        prefetcher = state.prefetchers.get(generation)
-        if prefetcher is None:
-            prefetcher = state.prefetchers[generation] = Prefetcher(
-                index, self.prefetch_config
-            )
-            prefetcher.attach_store(store)
-        return prefetcher
+        return (WorkerEngines(self.prefetch_config),
+                SessionTracker(self.prefetch_config))
 
     # -- request dispatch ----------------------------------------------
 
-    def dispatch(self, request: tuple, state: _ConnectionState):
+    def dispatch(self, request: tuple, engines: WorkerEngines,
+                 sessions: SessionTracker):
+        """Answer one request on a connection's engines and sessions."""
         kind = request[0]
+        if kind in ("range", "knn"):
+            generation, index, element_ids = self.current
+            engine, prefetcher = engines.get(generation, lambda: index)
         if kind == "range":
             _kind, query, cold, session_id = request
-            generation, index, engine, store, element_ids = self._engine(state)
             query = np.asarray(query, dtype=np.float64)
-            hint = None
-            if session_id is not None:
-                # Creating the prefetcher up front attaches the staging
-                # area before the demand crawl, so hits from earlier
-                # windows are absorbed from the first query on.
-                prefetcher = self._prefetcher(state, generation, index, store)
-                hint = self._session_hint(state, session_id, query)
-            before = store.stats.snapshot()
-            if cold:
-                store.clear_cache()
-            local = engine.range_query(query)
-            diff = store.stats.diff(before)
-            if hint is not None:
-                try:
-                    prefetcher.prefetch(hint)
-                except Exception:  # prediction must never fail a query
-                    with self._failures_lock:
-                        self.prefetch_failures += 1
+            hint = None if session_id is None else sessions.hint(session_id, query)
+            results, diff, prefetch, _seconds, _shards = serve_task(
+                engine, prefetcher, query[None, :], cold, hint
+            )
+            if prefetch["failures"]:
+                with self._failures_lock:
+                    self.prefetch_failures += prefetch["failures"]
+            local = results[0]
             hits = element_ids[local] if local.size else _EMPTY_IDS
             return hits, dict(diff.reads), dict(diff.prefetch_hits)
         if kind == "knn":
             _kind, point, k, cold = request
-            _gen, _index, engine, store, element_ids = self._engine(state)
             if cold:
-                store.clear_cache()
+                engine.store.clear_cache()
             local, dists = engine.knn_query(
                 np.asarray(point, dtype=np.float64), int(k),
                 return_distances=True,
@@ -276,7 +212,7 @@ class _ShardServer:
         raise ValueError(f"unknown cluster request {kind!r}")
 
     def serve_connection(self, conn, listener) -> None:
-        state = _ConnectionState()
+        state = self.connection_state()
         try:
             while True:
                 try:
@@ -284,7 +220,7 @@ class _ShardServer:
                 except _DEAD_SERVER_ERRORS:
                     return
                 try:
-                    reply = self.dispatch(request, state)
+                    reply = self.dispatch(request, *state)
                 except Exception as exc:  # server must outlive bad requests
                     try:
                         conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -695,21 +631,10 @@ class ClusterRouter:
         its per-session trajectory model and warms its buffer pool for
         the predicted next box — results are byte-identical either way.
         """
-        self._check_open()
-        query = np.asarray(query, dtype=np.float64)
-        selected = self.planner.shards_for_box(query)
-        self.last_plan = QueryPlan(
-            self.shard_count, [int(pos) for pos in selected]
+        results, _report = self.run(
+            np.asarray(query, dtype=np.float64)[None, :], session_id
         )
-        cold = self.clear_cache_per_query
-        replies = self._request_many(
-            [(int(pos), ("range", query, cold, session_id))
-             for pos in selected]
-        )
-        parts = [ids for ids, _reads, _hits in replies]
-        return QueryPlanner.merge_sorted_ids(
-            parts, delta=self.delta, query=query
-        )
+        return results[0]
 
     def point_query(self, point: np.ndarray) -> np.ndarray:
         """Element ids whose MBR contains *point* (degenerate range)."""
@@ -719,49 +644,22 @@ class ClusterRouter:
                   return_distances: bool = False):
         """The *k* nearest elements, MINDIST-ordered walk over servers.
 
-        The same shard walk as
-        :meth:`ShardedFLATIndex.knn_query
-        <repro.core.sharded.ShardedFLATIndex.knn_query>` — each visited
-        server contributes its exact local top k (global ids), and the
-        walk stops when the next shard's box is strictly farther than
-        the current k-th candidate.
+        The shard walk of :meth:`ShardedFLATIndex.knn_query
+        <repro.core.sharded.ShardedFLATIndex.knn_query>`
+        (:meth:`QueryPlanner.knn_walk
+        <repro.query.planner.QueryPlanner.knn_walk>`), with each visited
+        server contributing its exact local top k as global ids.
         """
         self._check_open()
         point = np.asarray(point, dtype=np.float64).reshape(3)
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        order, shard_dists = self.planner.shards_by_distance(point)
-        best_ids = _EMPTY_IDS
-        best_dists = np.empty(0, dtype=np.float64)
-        delta = self.delta
-        if delta is not None and delta.is_empty:
-            delta = None
-        shard_k = k
-        if delta is not None:
-            # Same tombstone-widening as the monolithic shard walk: ask
-            # each server for enough extras to survive the global mask.
-            shard_k = k + delta.tombstone_count
-            ids, dists = delta.knn_candidates(point)
-            keep = np.lexsort((ids, dists))[:k]
-            best_ids, best_dists = ids[keep], dists[keep]
-        selected = []
         cold = self.clear_cache_per_query
-        for pos, shard_dist in zip(order, shard_dists):
-            if len(best_ids) >= k and shard_dist > best_dists[-1]:
-                break
-            hit_ids, local_dists = self._request_one(
-                int(pos), ("knn", point, shard_k, cold)
-            )
-            selected.append(int(pos))
-            if delta is not None:
-                keep_alive = ~delta.tombstoned(hit_ids)
-                hit_ids = hit_ids[keep_alive]
-                local_dists = local_dists[keep_alive]
-            ids = np.concatenate([best_ids, hit_ids])
-            dists = np.concatenate([best_dists, local_dists])
-            keep = np.lexsort((ids, dists))[:k]
-            best_ids, best_dists = ids[keep], dists[keep]
-        self.last_plan = QueryPlan(self.shard_count, selected)
+
+        def visit(pos: int, shard_k: int) -> tuple:
+            return self._request_one(pos, ("knn", point, shard_k, cold))
+
+        best_ids, best_dists, self.last_plan = self.planner.knn_walk(
+            point, k, visit, self.delta
+        )
         if return_distances:
             return best_ids, best_dists
         return best_ids
@@ -793,6 +691,9 @@ class ClusterRouter:
         cold = self.clear_cache_per_query
         for query in queries:
             selected = self.planner.shards_for_box(query)
+            self.last_plan = QueryPlan(
+                self.shard_count, [int(pos) for pos in selected]
+            )
             spans.append((len(requests), len(selected), query))
             report.shard_requests += len(selected)
             report.shards_pruned += self.shard_count - len(selected)

@@ -96,6 +96,50 @@ class QueryPlanner:
         order = np.lexsort((np.arange(len(dists)), dists))
         return order, dists[order]
 
+    def knn_walk(self, point: np.ndarray, k: int, visit, delta=None) -> tuple:
+        """The *k* nearest elements, walking shards in MINDIST order.
+
+        ``visit(shard_id, shard_k)`` returns one shard's exact local top
+        *shard_k* as ``(global ids, distances)``.  The walk stops when
+        the next shard's box is strictly farther than the current k-th
+        candidate — it cannot contain anything closer, nor an
+        equal-distance element that would win the id tie-break from a
+        *strictly* farther box.  With a non-empty *delta*, its memtable
+        candidates join the race and its tombstones are masked; each
+        shard is then asked for ``k + tombstones`` so that live
+        elements hidden behind deleted ones survive the mask.
+
+        Returns ``(ids, distances, QueryPlan)``.
+        """
+        point = np.asarray(point, dtype=np.float64).reshape(3)
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        best_ids = np.empty(0, dtype=np.int64)
+        best_dists = np.empty(0, dtype=np.float64)
+        if delta is not None and delta.is_empty:
+            delta = None
+        shard_k = k
+        if delta is not None:
+            shard_k = k + delta.tombstone_count
+            ids, dists = delta.knn_candidates(point)
+            keep = np.lexsort((ids, dists))[:k]
+            best_ids, best_dists = ids[keep], dists[keep]
+        selected = []
+        order, shard_dists = self.shards_by_distance(point)
+        for sid, shard_dist in zip(order, shard_dists):
+            if len(best_ids) >= k and shard_dist > best_dists[-1]:
+                break
+            hit_ids, hit_dists = visit(int(sid), shard_k)
+            selected.append(int(sid))
+            if delta is not None:
+                alive = ~delta.tombstoned(hit_ids)
+                hit_ids, hit_dists = hit_ids[alive], hit_dists[alive]
+            ids = np.concatenate([best_ids, hit_ids])
+            dists = np.concatenate([best_dists, hit_dists])
+            keep = np.lexsort((ids, dists))[:k]
+            best_ids, best_dists = ids[keep], dists[keep]
+        return best_ids, best_dists, QueryPlan(self.shard_count, selected)
+
     # -- merging -------------------------------------------------------
 
     @staticmethod

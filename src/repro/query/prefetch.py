@@ -18,11 +18,21 @@ buffer pool *before* the next query arrives:
   sharded index) on a private **staging clone** whose caches are never
   cleared, and stages every page the crawl touches into a
   :class:`PrefetchArea`;
-* demand-side worker stores consult the shared area on every buffer
-  miss (:meth:`PageStore.read <repro.storage.pagestore.PageStore.read>`):
-  a staged page is consumed without physical I/O and counted as a
-  **prefetch hit** in its category, and staged decoded forms seed the
-  worker's decoded-page cache.
+* the worker's own demand store consults its prefetcher's area on
+  every buffer miss (:meth:`PageStore.read
+  <repro.storage.pagestore.PageStore.read>`): a staged page is consumed
+  without physical I/O and counted as a **prefetch hit** in its
+  category, and staged decoded forms seed the worker's decoded-page
+  cache;
+* :class:`SessionTracker` keeps one model per session and decides when
+  a query's prediction is worth a staging crawl: the window is staged
+  once, and re-staging waits until the next predicted box walks out of
+  it.
+
+Every serving worker — a pool thread, a pool process or a shard-server
+connection — owns its prefetchers (one per index generation, see
+:class:`~repro.query.service.WorkerEngines`) and stages a hint only
+after answering the query that carried it.
 
 **Accounting contract.**  Prefetching only ever moves reads *earlier*
 — it never changes what a query returns or which pages it logically
@@ -53,7 +63,7 @@ from repro.storage.stats import IOStats
 
 
 class PrefetchArea:
-    """Thread-safe staging area between one prefetcher and many readers.
+    """Thread-safe staging area between one prefetcher and its readers.
 
     Maps page ids to the decoded forms staged with them (the page bytes
     themselves live in the shared backend — memory list or read-only
@@ -300,19 +310,68 @@ class TrajectoryModel:
         return out
 
 
+class SessionTracker:
+    """Per-session trajectory models behind one covered-window rule.
+
+    :meth:`hint` feeds a session's query box to its
+    :class:`TrajectoryModel` and returns the ``lookahead``-step window
+    to stage — but only when the next predicted box is not already
+    inside the window last staged for that session, so a confident
+    straight-line session pays one staging crawl per *window*, not per
+    query.  Sessions are kept in LRU order up to :attr:`KEPT_SESSIONS`.
+    """
+
+    #: Sessions remembered before the least recently used is dropped.
+    KEPT_SESSIONS = 1024
+
+    def __init__(self, config: PrefetchConfig):
+        self.config = config
+        self._lock = threading.Lock()
+        #: session id -> [TrajectoryModel, last staged window or None]
+        self._sessions: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._sessions)
+
+    def hint(self, session_id, box: np.ndarray) -> np.ndarray | None:
+        """Observe *box* for the session; the window to stage, or None."""
+        with self._lock:
+            entry = self._sessions.get(session_id)
+            if entry is None:
+                entry = self._sessions[session_id] = [
+                    TrajectoryModel(self.config), None
+                ]
+                while len(self._sessions) > self.KEPT_SESSIONS:
+                    self._sessions.popitem(last=False)
+            else:
+                self._sessions.move_to_end(session_id)
+            model, covered = entry
+            model.observe(box)
+            next_box = model.predict()
+            if next_box is None:
+                entry[1] = None
+                return None
+            if (covered is not None
+                    and np.all(covered[:3] <= next_box[:3])
+                    and np.all(covered[3:] >= next_box[3:])):
+                return None
+            entry[1] = model.predict(self.config.lookahead)
+            return entry[1]
+
+
 class Prefetcher:
     """Warms a generation's buffer pools ahead of a session's next box.
 
     Owns one staging clone of the served index (monolithic or sharded)
     whose caches are never cleared, plus the :class:`PrefetchArea` (one
-    per shard, for a sharded index) that demand-side worker stores
+    per shard, for a sharded index) that the worker's demand store(s)
     consume from.  :meth:`attach` wires a worker clone's store(s) to
     the area(s); :meth:`prefetch` crawls one predicted box.
 
-    One prefetcher belongs to one index generation: page ids are only
-    meaningful within a generation, so the serving layer builds a fresh
-    prefetcher per committed version and retires old ones with the
-    worker clones.
+    One prefetcher belongs to one index generation of one worker: page
+    ids are only meaningful within a generation, so each worker builds
+    a fresh prefetcher per generation it serves and drops it with the
+    generation's engine clone.
     """
 
     def __init__(self, index, config: PrefetchConfig | None = None):

@@ -326,9 +326,9 @@ class PageStore:
         #: a buffer-missed read first checks the area: a staged page is
         #: consumed without physical I/O and counted as a *prefetch hit*
         #: — the read happened earlier, on the prefetcher's store.  The
-        #: serving layer attaches one shared area to every worker view
-        #: of a generation; ``None`` (the default) keeps the read path
-        #: byte-identical to the pre-prefetch engine.
+        #: serving layer gives each worker's view of a generation the
+        #: area of that worker's own prefetcher; ``None`` (the default)
+        #: keeps the read path byte-identical to the pre-prefetch engine.
         self.prefetch_area = None
 
     def view(

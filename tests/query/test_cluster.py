@@ -203,6 +203,58 @@ class TestTrajectorySessions:
         assert sum(entry["prefetch_failures"] for entry in failing) > 0
 
 
+class TestConnectionGenerations:
+    def test_connection_keeps_at_most_kept_generations(self, tmp_path):
+        """A connection driven through many reloads retires old clones.
+
+        Each reload is followed by a session range query, so every
+        generation gets an engine clone and a prefetcher on the
+        connection; only the KEPT_GENERATIONS most recently used may
+        stay alive.
+        """
+        from repro.core import (
+            FLATIndex,
+            publish_fork_generation,
+            restore_index,
+            snapshot_index,
+        )
+        from repro.query.cluster import _ShardServer
+        from repro.query.service import KEPT_GENERATIONS
+        from repro.storage import PageStore
+
+        built = FLATIndex.build(PageStore(), random_mbrs(800, seed=3),
+                                space_mbr=SPACE)
+        snapshot_index(built, tmp_path)
+        index = restored = restore_index(tmp_path)
+        server = _ShardServer(tmp_path, 0, np.arange(built.next_element_id))
+        engines, sessions = server.connection_state()
+        served = [server.current[1]]
+        walk = trajectory_range_queries(SPACE, 2e-5, 7, seed=13)
+        generation = 0
+        for step, query in enumerate(walk):
+            if step:
+                fork = index.fork()
+                fork.apply_batch(insert_mbrs=random_mbrs(5, seed=step))
+                _directory, generation = publish_fork_generation(
+                    fork, expected_base=generation
+                )
+                index = fork
+                reload = ("reload", generation, np.arange(fork.next_element_id))
+                assert server.dispatch(reload, engines, sessions) == generation
+                served.append(server.current[1])
+            hits, _reads, _prefetch_hits = server.dispatch(
+                ("range", query, True, "walker"), engines, sessions
+            )
+            oracle = restore_index(tmp_path, generation=generation)
+            assert np.array_equal(hits, oracle.range_query(query))
+            oracle.store.close()
+            assert len(engines) <= KEPT_GENERATIONS
+        assert generation == len(walk) - 1
+        assert len(sessions) == 1
+        for each in served + [restored]:
+            each.store.close()
+
+
 class TestDeltaOverlayAtGather:
     def test_range_and_knn_with_delta(self, snapshot_root, cluster_no_replicas):
         _root, oracle, queries, points = snapshot_root

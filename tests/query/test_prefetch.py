@@ -14,6 +14,7 @@ thread, process and sharded modes.
 """
 
 import multiprocessing
+import time
 from collections import deque
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.query import (
     PrefetchConfig,
     Prefetcher,
     QueryService,
+    SessionTracker,
     TrajectoryModel,
     trajectory_range_queries,
 )
@@ -365,6 +367,29 @@ class TestStagedPageSet:
             assert_area_holds_exactly(area, expected)
 
 
+class TestSessionTracker:
+    def test_one_staging_window_per_covered_stretch(self):
+        config = PrefetchConfig()
+        tracker = SessionTracker(config)
+        boxes = walk_boxes(count=12)
+        hints = [tracker.hint("walker", box) for box in boxes]
+        # No prediction before min_history boxes were observed.
+        assert all(hint is None for hint in hints[:config.min_history - 1])
+        windows = [hint for hint in hints if hint is not None]
+        assert 0 < len(windows) < len(boxes) - config.min_history + 1
+        model = TrajectoryModel(config)
+        for box in boxes[:config.min_history]:
+            model.observe(box)
+        assert np.array_equal(windows[0], model.predict(config.lookahead))
+
+    def test_sessions_are_lru_bounded(self):
+        tracker = SessionTracker(PrefetchConfig())
+        box = walk_boxes(count=1)[0]
+        for session in range(SessionTracker.KEPT_SESSIONS + 2):
+            tracker.hint(session, box)
+        assert len(tracker) == SessionTracker.KEPT_SESSIONS
+
+
 # -- service integration -------------------------------------------------
 
 
@@ -499,3 +524,28 @@ class TestServiceSessions:
                 got = service.submit(query, session_id="walker").result()
                 assert np.array_equal(got, want)
         assert service.prefetch_failures == failures["thread"]
+
+    def test_thread_and_process_sessions_account_identically(
+            self, session_setup, monkeypatch):
+        """Both modes stage a session's hint in the worker, after the
+        answer: slowing every demand query down cannot let a staging
+        crawl overlap the query that carried its hint, so one worker
+        reads, stages and consumes the same pages in either mode."""
+        flat, queries, _expected = session_setup
+        crawl = FLATIndex.range_query
+
+        def slow_range_query(self, query):
+            time.sleep(0.02)
+            return crawl(self, query)
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(FLATIndex, "range_query", slow_range_query)
+        fork = {"mode": MODE_PROCESS,
+                "mp_context": multiprocessing.get_context("fork")}
+        thread = run_session_reports(flat, queries, prefetch=True)
+        process = run_session_reports(flat, queries, prefetch=True, **fork)
+        assert thread.total_prefetch_hits > 0
+        for name in ("reads_by_category", "prefetch_hits_by_category",
+                     "prefetch_reads_by_category", "prefetch_staged",
+                     "prefetch_consumed"):
+            assert getattr(thread, name) == getattr(process, name), name

@@ -1,5 +1,6 @@
 """Tests for the concurrent QueryService (monolithic and scatter–gather)."""
 
+import sys
 import threading
 
 import numpy as np
@@ -90,6 +91,40 @@ class TestWorkerIsolation:
             service.run(queries)
             total = service.aggregate_stats()
         assert total.total_reads == 2 * serial.total_page_reads
+
+    def test_lifetime_totals_survive_concurrent_clients(self, served_setup):
+        """Every finished task folds into the lifetime totals exactly
+        once, however the done-callbacks of concurrent workers
+        interleave: tiny queries keep the callbacks overlapping, and a
+        short switch interval preempts them mid-update."""
+        flat, store, _queries, _serial = served_setup
+        rng = np.random.default_rng(11)
+        corners = rng.uniform(0, 100, size=(200, 3))
+        queries = np.concatenate([corners, corners + 0.01], axis=1)
+        serial = run_queries(flat, store, queries, "serial")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(flat, workers=8) as service:
+
+                def client():
+                    futures = [service.submit(q) for q in queries]
+                    for future in futures:
+                        future.result(timeout=60)
+
+                for _round in range(3):
+                    clients = [threading.Thread(target=client) for _ in range(4)]
+                    for thread in clients:
+                        thread.start()
+                    for thread in clients:
+                        thread.join(timeout=120)
+                    assert not any(thread.is_alive() for thread in clients)
+                total = service.aggregate_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert total.reads == {
+            c: 12 * n for c, n in serial.reads_by_category.items()
+        }
 
     def test_successive_runs_report_only_their_own_io(self, served_setup):
         flat, _store, queries, serial = served_setup

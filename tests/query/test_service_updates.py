@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import FLATIndex, ShardedFLATIndex
 from repro.geometry.intersect import boxes_intersect_box
-from repro.query.service import QueryService
+from repro.query.service import KEPT_GENERATIONS, QueryService
 from repro.rtree import bulkload_rtree
 from repro.storage import PageStore
 
@@ -141,9 +141,10 @@ class TestApplyUpdates:
             assert service.workers_started <= 2
             total = service.aggregate_stats()
             assert total.total_reads > 0
-            with service._states_lock:
-                # 2 threads x at most _KEPT_VERSIONS live generations.
-                assert len(service._worker_states) <= 2 * service._KEPT_VERSIONS
+            # 2 threads, each caching at most KEPT_GENERATIONS clones.
+            assert len(service._engines) <= 2
+            for engines in service._engines.values():
+                assert len(engines) <= KEPT_GENERATIONS
         finally:
             service.close()
 
