@@ -22,8 +22,13 @@ What the artifact records, per codec:
 * ``pages.dat`` size and the compression ratio vs raw (gated, default
   ``>= 2x``);
 * measured cold throughput (q/s) and the physical page reads behind it
-  — the same byte budget holds ~3x more delta64 blobs, so the
-  compressed store misses less;
+  — the same charged byte budget holds ~3x more delta64 pages, so the
+  compressed store misses less — plus the physical bytes those reads
+  fetched;
+* what the pool charges (``pool_resident_bytes``) beside the bytes it
+  really holds (``pool_held_bytes``): pooled pages are the inflated
+  4 KiB ones, so a delta64 pool holds several times its charge, and a
+  pool hit never runs the codec;
 * modeled I/O seconds from :class:`~repro.storage.diskmodel.DiskModel`
   with ``page_bytes`` set to the codec's mean physical blob size — the
   paper-grade 10 kRPM SAS estimate of the same read counts.
@@ -139,10 +144,12 @@ def _cold_run(directory, queries, byte_budget, disk: DiskModel,
             "cold_qps": len(queries) / wall if wall > 0 else float("inf"),
             "wall_seconds": wall,
             "physical_reads": int(physical_reads),
+            "physical_bytes_read": int(store.stats.total_physical_bytes_read),
             "cache_hits": int(store.stats.cache_hits),
             "modeled_io_seconds": modeled.io_seconds(physical_reads),
             "pool_resident_pages": len(store.buffer),
             "pool_resident_bytes": int(store.buffer.resident_bytes),
+            "pool_held_bytes": int(store.buffer.held_bytes),
         }
         return results, run
     finally:
@@ -300,8 +307,11 @@ def main(argv=None) -> int:
         ratio = report["compression_ratio_vs_raw"][codec]
         print(f"  {codec:8s}: pages.dat {info['pages_dat_bytes']:12,} B "
               f"({ratio:4.2f}x), cold {run['cold_qps']:8.2f} q/s, "
-              f"{run['physical_reads']:8d} physical reads, "
-              f"modeled I/O {run['modeled_io_seconds']:8.2f} s")
+              f"{run['physical_reads']:8d} physical reads "
+              f"({run['physical_bytes_read']:,} B), "
+              f"modeled I/O {run['modeled_io_seconds']:8.2f} s, "
+              f"pool charged {run['pool_resident_bytes']:,} B / "
+              f"held {run['pool_held_bytes']:,} B")
     return finish(report, args.out)
 
 

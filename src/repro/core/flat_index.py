@@ -1271,8 +1271,10 @@ class FLATIndex:
         if cold:
             per_page = (charged & ~seed_reads).sum(axis=1)
             for page in np.flatnonzero(per_page).tolist():
+                pages = int(per_page[page])
                 store.stats.record_read(
-                    store.backend.category(page), int(per_page[page])
+                    store.backend.category(page), pages,
+                    pages * store.stored_bytes(page),
                 )
             store.stats.merge(
                 IOStats(decode_misses=engine.store.stats.decode_misses)

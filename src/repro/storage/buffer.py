@@ -24,9 +24,12 @@ class BufferPool:
     of) entry count: each :meth:`put` charges the entry's cost (its
     physical stored size, passed by the caller, or ``len(page)``), and
     LRU entries are evicted until the budget holds.  This is how the
-    scale benchmark models a fixed RAM grant over stores whose physical
+    scale benchmark models a fixed grant over stores whose physical
     pages differ in size — a compressed store fits proportionally more
-    pages into the same budget.
+    pages into the same *charged* budget.  The pages held are the
+    inflated ones, so the RAM they occupy (:attr:`held_bytes`) is larger
+    than the charge (:attr:`resident_bytes`); holding inflated pages is
+    what lets a pool hit skip the codec.
     """
 
     def __init__(self, capacity: int | None = None,
@@ -95,6 +98,15 @@ class BufferPool:
     def resident_bytes(self) -> int:
         """Bytes currently charged against ``byte_capacity``."""
         return self._resident_bytes
+
+    @property
+    def held_bytes(self) -> int:
+        """Bytes of the pages actually held (the sum of their lengths).
+
+        A store pools *inflated* pages but charges their stored size, so
+        over a compressed store this exceeds :attr:`resident_bytes`.
+        """
+        return sum(len(page) for page in self._pages.values())
 
     def discard(self, page_id) -> None:
         """Drop one cached page if present (write-path invalidation)."""

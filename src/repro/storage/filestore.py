@@ -199,7 +199,9 @@ class FilePageBackend:
         self._raw_codec = self._codec.name == "raw"
         self._file = None
         self._mmap = None
-        self._closed = False
+        #: Set by :meth:`close`/:meth:`discard`; stores check it before
+        #: their buffer pool, so no read is served after close.
+        self.closed = False
         #: Appends/rewrites not yet visible to ``os.pread``.
         self._unflushed_writes = False
         #: Appends/rewrites since the last published generation.
@@ -421,7 +423,7 @@ class FilePageBackend:
         backing ``pages.dat`` and ``madvise`` zaps the mapping's
         resident pages.  A no-op where unsupported.
         """
-        if self._closed or self._file is None:
+        if self.closed or self._file is None:
             return
         try:
             os.posix_fadvise(
@@ -498,7 +500,7 @@ class FilePageBackend:
 
     def close(self) -> None:
         """Flush (if writable) and release the file/mapping."""
-        if self._closed:
+        if self.closed:
             return
         if self.writable:
             self.flush()
@@ -512,7 +514,7 @@ class FilePageBackend:
         uncommitted tail of ``pages.dat`` stays unreachable instead of
         silently passing :meth:`open`'s consistency checks.
         """
-        if not self._closed:
+        if not self.closed:
             self._release()
 
     def _release(self) -> None:
@@ -522,10 +524,10 @@ class FilePageBackend:
         if self._file is not None:
             self._file.close()
             self._file = None
-        self._closed = True
+        self.closed = True
 
     def _check_open(self) -> None:
-        if self._closed:
+        if self.closed:
             raise PageStoreError(f"store in {self.directory} is closed")
 
     # -- pickling --------------------------------------------------------

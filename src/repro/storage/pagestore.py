@@ -57,13 +57,16 @@ class MemoryPageBackend:
     :class:`repro.storage.filestore.FilePageBackend`.
 
     With ``codec`` set (a name from :mod:`repro.storage.codec`), pages
-    are held *compressed* in RAM and decoded per :meth:`payload` — the
+    are held *compressed* in RAM and decoded by :meth:`payload` — the
     in-memory mirror of a compressed file store, for fitting more pages
-    into the same footprint at a decode cost per read.
+    into the same footprint at a decode cost per *physical* read (the
+    store only calls :meth:`payload` on a buffer-pool miss).
     """
 
     #: Memory backends always accept :meth:`append`.
     writable = True
+    #: Memory backends are never closed (see :meth:`PageStore.read`).
+    closed = False
 
     def __init__(self, codec: str | None = None):
         if codec is not None:
@@ -188,6 +191,11 @@ class OverlayPageBackend:
         clone._tail = list(self._tail)
         clone._tail_categories = list(self._tail_categories)
         return clone
+
+    @property
+    def closed(self) -> bool:
+        """True once the base is closed: the overlay reads through it."""
+        return getattr(self._base, "closed", False)
 
     def payload(self, page_id: int) -> bytes:
         if page_id >= self._base_len:
@@ -417,39 +425,54 @@ class PageStore:
     def read(self, page_id: int) -> bytes:
         """Fetch a page, counting a physical read on buffer miss.
 
+        The order is the cost model: bounds first, then the buffer pool,
+        and the backend only on a pool miss.  A pool hit is one dict
+        lookup and never reaches the backend, so a compressed store
+        inflates a page once per physical read (``backend.payload`` is
+        the call that inflates) and the pool keeps the inflated bytes.
+        A read of a closed backend raises before the pool is asked, so
+        a pooled page is not served after ``close()`` either.
+
         A buffer miss consults the attached prefetch area (if any)
         before charging physical I/O: consuming a staged page counts a
         *prefetch hit* in its category instead of a read, and any
         decoded forms staged with the page seed this store's decoded
         cache — the work moved earlier, it never disappears, so
         ``reads + prefetch_hits`` always equals the reads of a
-        prefetch-free run.
+        prefetch-free run.  A physical read records the page's stored
+        bytes next to the read.
         """
-        payload = self._payload(page_id)
-        if self.buffer is not None:
-            cached = self.buffer.get(page_id)
+        self._check_bounds(page_id)
+        backend = self.backend
+        if backend.closed:
+            raise PageStoreError(f"cannot read page {page_id}: the store is closed")
+        buffer = self.buffer
+        if buffer is not None:
+            cached = buffer.get(page_id)
             if cached is not None:
                 self.stats.record_cache_hit()
                 return cached
-            if self.buffer.byte_capacity is None:
-                self.buffer.put(page_id, payload)
+        payload = backend.payload(page_id)
+        if buffer is not None:
+            if buffer.byte_capacity is None:
+                buffer.put(page_id, payload)
             else:
                 # A byte-budgeted pool charges each page its *physical*
                 # footprint: compressed stores fit more pages into the
                 # same budget — the larger-than-RAM win.
-                stored = getattr(self.backend, "stored_bytes", None)
-                cost = len(payload) if stored is None else stored(page_id)
-                self.buffer.put(page_id, payload, cost)
+                buffer.put(page_id, payload, self.stored_bytes(page_id))
         area = self.prefetch_area
         if area is not None:
             staged = area.take(page_id)
             if staged is not None:
-                self.stats.record_prefetch_hit(self.backend.category(page_id))
+                self.stats.record_prefetch_hit(backend.category(page_id))
                 if self.decoded is not None:
                     for kind, decoded in staged.items():
                         self.decoded.seed(kind, page_id, decoded)
                 return payload
-        self.stats.record_read(self.backend.category(page_id))
+        self.stats.record_read(
+            backend.category(page_id), 1, self.stored_bytes(page_id)
+        )
         return payload
 
     def read_many(self, page_ids) -> list:
@@ -503,17 +526,21 @@ class PageStore:
         build-time figures measure wall-clock, not page reads, so
         construction-time access is not charged as query I/O.
         """
-        return self._payload(page_id)
+        self._check_bounds(page_id)
+        return self.backend.payload(page_id)
+
+    def stored_bytes(self, page_id: int) -> int:
+        """Bytes one physical read of the page fetches: the backend's
+        stored blob length, or ``PAGE_SIZE`` for a backend that keeps
+        pages verbatim and reports no size."""
+        stored = getattr(self.backend, "stored_bytes", None)
+        return PAGE_SIZE if stored is None else stored(page_id)
 
     def _check_bounds(self, page_id: int) -> None:
         if not 0 <= page_id < len(self.backend):
             raise PageStoreError(
                 f"page id {page_id} out of range (store has {len(self.backend)} pages)"
             )
-
-    def _payload(self, page_id: int) -> bytes:
-        self._check_bounds(page_id)
-        return self.backend.payload(page_id)
 
     # -- cache control ---------------------------------------------------
 

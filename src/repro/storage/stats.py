@@ -41,6 +41,13 @@ class IOStats:
     page decodes and ``decode_hits[kind]`` counts decodes absorbed by a
     :class:`~repro.storage.decoded_cache.DecodedPageCache` (kinds are
     ``"metadata"`` / ``"element"``).
+
+    Bytes come in two kinds.  *Logical* bytes (:attr:`total_bytes_read`,
+    :meth:`bytes_read_in`) are ``reads * PAGE_SIZE`` — what the paper's
+    figures plot, whatever the codec.  *Physical* bytes
+    (:attr:`physical_bytes`) are what the reads actually fetched: each
+    read's stored blob length, which a compressed store keeps below
+    ``PAGE_SIZE``.
     """
 
     reads: dict = field(default_factory=dict)
@@ -54,10 +61,23 @@ class IOStats:
     #: ``reads[c] + prefetch_hits[c]`` equals the ``reads[c]`` a
     #: prefetch-disabled run would have charged.
     prefetch_hits: dict = field(default_factory=dict)
+    #: Stored bytes the physical reads fetched (per category).
+    physical_bytes: dict = field(default_factory=dict)
 
-    def record_read(self, category: str, pages: int = 1) -> None:
-        """Count *pages* physical page reads in *category*."""
+    def record_read(self, category: str, pages: int = 1,
+                    stored_bytes: int | None = None) -> None:
+        """Count *pages* physical page reads in *category*.
+
+        *stored_bytes* is what the reads fetched from the backend; it
+        defaults to ``pages * PAGE_SIZE``, the size of an uncompressed
+        page.
+        """
         self.reads[category] = self.reads.get(category, 0) + pages
+        if stored_bytes is None:
+            stored_bytes = pages * PAGE_SIZE
+        self.physical_bytes[category] = (
+            self.physical_bytes.get(category, 0) + stored_bytes
+        )
 
     def record_write(self, category: str, pages: int = 1) -> None:
         """Count *pages* page writes in *category*."""
@@ -87,12 +107,17 @@ class IOStats:
 
     @property
     def total_bytes_read(self) -> int:
-        """Total bytes read from 'disk'."""
+        """Total *logical* bytes read: ``total_reads * PAGE_SIZE``."""
         return self.total_reads * PAGE_SIZE
 
     def bytes_read_in(self, *categories: str) -> int:
-        """Bytes read across the given categories."""
+        """*Logical* bytes read across the given categories."""
         return self.reads_in(*categories) * PAGE_SIZE
+
+    @property
+    def total_physical_bytes_read(self) -> int:
+        """Total stored bytes the physical reads fetched."""
+        return sum(self.physical_bytes.values())
 
     def decodes_in(self, *kinds: str) -> int:
         """Full page decodes performed across the given decode kinds."""
@@ -122,6 +147,7 @@ class IOStats:
             dict(self.decode_hits),
             dict(self.decode_misses),
             dict(self.prefetch_hits),
+            dict(self.physical_bytes),
         )
 
     @staticmethod
@@ -137,21 +163,22 @@ class IOStats:
             self._dict_diff(self.decode_hits, before.decode_hits),
             self._dict_diff(self.decode_misses, before.decode_misses),
             self._dict_diff(self.prefetch_hits, before.prefetch_hits),
+            self._dict_diff(self.physical_bytes, before.physical_bytes),
         )
 
     def merge(self, other: "IOStats") -> None:
         """Accumulate *other*'s counters into this object."""
-        for category, n in other.reads.items():
-            self.reads[category] = self.reads.get(category, 0) + n
-        for category, n in other.writes.items():
-            self.writes[category] = self.writes.get(category, 0) + n
+        for mine, theirs in (
+            (self.reads, other.reads),
+            (self.writes, other.writes),
+            (self.decode_hits, other.decode_hits),
+            (self.decode_misses, other.decode_misses),
+            (self.prefetch_hits, other.prefetch_hits),
+            (self.physical_bytes, other.physical_bytes),
+        ):
+            for key, n in theirs.items():
+                mine[key] = mine.get(key, 0) + n
         self.cache_hits += other.cache_hits
-        for kind, n in other.decode_hits.items():
-            self.decode_hits[kind] = self.decode_hits.get(kind, 0) + n
-        for kind, n in other.decode_misses.items():
-            self.decode_misses[kind] = self.decode_misses.get(kind, 0) + n
-        for category, n in other.prefetch_hits.items():
-            self.prefetch_hits[category] = self.prefetch_hits.get(category, 0) + n
 
     def reset(self) -> None:
         """Zero all counters."""
@@ -161,6 +188,7 @@ class IOStats:
         self.decode_hits.clear()
         self.decode_misses.clear()
         self.prefetch_hits.clear()
+        self.physical_bytes.clear()
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{c}={n}" for c, n in sorted(self.reads.items()))
