@@ -29,8 +29,10 @@ every shard over a read-only mmap-backed
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,7 +49,13 @@ from repro.geometry.mbr import (
 )
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.storage.constants import OBJECT_PAGE_CAPACITY
-from repro.storage.pagestore import PageStore, PageStoreError, PageStoreGroup
+from repro.storage.filestore import publish_files
+from repro.storage.pagestore import (
+    PageStore,
+    PageStoreError,
+    PageStoreGroup,
+    SnapshotError,
+)
 from repro.core.flat_index import CrawlStats, FLATIndex
 from repro.core.partition import compute_partitions
 from repro.core.snapshot import restore_index, snapshot_index
@@ -501,28 +509,42 @@ class ShardedFLATIndex:
         cluster's rolling update calls this after publishing per-shard
         generations so a fresh :meth:`restore` of the root sees the
         updated shard set — each shard at its latest generation.
+
+        Both files go through the store writer's small-file step
+        (:func:`~repro.storage.filestore.publish_files`: temp name,
+        fsync, rename, directory fsync), bundle first.  The manifest
+        records the bundle's CRC-32, so a crash between the two renames
+        — a new bundle beside the old manifest — is refused by
+        :meth:`restore` instead of pairing new id maps with an old
+        watermark.
         """
         directory = Path(directory)
         offsets = np.zeros(len(self.shards) + 1, dtype=np.int64)
         # Offsets over the raw id maps (stale slots included) — the
         # restored arrays must be positionally identical.
         np.cumsum([len(shard.element_ids) for shard in self.shards], out=offsets[1:])
+        arrays = io.BytesIO()
         np.savez_compressed(
-            directory / SHARD_ARRAYS_FILENAME,
+            arrays,
             shard_mbrs=np.stack([shard.mbr for shard in self.shards]),
             element_offsets=offsets,
             element_ids=np.concatenate(
                 [shard.element_ids for shard in self.shards]
             ),
         )
+        bundle = arrays.getvalue()
         meta = {
             "format_version": SHARDED_FORMAT_VERSION,
             "index": "ShardedFLAT",
             "shard_count": len(self.shards),
             "element_count": int(self.element_count),
             "next_element_id": int(self._next_id),
+            "bundle_crc32": zlib.crc32(bundle),
         }
-        (directory / SHARD_META_FILENAME).write_text(json.dumps(meta, indent=2) + "\n")
+        publish_files(directory, {SHARD_ARRAYS_FILENAME: bundle})
+        publish_files(directory, {
+            SHARD_META_FILENAME: (json.dumps(meta, indent=2) + "\n").encode()
+        })
         return directory
 
     @classmethod
@@ -543,10 +565,18 @@ class ShardedFLATIndex:
             raise PageStoreError(
                 f"unsupported sharded snapshot format {meta.get('format_version')!r}"
             )
-        with np.load(directory / SHARD_ARRAYS_FILENAME) as bundle:
-            shard_mbrs = bundle["shard_mbrs"]
-            offsets = bundle["element_offsets"]
-            element_ids = bundle["element_ids"]
+        bundle = (directory / SHARD_ARRAYS_FILENAME).read_bytes()
+        expected = meta.get("bundle_crc32")  # absent in older roots
+        if expected is not None and zlib.crc32(bundle) != expected:
+            raise SnapshotError(
+                f"sharded snapshot {directory}: {SHARD_ARRAYS_FILENAME} does "
+                f"not match the checksum in {SHARD_META_FILENAME} (a root "
+                "publish died between its two renames)"
+            )
+        with np.load(io.BytesIO(bundle)) as arrays:
+            shard_mbrs = arrays["shard_mbrs"]
+            offsets = arrays["element_offsets"]
+            element_ids = arrays["element_ids"]
 
         shards = []
         for shard_id in range(int(meta["shard_count"])):

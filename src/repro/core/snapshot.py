@@ -18,19 +18,28 @@ A snapshot directory holds numbered, copy-on-write *generations*:
 generation 0; ``snapshot_generation`` publishes the current state of an
 index living on a *writable* file store as the next generation in
 place (rewritten pages were already append-redirected, so this is the
-cheap path the mutable serving stack uses).  ``restore_index`` reopens
-the latest generation — or any older one — over a read-only
-``mmap``-backed :class:`~repro.storage.filestore.FilePageStore`;
-queries against the restored index read the same pages and return the
-same elements as against the original (pinned by tests on the Fig. 13
-SN workload).  Malformed directories surface as
+cheap path the mutable serving stack uses); ``publish_fork_generation``
+publishes a fork of a restored generation; ``ship_index_generation``
+copies one generation into a replica.  All four hand the generation's
+two index files, as bytes, to the store's one writer
+(:func:`~repro.storage.filestore.publish_generation`), which writes
+them after the store's own checks pass and before the store manifest,
+each through a temp name, an fsync and a rename.  A crash before the
+manifest's rename leaves the previous generation the latest one,
+byte-identical; after it, the new generation is complete.
+``restore_index`` reopens the latest generation — or any older one —
+over a read-only ``mmap``-backed
+:class:`~repro.storage.filestore.FilePageStore`; queries against the
+restored index read the same pages and return the same elements as
+against the original (pinned by tests on the Fig. 13 SN workload).
+Malformed directories surface as
 :class:`~repro.storage.pagestore.SnapshotError`.
 """
 
 from __future__ import annotations
 
+import io
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +51,8 @@ from repro.storage.filestore import (
     append_overlay_generation,
     latest_generation,
     list_generations,
+    ship_store_generation,
+    write_store_snapshot,
 )
 from repro.storage.pagestore import OverlayPageBackend, PageStoreError, SnapshotError
 
@@ -61,8 +72,8 @@ def index_arrays_filename(generation: int) -> str:
     return f"index-{generation:06d}.npz"
 
 
-def _write_index_files(flat, directory: Path, generation: int) -> None:
-    """Write one generation's ``index-*.npz``/``index-*.json`` pair."""
+def _index_files(flat, generation: int) -> dict:
+    """One generation's ``index-*.json``/``index-*.npz`` pair, as bytes."""
     seed = flat.seed_index
     object_page_ids = np.fromiter(
         flat.object_page_element_ids.keys(),
@@ -84,8 +95,9 @@ def _write_index_files(flat, directory: Path, generation: int) -> None:
     else:
         values = np.empty(0, dtype=np.int64)
 
+    arrays = io.BytesIO()
     np.savez_compressed(
-        directory / index_arrays_filename(generation),
+        arrays,
         record_page=seed.record_page,
         record_slot=seed.record_slot,
         leaf_page_ids=np.asarray(seed.leaf_page_ids, dtype=np.int64),
@@ -113,9 +125,10 @@ def _write_index_files(flat, directory: Path, generation: int) -> None:
             "partition_count": int(report.partition_count),
         },
     }
-    (directory / index_meta_filename(generation)).write_text(
-        json.dumps(meta, indent=2) + "\n"
-    )
+    return {
+        index_meta_filename(generation): (json.dumps(meta, indent=2) + "\n").encode(),
+        index_arrays_filename(generation): arrays.getvalue(),
+    }
 
 
 def snapshot_index(flat, directory, codec=DEFAULT_CODEC) -> Path:
@@ -126,28 +139,14 @@ def snapshot_index(flat, directory, codec=DEFAULT_CODEC) -> Path:
     query answer and read count — are codec-invariant, so exporting the
     same index under ``raw`` and ``delta64`` yields byte-identical
     restores over very differently sized ``pages.dat`` files.  The
-    index files are written before the store manifest is atomically
-    published, so a crash mid-export leaves no generation behind.
+    export is :func:`~repro.storage.filestore.write_store_snapshot`
+    with the index files published beside the store, so a crash
+    mid-export leaves no generation behind.  Exporting into the index's
+    own directory is refused; :func:`snapshot_generation` publishes in
+    place.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    store = flat.store
-    source_dir = getattr(store.backend, "directory", None)
-    if source_dir is not None and Path(source_dir).resolve() == directory.resolve():
-        raise PageStoreError(
-            f"cannot export a snapshot into the index's own directory "
-            f"{directory}; use snapshot_generation() to publish in place"
-        )
-    target = FilePageBackend.create(directory, codec=codec)
-    try:
-        for page_id in range(len(store)):
-            target.append(store.read_silent(page_id), store.category(page_id))
-        _write_index_files(flat, directory, generation=0)
-    except BaseException:
-        target.discard()
-        raise
-    target.close()
-    return directory
+    return write_store_snapshot(flat.store, directory, codec=codec,
+                                files=_index_files(flat, 0))
 
 
 def snapshot_generation(flat) -> int:
@@ -156,8 +155,9 @@ def snapshot_generation(flat) -> int:
     Requires ``flat.store`` to be a *writable*
     :class:`~repro.storage.filestore.FilePageStore` (an index built
     directly on disk).  Unchanged pages are shared with every earlier
-    generation; the store manifest is published last, atomically, so a
-    partial write never becomes restorable.  Returns the generation.
+    generation; the index files and the store manifest are published
+    by the store's one writer, so a partial write never becomes
+    restorable.  Returns the generation.
     """
     backend = flat.store.backend
     if not isinstance(backend, FilePageBackend) or not backend.writable:
@@ -166,10 +166,7 @@ def snapshot_generation(flat) -> int:
             "FilePageStore; use snapshot_index() to export other stores"
         )
     generation = 0 if backend.generation is None else backend.generation + 1
-    _write_index_files(flat, backend.directory, generation)
-    committed = backend.commit_generation()
-    assert committed == generation
-    return generation
+    return backend.commit_generation(_index_files(flat, generation))
 
 
 def publish_fork_generation(flat, expected_base: int | None = None) -> tuple:
@@ -180,10 +177,11 @@ def publish_fork_generation(flat, expected_base: int | None = None) -> tuple:
     read-only mmap-backed :class:`~repro.storage.filestore.FilePageBackend`.
     The overlay's changed pages are appended to the base directory
     (copy-on-write: the fork's parent generation and every older one
-    stay restorable) together with this generation's index files, and
-    the manifest is published last, atomically.  Returns ``(directory,
-    generation)`` — the spec a reader in *any* process needs to restore
-    exactly this committed state.
+    stay restorable) and published with this generation's index files
+    by :func:`~repro.storage.filestore.append_overlay_generation`, the
+    manifest last.  Returns ``(directory, generation)`` — the spec a
+    reader in *any* process needs to restore exactly this committed
+    state.
 
     *expected_base* pins the generation this commit believes is the
     directory's latest: if another publisher advanced the directory in
@@ -191,7 +189,7 @@ def publish_fork_generation(flat, expected_base: int | None = None) -> tuple:
     :class:`~repro.storage.pagestore.SnapshotError` instead of silently
     forking the lineage (a serial publisher passes the generation of
     its own last publish — or of its original restore, before the
-    first one).
+    first one).  Publishing is single-writer per directory.
 
     This is how cross-process serving propagates update commits: the
     committing process publishes, worker processes lazily
@@ -216,16 +214,9 @@ def publish_fork_generation(flat, expected_base: int | None = None) -> tuple:
             f"{expected_base} but the directory has advanced to {latest}; "
             "generation publishing is single-writer per directory"
         )
-    generation = latest + 1
-    _write_index_files(flat, directory, generation)
-    committed = append_overlay_generation(backend)
-    if committed != generation:
-        raise SnapshotError(
-            f"snapshot directory {directory}: generation moved from "
-            f"{generation} to {committed} mid-publish — publishing must be "
-            "single-writer"
-        )
-    return directory, generation
+    return directory, append_overlay_generation(
+        backend, _index_files(flat, latest + 1)
+    )
 
 
 def ship_index_generation(source_dir, dest_dir, generation=None):
@@ -233,30 +224,26 @@ def ship_index_generation(source_dir, dest_dir, generation=None):
 
     The index-level face of
     :func:`~repro.storage.filestore.ship_store_generation`: ships the
-    store's incremental page tail, then copies the shipped generation's
-    ``index-NNNNNN.json``/``.npz`` pair so the replica directory is
+    store's incremental page tail with the shipped generation's
+    ``index-NNNNNN.json``/``.npz`` pair, so the replica directory is
     restorable with :func:`restore_index` at exactly that generation.
-    The index files land *before* the store manifest publishes (inside
-    the store ship they land after the page bytes but the manifest is
-    last), preserving the crash rule: a half-shipped replica never
+    The index files ride inside the store ship: they are written only
+    after its lineage checks pass, and before its manifest publishes,
+    so a refused ship writes nothing and a half-shipped replica never
     exposes a restorable generation it does not fully hold.
 
     Returns the store ship's
     :class:`~repro.storage.filestore.ShipStats` with the index-file
     bytes filled into ``index_bytes_sent``.
     """
-    from repro.storage.filestore import ship_store_generation, latest_generation
-
     source_dir = Path(source_dir)
-    dest_dir = Path(dest_dir)
     if generation is None:
         generation = latest_generation(source_dir)
         if generation is None:
             raise SnapshotError(
                 f"no page-store manifest generations in {source_dir}"
             )
-    index_bytes = 0
-    dest_dir.mkdir(parents=True, exist_ok=True)
+    files = {}
     for name in (index_meta_filename(generation), index_arrays_filename(generation)):
         source_path = source_dir / name
         if not source_path.exists():
@@ -264,13 +251,9 @@ def ship_index_generation(source_dir, dest_dir, generation=None):
                 f"snapshot directory {source_dir} has no index files for "
                 f"generation {generation} (missing {name})"
             )
-        payload = source_path.read_bytes()
-        scratch = dest_dir / (name + ".tmp")
-        scratch.write_bytes(payload)
-        os.replace(scratch, dest_dir / name)
-        index_bytes += len(payload)
-    report = ship_store_generation(source_dir, dest_dir, generation)
-    report.index_bytes_sent = index_bytes
+        files[name] = source_path.read_bytes()
+    report = ship_store_generation(source_dir, dest_dir, generation, files)
+    report.index_bytes_sent = sum(len(payload) for payload in files.values())
     return report
 
 

@@ -82,6 +82,7 @@ from repro.geometry.mbr import point_as_box
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.prefetch import PrefetchConfig, SessionTracker
 from repro.query.service import WorkerEngines, serve_task
+from repro.storage.stats import IOStats
 
 # repro.core imports stay function-local: repro.core.flat_index imports
 # repro.query at module level, so a top-level import here would close an
@@ -174,7 +175,7 @@ class _ShardServer:
                     self.prefetch_failures += prefetch["failures"]
             local = results[0]
             hits = element_ids[local] if local.size else _EMPTY_IDS
-            return hits, dict(diff.reads), dict(diff.prefetch_hits)
+            return hits, diff
         if kind == "knn":
             _kind, point, k, cold = request
             if cold:
@@ -366,13 +367,10 @@ class ClusterReport:
     shard_requests: int = 0
     #: Shard executions skipped by planner pruning, summed over queries.
     shards_pruned: int = 0
-    #: Physical page reads summed over every server's reply accounting.
-    reads_by_category: dict = field(default_factory=dict)
-    #: Demand reads absorbed by server-side prefetch areas, by category
-    #: — kept separate from physical reads so the accounting identity
-    #: ``reads + prefetch_hits == prefetch-free reads`` is checkable at
-    #: the router.
-    prefetch_hits_by_category: dict = field(default_factory=dict)
+    #: Every server's per-request :class:`~repro.storage.stats.IOStats`
+    #: diff, merged: reads, physical bytes, cache hits, decode counters
+    #: and prefetch hits, as an in-process run would count them.
+    stats: IOStats = field(default_factory=IOStats)
     per_query_results: list = field(default_factory=list)
     #: Session id the batch was served under (``None`` = no prefetching).
     session_id: str | None = None
@@ -380,12 +378,27 @@ class ClusterReport:
     servers_lost: int = 0
 
     @property
+    def reads_by_category(self) -> dict:
+        """Physical page reads summed over every server's replies."""
+        return dict(sorted(self.stats.reads.items()))
+
+    @property
+    def prefetch_hits_by_category(self) -> dict:
+        """Demand reads absorbed by server-side prefetch areas.
+
+        Kept separate from physical reads so the accounting identity
+        ``reads + prefetch_hits == prefetch-free reads`` is checkable at
+        the router.
+        """
+        return dict(sorted(self.stats.prefetch_hits.items()))
+
+    @property
     def total_page_reads(self) -> int:
-        return sum(self.reads_by_category.values())
+        return self.stats.total_reads
 
     @property
     def total_prefetch_hits(self) -> int:
-        return sum(self.prefetch_hits_by_category.values())
+        return self.stats.total_prefetch_hits
 
     @property
     def throughput_qps(self) -> float:
@@ -676,9 +689,11 @@ class ClusterRouter:
 
         A *session_id* is forwarded with every request: each server
         then runs its own trajectory model over the boxes it sees and
-        prefetches for the predicted next one.  The per-server replies
-        keep prefetch hits separate from physical reads, and the report
-        aggregates both without mixing them.
+        prefetches for the predicted next one.  Each reply carries the
+        server's whole :class:`~repro.storage.stats.IOStats` diff for
+        the request; the report merges them with
+        :meth:`~repro.storage.stats.IOStats.merge`, which keeps
+        prefetch hits separate from physical reads.
         """
         self._check_open()
         queries = np.asarray(queries, dtype=np.float64)
@@ -704,25 +719,18 @@ class ClusterRouter:
         t0 = time.perf_counter()
         replies = self._request_many(requests)
         report.wall_seconds = time.perf_counter() - t0
-        reads: dict = {}
-        prefetch_hits: dict = {}
         results = []
         for start, count, query in spans:
             parts = []
-            for ids, part_reads, part_hits in replies[start:start + count]:
+            for ids, stats in replies[start:start + count]:
                 parts.append(ids)
-                for category, n in part_reads.items():
-                    reads[category] = reads.get(category, 0) + n
-                for category, n in part_hits.items():
-                    prefetch_hits[category] = prefetch_hits.get(category, 0) + n
+                report.stats.merge(stats)
             results.append(QueryPlanner.merge_sorted_ids(
                 parts, delta=self.delta, query=query
             ))
         report.query_count = len(results)
         report.per_query_results = [len(ids) for ids in results]
         report.result_elements = sum(report.per_query_results)
-        report.reads_by_category = dict(sorted(reads.items()))
-        report.prefetch_hits_by_category = dict(sorted(prefetch_hits.items()))
         report.servers_lost = self.servers_lost - lost_before
         return results, report
 

@@ -15,10 +15,18 @@ path:
   translation table of that moment.  Generations are copy-on-write:
   physical pages never change once written, so every older manifest
   keeps describing a fully consistent store and unchanged pages are
-  shared byte-for-byte between generations.  The manifest is written to
-  a temp file and atomically renamed, so a partial write never
-  publishes — a crash mid-snapshot leaves garbage at the tail of
-  ``pages.dat`` that no manifest references.
+  shared byte-for-byte between generations.
+* Every generation — an export, an in-place commit, a fork publish, a
+  replica ship — is written by one :func:`publish_generation`, in one
+  order: cut ``pages.dat`` back to the bytes already committed, append
+  the new blobs and fsync it; write each small file (category sidecar,
+  index files) to a temp name, fsync it and rename it into place; fsync
+  the directory; publish the manifest the same way; fsync the directory
+  again.  The manifest is the commit point.  A process that dies
+  anywhere before its rename leaves the previous generation the latest
+  one, intact: the data tail past its ``data_bytes`` is garbage the
+  next publish cuts off, the sidecar only ever grows, and stray index
+  files or ``*.tmp`` names belong to no manifest.
 * :meth:`FilePageBackend.open` maps the committed prefix of the data
   file read-only with :mod:`mmap` and serves page reads as slices of
   the mapping; it loads the **latest** generation by default and any
@@ -102,6 +110,80 @@ def latest_generation(directory):
     """The newest published generation in *directory*, or ``None``."""
     generations = list_generations(directory)
     return generations[-1] if generations else None
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the renames inside *directory* durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def publish_files(directory, files: dict) -> None:
+    """Write small files into *directory* so that none is ever torn.
+
+    Each ``name -> bytes`` entry is written to ``name.tmp``, fsynced and
+    renamed over ``name``, in order; then the directory is fsynced.  A
+    crash leaves each file either whole and old or whole and new.
+    """
+    directory = Path(directory)
+    for name, payload in files.items():
+        scratch = directory / (name + ".tmp")
+        with open(scratch, "wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(scratch, directory / name)
+    _fsync_directory(directory)
+
+
+def publish_generation(directory, generation: int, manifest: bytes,
+                       sidecar: bytes, data_bytes: int, blobs=(),
+                       files=None) -> None:
+    """Publish one snapshot generation into *directory*.
+
+    The one writer of every store directory, in one fixed order:
+
+    1. cut ``pages.dat`` to *data_bytes* (the bytes already committed),
+       append *blobs* and fsync it;
+    2. write the category *sidecar* and every extra ``name -> bytes``
+       entry of *files* (a generation's index files) with
+       :func:`publish_files`, which fsyncs the directory after them;
+    3. publish *manifest* as ``manifest-<generation>.json`` the same
+       way.
+
+    The manifest rename is the commit point: until it lands, the latest
+    generation is the previous one and reads exactly as before.
+    """
+    directory = Path(directory)
+    with open(directory / PAGES_FILENAME, "ab") as handle:
+        handle.truncate(data_bytes)
+        for blob in blobs:
+            handle.write(blob)
+        handle.flush()
+        os.fsync(handle.fileno())
+    publish_files(directory, {CATEGORIES_FILENAME: sidecar, **(files or {})})
+    publish_files(directory, {manifest_filename(generation): manifest})
+
+
+def _table_files(generation: int, codec: str, categories: list, table: list,
+                 segments: list, data_bytes: int) -> tuple:
+    """Sidecar and manifest bytes of a generation built from its table."""
+    manifest = {
+        "format_version": STORE_FORMAT_VERSION,
+        "page_size": PAGE_SIZE,
+        "generation": generation,
+        "codec": codec,
+        "page_count": len(categories),
+        "physical_page_count": len(segments),
+        "data_bytes": data_bytes,
+        "page_table": list(table),
+        "segments": [list(segment) for segment in segments],
+    }
+    return (bytes(_CATEGORY_CODE[c] for c in categories),
+            (json.dumps(manifest) + "\n").encode())
 
 
 def _load_manifest(directory: Path, generation: int) -> dict:
@@ -448,44 +530,27 @@ class FilePageBackend:
 
     # -- persistence ---------------------------------------------------
 
-    def commit_generation(self) -> int:
+    def commit_generation(self, files=None) -> int:
         """Publish the current state as the next snapshot generation.
 
-        Data and sidecar are flushed first; the numbered manifest is
-        written to a temp file and atomically renamed, so either the
-        new generation exists completely or not at all.  Returns the
-        new generation number.
+        The pages are already in ``pages.dat``; :func:`publish_generation`
+        makes them durable, then publishes the sidecar, the extra
+        ``name -> bytes`` *files* (an index's files for this generation)
+        and last the manifest, so either the new generation exists
+        completely or not at all.  Returns the new generation number.
         """
         self._check_open()
         if not self.writable:
             raise PageStoreError("store was opened read-only")
         self._file.flush()
         self._unflushed_writes = False
-        # The sidecar is replaced atomically too: a truncating in-place
-        # write would corrupt every previously published generation if
-        # the process died mid-write (older manifests read a prefix of
-        # this file).
-        codes = bytes(_CATEGORY_CODE[c] for c in self._categories)
-        sidecar = self.directory / CATEGORIES_FILENAME
-        sidecar_scratch = self.directory / (CATEGORIES_FILENAME + ".tmp")
-        sidecar_scratch.write_bytes(codes)
-        os.replace(sidecar_scratch, sidecar)
         generation = 0 if self.generation is None else self.generation + 1
-        manifest = {
-            "format_version": STORE_FORMAT_VERSION,
-            "page_size": PAGE_SIZE,
-            "generation": generation,
-            "codec": self._codec.name,
-            "page_count": len(self._categories),
-            "physical_page_count": len(self._segments),
-            "data_bytes": self._data_bytes,
-            "page_table": list(self._table),
-            "segments": [list(segment) for segment in self._segments],
-        }
-        target = self.directory / manifest_filename(generation)
-        scratch = target.parent / (target.name + ".tmp")
-        scratch.write_text(json.dumps(manifest) + "\n")
-        os.replace(scratch, target)
+        sidecar, manifest = _table_files(
+            generation, self._codec.name, self._categories, self._table,
+            self._segments, self._data_bytes,
+        )
+        publish_generation(self.directory, generation, manifest, sidecar,
+                           self._data_bytes, files=files)
         self.generation = generation
         self._dirty = False
         return generation
@@ -509,10 +574,11 @@ class FilePageBackend:
     def discard(self) -> None:
         """Release the file *without* publishing a new generation.
 
-        Called when writing a store is abandoned mid-way: generations
-        are only ever published by :meth:`commit_generation`, so the
-        uncommitted tail of ``pages.dat`` stays unreachable instead of
-        silently passing :meth:`open`'s consistency checks.
+        Called when writing a store is abandoned mid-way — and by an
+        export after its one commit: generations are only ever
+        published by :meth:`commit_generation`, so an uncommitted tail
+        of ``pages.dat`` stays unreachable instead of silently passing
+        :meth:`open`'s consistency checks.
         """
         if not self.closed:
             self._release()
@@ -566,18 +632,20 @@ class FilePageBackend:
         self.__dict__.update(fresh.__dict__)
 
 
-def append_overlay_generation(overlay: OverlayPageBackend) -> int:
+def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
     """Publish an overlay's changes as the next generation of its base.
 
     The overlay must sit on a read-only :class:`FilePageBackend`; its
     override/tail pages are appended to the base directory's
-    ``pages.dat`` (after truncating any unreachable tail a crashed
-    publisher left behind) and a new manifest generation is published
-    atomically.  The write is *incremental*: a page whose payload
-    already matches what the latest generation maps is not re-appended,
-    so successive commits grow the data file only by the pages they
-    actually changed.  Every earlier generation stays restorable —
-    committed physical pages are never touched.
+    ``pages.dat`` (after cutting any unreachable tail a crashed
+    publisher left behind) and a new generation is published with
+    :func:`publish_generation`, the extra ``name -> bytes`` *files*
+    (the index's files for that generation) beside the sidecar.  The
+    write is *incremental*: a page whose payload already matches what
+    the latest generation maps is not re-appended, so successive
+    commits grow the data file only by the pages they actually
+    changed.  Every earlier generation stays restorable — committed
+    physical pages are never touched.
 
     Publishing is single-writer: the caller must be the only publisher
     for the directory (the serving layer serializes commits through
@@ -599,7 +667,7 @@ def append_overlay_generation(overlay: OverlayPageBackend) -> int:
         raise SnapshotError(f"no published generations in {directory}")
     manifest = _load_manifest(directory, latest)
     codec = get_codec(manifest["codec"])
-    data_bytes = int(manifest["data_bytes"])
+    committed = data_bytes = int(manifest["data_bytes"])
     segments = [
         (int(offset), int(length)) for offset, length in manifest["segments"]
     ]
@@ -613,13 +681,9 @@ def append_overlay_generation(overlay: OverlayPageBackend) -> int:
     categories = list(overlay.iter_categories())
     tail = overlay.tail_pages()
     base_len = len(base)
+    blobs = []
 
-    data_path = directory / PAGES_FILENAME
-    with open(data_path, "r+b") as handle:
-        # Drop bytes no manifest references (a crashed publisher's
-        # half-written tail), then append changed pages at the frontier.
-        handle.truncate(data_bytes)
-        handle.seek(data_bytes)
+    with open(directory / PAGES_FILENAME, "rb") as handle:
 
         def changed(slot: int, payload: bytes, category: str) -> bool:
             # Compare *logical* bytes: with a compressing codec the
@@ -631,10 +695,9 @@ def append_overlay_generation(overlay: OverlayPageBackend) -> int:
 
         def append(payload: bytes, category: str) -> int:
             nonlocal data_bytes
-            blob = codec.encode(payload, category)
-            handle.write(blob)
-            segments.append((data_bytes, len(blob)))
-            data_bytes += len(blob)
+            blobs.append(codec.encode(payload, category))
+            segments.append((data_bytes, len(blobs[-1])))
+            data_bytes += len(blobs[-1])
             return len(segments) - 1
 
         for page_id in sorted(overlay.overrides):
@@ -651,33 +714,13 @@ def append_overlay_generation(overlay: OverlayPageBackend) -> int:
                     table[page_id] = append(payload, category)
             else:
                 table.append(append(payload, category))
-        handle.flush()
-        os.fsync(handle.fileno())
 
-    # Same atomic sidecar/manifest publication as commit_generation:
-    # logical pages never change category, so the sidecar stays
-    # append-only in content and older generations read a prefix of it.
-    codes = bytes(_CATEGORY_CODE[c] for c in categories)
-    sidecar = directory / CATEGORIES_FILENAME
-    sidecar_scratch = directory / (CATEGORIES_FILENAME + ".tmp")
-    sidecar_scratch.write_bytes(codes)
-    os.replace(sidecar_scratch, sidecar)
     generation = latest + 1
-    manifest = {
-        "format_version": STORE_FORMAT_VERSION,
-        "page_size": PAGE_SIZE,
-        "generation": generation,
-        "codec": codec.name,
-        "page_count": len(categories),
-        "physical_page_count": len(segments),
-        "data_bytes": data_bytes,
-        "page_table": table,
-        "segments": [list(segment) for segment in segments],
-    }
-    target = directory / manifest_filename(generation)
-    scratch = target.parent / (target.name + ".tmp")
-    scratch.write_text(json.dumps(manifest) + "\n")
-    os.replace(scratch, target)
+    sidecar, manifest = _table_files(
+        generation, codec.name, categories, table, segments, data_bytes
+    )
+    publish_generation(directory, generation, manifest, sidecar, committed,
+                       blobs, files)
     return generation
 
 
@@ -714,7 +757,23 @@ class ShipStats:
         }
 
 
-def ship_store_generation(source_dir, dest_dir, generation=None) -> ShipStats:
+def _data_range(path: Path, start: int, stop: int):
+    """Yield bytes ``[start, stop)`` of a source data file in chunks."""
+    with open(path, "rb") as handle:
+        handle.seek(start)
+        while start < stop:
+            chunk = handle.read(min(stop - start, 1 << 20))
+            if not chunk:
+                raise SnapshotError(
+                    f"snapshot directory {path.parent}: data file is shorter "
+                    f"than the shipped generation's {stop} bytes"
+                )
+            start += len(chunk)
+            yield chunk
+
+
+def ship_store_generation(source_dir, dest_dir, generation=None,
+                          files=None) -> ShipStats:
     """Replicate one store generation from *source_dir* into *dest_dir*.
 
     The shipping primitive of the distributed serving tier: because
@@ -725,16 +784,17 @@ def ship_store_generation(source_dir, dest_dir, generation=None) -> ShipStats:
     (empty) destination receives the full committed prefix once; every
     later ship moves just the pages the shipped generation appended.
 
-    The copy follows the store's own crash discipline: page bytes and
-    the category sidecar land first, the manifest is written to a temp
-    file and atomically renamed last, so a ship that dies mid-transfer
-    leaves the destination at its previous generation with (at worst)
-    unreferenced tail bytes the next ship truncates.
+    The copy is published by :func:`publish_generation`, the extra
+    ``name -> bytes`` *files* (the index's files for that generation)
+    beside the sidecar, so a ship that dies mid-transfer leaves the
+    destination at its previous generation with (at worst)
+    unreferenced tail bytes the next ship cuts off.
 
     The destination must be a prefix of the source's lineage: its
     latest manifest has to byte-match the source's manifest of the same
     generation, otherwise the directories diverged (different writer)
-    and the ship is refused with :class:`SnapshotError`.
+    and the ship is refused with :class:`SnapshotError`.  Every check
+    runs before the first byte is written.
 
     Returns a :class:`ShipStats` with the transfer accounting.  With a
     compressing codec the tail that moves is the *compressed* tail —
@@ -783,55 +843,26 @@ def ship_store_generation(source_dir, dest_dir, generation=None) -> ShipStats:
         dest_physical = 0
         dest_data_bytes = 0
 
-    bytes_sent = 0
     source_data = source_dir / PAGES_FILENAME
     if not source_data.exists():
         raise SnapshotError(
             f"snapshot directory {source_dir}: missing data file "
             f"{PAGES_FILENAME}"
         )
-    with open(source_data, "rb") as src:
-        mode = "r+b" if (dest_dir / PAGES_FILENAME).exists() else "w+b"
-        with open(dest_dir / PAGES_FILENAME, mode) as dst:
-            # Drop any unreferenced tail a dead ship left behind, then
-            # append exactly the bytes this generation added.
-            dst.truncate(dest_data_bytes)
-            dst.seek(dest_data_bytes)
-            src.seek(dest_data_bytes)
-            remaining = data_bytes - dest_data_bytes
-            while remaining:
-                chunk = src.read(min(remaining, 1 << 20))
-                if not chunk:
-                    raise SnapshotError(
-                        f"snapshot directory {source_dir}: data file is "
-                        f"shorter than generation {generation}'s "
-                        f"{data_bytes} bytes"
-                    )
-                dst.write(chunk)
-                bytes_sent += len(chunk)
-                remaining -= len(chunk)
-            dst.flush()
-            os.fsync(dst.fileno())
-
-    # Sidecar: replicas read a prefix of it per generation, so the
-    # whole (small) file replaces atomically, same as commit_generation.
-    sidecar_bytes = (source_dir / CATEGORIES_FILENAME).read_bytes()
-    sidecar_scratch = dest_dir / (CATEGORIES_FILENAME + ".tmp")
-    sidecar_scratch.write_bytes(sidecar_bytes)
-    os.replace(sidecar_scratch, dest_dir / CATEGORIES_FILENAME)
-    bytes_sent += len(sidecar_bytes)
-
+    # Replicas read a prefix of the sidecar per generation, so the
+    # source's whole (small) file travels; the manifest travels
+    # verbatim, so the next ship's lineage byte-compare holds.
+    sidecar = (source_dir / CATEGORIES_FILENAME).read_bytes()
     manifest_bytes = (source_dir / manifest_filename(generation)).read_bytes()
-    target = dest_dir / manifest_filename(generation)
-    scratch = dest_dir / (target.name + ".tmp")
-    scratch.write_bytes(manifest_bytes)
-    os.replace(scratch, target)
-    bytes_sent += len(manifest_bytes)
-
+    publish_generation(
+        dest_dir, generation, manifest_bytes, sidecar, dest_data_bytes,
+        _data_range(source_data, dest_data_bytes, data_bytes), files,
+    )
     return ShipStats(
         generation=int(generation),
         pages_sent=physical - dest_physical,
-        bytes_sent=bytes_sent,
+        bytes_sent=data_bytes - dest_data_bytes + len(sidecar)
+        + len(manifest_bytes),
         full_copy=dest_latest is None,
     )
 
@@ -908,7 +939,7 @@ class FilePageStore(PageStore):
 
 
 def write_store_snapshot(store: PageStore, directory,
-                         codec=DEFAULT_CODEC) -> Path:
+                         codec=DEFAULT_CODEC, files=None) -> Path:
     """Copy every page of *store* into a new on-disk store directory.
 
     Pages are read silently (no I/O accounting — snapshotting is not a
@@ -917,7 +948,8 @@ def write_store_snapshot(store: PageStore, directory,
     copy is published as generation 0 of the target directory, encoded
     with *codec* — exporting under a different codec than the source is
     how a store is re-compressed (or decompressed), since the logical
-    pages are codec-invariant.
+    pages are codec-invariant.  The extra ``name -> bytes`` *files* (an
+    index's files) are published with it, before its manifest.
     """
     directory = Path(directory)
     source_dir = getattr(store.backend, "directory", None)
@@ -932,8 +964,7 @@ def write_store_snapshot(store: PageStore, directory,
     try:
         for page_id in range(len(store)):
             target.append(store.read_silent(page_id), store.category(page_id))
-    except BaseException:
+        target.commit_generation(files)
+    finally:
         target.discard()
-        raise
-    target.close()
     return directory

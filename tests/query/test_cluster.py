@@ -136,6 +136,39 @@ class TestClusterPinnedToOracle:
             cluster_no_replicas._request_one(0, ("frobnicate",))
 
 
+class TestClusterAccounting:
+    def test_report_merges_every_counter_like_the_in_process_run(
+        self, tmp_path
+    ):
+        """The router totals the servers' whole ``IOStats`` diffs.
+
+        A 2-shard fleet over a ``delta64`` root, served cold, counts the
+        same per-category reads, physical bytes, cache hits and decode
+        misses as the in-process shard set run cold over the same boxes.
+        """
+        built = ShardedFLATIndex.build(random_mbrs(2000, seed=4), 2,
+                                       space_mbr=SPACE)
+        assert built.shard_count == 2
+        built.snapshot(tmp_path / "root", codec="delta64")
+        queries = random_range_queries(SPACE, 0.002, 12, seed=5)
+        oracle = ShardedFLATIndex.restore(tmp_path / "root")
+        before = oracle.store.stats.snapshot()
+        for query in queries:
+            oracle.store.clear_cache()
+            oracle.range_query(query)
+        want = oracle.store.stats.diff(before)
+        oracle.close()
+        with ClusterRouter.launch(tmp_path / "root") as router:
+            _results, report = router.run(queries)
+        # Reads, physical bytes, cache hits and decode counters alike.
+        assert report.stats == want
+        assert want.cache_hits and want.total_decodes
+        # delta64 pages are stored compressed: physical < logical bytes.
+        assert want.total_physical_bytes_read < want.total_bytes_read
+        assert report.reads_by_category == dict(sorted(want.reads.items()))
+        assert report.total_page_reads == want.total_reads
+
+
 class TestTrajectorySessions:
     def test_session_prefetches_and_keeps_accounting_exact(
         self, snapshot_root, cluster_no_replicas
@@ -242,7 +275,7 @@ class TestConnectionGenerations:
                 reload = ("reload", generation, np.arange(fork.next_element_id))
                 assert server.dispatch(reload, engines, sessions) == generation
                 served.append(server.current[1])
-            hits, _reads, _prefetch_hits = server.dispatch(
+            hits, _stats = server.dispatch(
                 ("range", query, True, "walker"), engines, sessions
             )
             oracle = restore_index(tmp_path, generation=generation)

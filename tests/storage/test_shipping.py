@@ -161,6 +161,40 @@ class TestShippingRefusals:
         with pytest.raises(SnapshotError, match="diverged lineage"):
             ship_store_generation(source_dir, replica, 2)
 
+    def test_refused_ship_writes_nothing_into_the_replica(self, source_dir,
+                                                          tmp_path):
+        """A ship refused as older-or-equal leaves every replica byte alone.
+
+        The replica published its own generation 1; shipping the
+        source's generation 1 onto it is refused, and the replica's
+        generation 1 must still restore with its own answers — the
+        index files may not land before the store's checks pass.
+        """
+        replica = tmp_path / "replica"
+        ship_index_generation(source_dir, replica)
+        base = restore_index(replica)
+        rogue = base.fork()
+        rogue.insert(random_mbrs(60, seed=23))
+        rogue.delete(np.arange(40, 70))
+        publish_fork_generation(rogue, expected_base=0)
+        queries = [np.array([10.0, 10, 10, 80, 80, 80]),
+                   np.array([40.0, 0, 20, 60, 100, 50])]
+        want = [rogue.range_query(query) for query in queries]
+        base.store.close()
+        publish_next_generation(source_dir, 11)
+        before = {path.name: path.read_bytes() for path in replica.iterdir()}
+        with pytest.raises(SnapshotError, match="older-or-equal"):
+            ship_index_generation(source_dir, replica, 1)
+        assert {path.name: path.read_bytes()
+                for path in replica.iterdir()} == before
+        restored = restore_index(replica, generation=1)
+        try:
+            for query, ids in zip(queries, want):
+                assert np.array_equal(restored.range_query(query), ids)
+            assert restored.element_count == rogue.element_count
+        finally:
+            restored.store.close()
+
     def test_empty_source_refused(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(SnapshotError, match="no page-store manifest"):
