@@ -1276,8 +1276,9 @@ class FLATIndex:
                     store.backend.category(page), pages,
                     pages * store.stored_bytes(page),
                 )
+            crawled = engine.store.stats
             store.stats.merge(
-                IOStats(decode_misses=engine.store.stats.decode_misses)
+                IOStats(decode_misses=crawled.decode_misses, parses=crawled.parses)
             )
         if self.delta is not None and not self.delta.is_empty:
             results = [

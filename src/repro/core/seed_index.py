@@ -78,12 +78,13 @@ class RecordBatch:
 class RecordTable:
     """The metadata records of one index generation, as id-indexed arrays.
 
-    Filled leaf by leaf from the decoded pages a crawl reads anyway, so
-    each leaf is copied in once per generation and a frontier gathers
-    its rows with one fancy index.  Shared by :meth:`SeedIndex.with_store`
-    clones (loads lock: thread-mode workers crawl siblings at once); a
-    cache, so never pickled, and dropped when the write path rewrites
-    leaves.
+    The only decoded form of a metadata leaf: a crawl still reads every
+    leaf it touches through the store, but a leaf is parsed only while
+    it is missing here, so each leaf is parsed once per generation and a
+    frontier gathers its rows with one fancy index.  Shared by
+    :meth:`SeedIndex.with_store` clones (loads lock: thread-mode workers
+    crawl siblings at once); a cache, so never pickled, and dropped
+    whole when the write path rewrites leaves.
     """
 
     def __init__(self):
@@ -259,7 +260,7 @@ class SeedIndex:
         This is the scalar reference accessor: it re-decodes the whole
         leaf page on every call, exactly as the original per-record
         crawl did.  Hot paths use :meth:`fetch_records_batch`, which
-        decodes each touched leaf at most once per query.
+        parses each leaf at most once per generation.
         """
         if not 0 <= record_id < self.record_count:
             raise ValueError(f"record id {record_id} out of range")
@@ -276,25 +277,29 @@ class SeedIndex:
             neighbor_ids=tuple(neighbor_ids),
         )
 
+    def _read_leaf(self, leaf: int) -> None:
+        """Read one metadata leaf through the store, parsing it into the
+        record table only if the table lacks it."""
+        table = self.records
+        records = self.store.read_metadata(leaf, parse=leaf not in table.leaves)
+        if records is not None:
+            table.load(leaf, self.leaf_record_ids[leaf], records, self.record_count)
+
     def fetch_records_batch(self, record_ids) -> RecordBatch:
         """Read many metadata records as one struct-of-arrays batch.
 
         Every distinct leaf the ids sit on is read once through the
         store, in ascending page order, so the buffer pool and the
-        decoded-page cache see — and count — exactly those reads.  The
-        rows come from the generation's :class:`RecordTable`, which
-        copies a leaf's decoded records once, not once per batch.
+        logical decode counters see exactly those reads.  The rows come
+        from the generation's :class:`RecordTable`, which parses a leaf
+        once, not once per batch or per query.
         """
         ids = np.atleast_1d(np.asarray(record_ids, dtype=np.int64))
         if ids.size and not (0 <= ids.min() and ids.max() < self.record_count):
             raise ValueError("record id out of range in batch")
-        table = self.records
         for leaf in np.unique(self.record_page[ids]).tolist():
-            records = self.store.read_metadata(leaf)
-            if leaf not in table.leaves:
-                table.load(
-                    leaf, self.leaf_record_ids[leaf], records, self.record_count
-                )
+            self._read_leaf(leaf)
+        table = self.records
         offsets = np.zeros(len(ids) + 1, dtype=np.int64)
         np.cumsum(table.neighbor_counts[ids], out=offsets[1:])
         neighbor_ids = np.concatenate(
@@ -335,34 +340,35 @@ class SeedIndex:
         intersecting element (Sec. V-B.1).  Returns ``(record,
         matching_element_slots)`` or ``None`` when the query is empty.
 
-        Decoded leaves and probed object pages go through the store's
-        decoded-page cache, so the crawl that follows never re-decodes a
-        page the seed phase already parsed.
+        Each leaf on the way is read through the store and its rows are
+        tested with one vectorized intersection over the record table;
+        candidates are probed in slot order.  Probed object pages go
+        through the store's decoded-page cache, so the crawl that
+        follows never re-decodes a page the seed phase already parsed.
         """
         query = np.asarray(query, dtype=np.float64)
         probed: list = []
         self.last_probe_object_page_ids = probed
+        table = self.records
         stack = [(self.root_id, self.height)]
         while stack:
             page_id, level = stack.pop()
             if level == 0:
-                raw = self.store.read_metadata(page_id)
+                self._read_leaf(page_id)
                 ids = self.leaf_record_ids[page_id]
-                for slot, (page_mbr, partition_mbr, object_page_id, nbrs) in enumerate(
-                    raw
-                ):
-                    if not boxes_intersect_box(page_mbr[None, :], query)[0]:
-                        continue
-                    probed.append(int(object_page_id))
-                    elements = self.store.read_elements(int(object_page_id))
+                hits = ids[boxes_intersect_box(table.page_mbrs[ids], query)]
+                for rid in hits.tolist():
+                    object_page_id = int(table.object_page_ids[rid])
+                    probed.append(object_page_id)
+                    elements = self.store.read_elements(object_page_id)
                     mask = boxes_intersect_box(elements, query)
                     if mask.any():
                         record = MetadataRecord(
-                            record_id=int(ids[slot]),
-                            page_mbr=page_mbr,
-                            partition_mbr=partition_mbr,
-                            object_page_id=int(object_page_id),
-                            neighbor_ids=tuple(nbrs),
+                            record_id=rid,
+                            page_mbr=table.page_mbrs[rid].copy(),
+                            partition_mbr=table.partition_mbrs[rid].copy(),
+                            object_page_id=object_page_id,
+                            neighbor_ids=tuple(table.neighbors[rid].tolist()),
                         )
                         return record, np.flatnonzero(mask)
                 continue

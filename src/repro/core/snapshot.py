@@ -118,10 +118,14 @@ def _index_files(flat, generation: int) -> dict:
         "seed_root_id": int(seed.root_id),
         "seed_height": int(seed.height),
         "seed_fanout": seed.fanout,
+        # Timings in a fixed-width form, so the file's size does not
+        # vary from build to build; ``float()`` reads them back.
         "build_report": {
-            "partitioning_seconds": report.partitioning_seconds,
-            "finding_neighbors_seconds": report.finding_neighbors_seconds,
-            "packing_seconds": report.packing_seconds,
+            "partitioning_seconds": f"{report.partitioning_seconds:.9e}",
+            "finding_neighbors_seconds": (
+                f"{report.finding_neighbors_seconds:.9e}"
+            ),
+            "packing_seconds": f"{report.packing_seconds:.9e}",
             "partition_count": int(report.partition_count),
         },
     }

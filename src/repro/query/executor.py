@@ -57,7 +57,7 @@ class QueryRunResult:
     query_count: int = 0
     result_elements: int = 0
     reads_by_category: dict = field(default_factory=dict)
-    #: Full page decodes by decode kind ("metadata" / "element").
+    #: Logical page decodes by decode kind ("metadata" / "element").
     decodes_by_kind: dict = field(default_factory=dict)
     #: Decodes absorbed by the decoded-page cache, by decode kind.
     decode_hits_by_kind: dict = field(default_factory=dict)

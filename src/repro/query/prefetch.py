@@ -22,8 +22,10 @@ buffer pool *before* the next query arrives:
   every buffer miss (:meth:`PageStore.read
   <repro.storage.pagestore.PageStore.read>`): a staged page is consumed
   without physical I/O and counted as a **prefetch hit** in its
-  category, and staged decoded forms seed the worker's decoded-page
-  cache;
+  category, and a staged element page's decoded array seeds the
+  worker's decoded-page cache.  Metadata leaves carry no staged decoded
+  form: the staging clone shares the generation's record table with
+  every worker clone, so the staging crawl's parse already serves them;
 * :class:`SessionTracker` keeps one model per session and decides when
   a query's prediction is worth a staging crawl: the window is staged
   once, and re-staging waits until the next predicted box walks out of
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.storage.decoded_cache import DECODE_ELEMENT, DECODE_METADATA
+from repro.storage.decoded_cache import DECODE_ELEMENT
 from repro.storage.pagestore import PageStore
 from repro.storage.stats import IOStats
 
@@ -143,8 +145,9 @@ class StagingPageStore(PageStore):
     predicted boxes overlap heavily along a trajectory, so most staging
     reads are absorbed by this store's own caches and the prefetcher's
     *physical* read count stays far below the pages it stages.  Decoded
-    metadata/element pages are staged alongside, so a consuming worker
-    skips the decode too (the prefetcher already paid it).
+    element pages are staged alongside, so a consuming worker skips the
+    decode too (the prefetcher already paid it); metadata leaves need no
+    staged form, since their one parse lands in the shared record table.
     """
 
     def __init__(self, backend, area: PrefetchArea):
@@ -155,11 +158,6 @@ class StagingPageStore(PageStore):
         payload = super().read(page_id)
         self.area.stage(page_id)
         return payload
-
-    def read_metadata(self, page_id: int, cached: bool = True) -> list:
-        records = super().read_metadata(page_id, cached)
-        self.area.stage_decoded(page_id, DECODE_METADATA, records)
-        return records
 
     def read_elements(self, page_id: int, cached: bool = True):
         elements = super().read_elements(page_id, cached)

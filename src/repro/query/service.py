@@ -159,7 +159,7 @@ class ServiceReport:
     latencies_seconds: list = field(default_factory=list)
     #: Physical page reads summed over the batch's task deltas.
     reads_by_category: dict = field(default_factory=dict)
-    #: Full page decodes by decode kind, summed over the tasks.
+    #: Logical page decodes by decode kind, summed over the tasks.
     decodes_by_kind: dict = field(default_factory=dict)
     cache_hits: int = 0
     #: Workers (threads or processes) that ran at least one task.

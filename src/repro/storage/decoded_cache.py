@@ -1,12 +1,20 @@
 """Memoized page decoding: the CPU-side counterpart of the buffer pool.
 
 The buffer pool absorbs repeated *physical* reads, but every consumer
-still paid :func:`~repro.storage.serial.decode_metadata_page` /
-:func:`~repro.storage.serial.decode_element_page` on each access — so a
-crawl re-parsing the same metadata leaf for every record on it spent
-CPU proportional to frontier-size x page-size instead of to the pages
-actually touched.  :class:`DecodedPageCache` memoizes the decoded form
-per page id, turning repeated decodes into dictionary hits.
+still paid :func:`~repro.storage.serial.decode_element_page` on each
+access — so a crawl re-parsing the same page for every record that
+points at it spent CPU proportional to frontier size instead of to the
+pages actually touched.  :class:`DecodedPageCache` memoizes the decoded
+element arrays per page id, turning repeated decodes into dictionary
+hits.
+
+Metadata leaves are not held here: the seed index parses each leaf once
+per index generation into its
+:class:`~repro.core.seed_index.RecordTable`, the only decoded form of a
+leaf.  The cache still *counts* metadata lookups the way it counts
+element ones (:meth:`DecodedPageCache.touch`), so the logical decode
+counters in :class:`~repro.storage.stats.IOStats` keep describing the
+per-query protocol whatever the table already holds.
 
 Decoded objects are shared between callers and must be treated as
 read-only.  The write path invalidates single entries through
@@ -53,9 +61,27 @@ class DecodedPageCache:
             stats.record_decode(kind, hit=cached is not None)
         if cached is not None:
             return cached
+        if stats is not None:
+            stats.record_parse(kind)
         decoded = decoder(payload)
         self._pool.put(key, decoded)
         return decoded
+
+    def touch(self, kind: str, page_id: int, stats=None) -> None:
+        """Count one lookup of a page whose decoded form lives elsewhere.
+
+        A hit if the page was touched (or decoded) since the last
+        :meth:`clear`, else a miss that remembers it — the same entry
+        and LRU slot a memoized decode takes, so the logical counts
+        match :meth:`get_or_decode`'s.  Only counts: whether the page
+        gets parsed is its owner's decision, never this entry's.
+        """
+        key = (kind, page_id)
+        hit = self._pool.get(key) is not None
+        if stats is not None:
+            stats.record_decode(kind, hit=hit)
+        if not hit:
+            self._pool.put(key, True)
 
     def seed(self, kind: str, page_id: int, decoded) -> None:
         """Insert an already-decoded page without touching any counter.

@@ -564,12 +564,19 @@ class FilePageBackend:
             self.commit_generation()
 
     def close(self) -> None:
-        """Flush (if writable) and release the file/mapping."""
+        """Flush (if writable) and release the file/mapping.
+
+        The file is released even when the closing commit raises; the
+        error still propagates, and the last complete generation stays
+        the published one.
+        """
         if self.closed:
             return
-        if self.writable:
-            self.flush()
-        self._release()
+        try:
+            if self.writable:
+                self.flush()
+        finally:
+            self._release()
 
     def discard(self) -> None:
         """Release the file *without* publishing a new generation.

@@ -309,9 +309,10 @@ class PageStore:
         cache within one query; call :meth:`clear_cache` to simulate the
         paper's cache clearing between queries.
     decoded:
-        Optional :class:`DecodedPageCache` memoizing decoded page
-        contents (the CPU-side analogue of the buffer pool), invalidated
-        together with the buffer by :meth:`clear_cache`.
+        Optional :class:`DecodedPageCache` memoizing decoded element
+        pages and counting metadata lookups (the CPU-side analogue of
+        the buffer pool), invalidated together with the buffer by
+        :meth:`clear_cache`.
     backend:
         Where the page bytes live.  Defaults to a fresh
         :class:`MemoryPageBackend`; pass a shared backend (or use
@@ -435,8 +436,8 @@ class PageStore:
 
         A buffer miss consults the attached prefetch area (if any)
         before charging physical I/O: consuming a staged page counts a
-        *prefetch hit* in its category instead of a read, and any
-        decoded forms staged with the page seed this store's decoded
+        *prefetch hit* in its category instead of a read, and a decoded
+        element array staged with the page seeds this store's decoded
         cache — the work moved earlier, it never disappears, so
         ``reads + prefetch_hits`` always equals the reads of a
         prefetch-free run.  A physical read records the page's stored
@@ -486,26 +487,37 @@ class PageStore:
 
     # -- decoded reads -------------------------------------------------
 
-    def read_metadata(self, page_id: int, cached: bool = True) -> list:
-        """Read + decode a metadata page, memoizing the decoded records.
+    def read_metadata(self, page_id: int, cached: bool = True,
+                      parse: bool = True) -> list | None:
+        """Read a metadata page, count its decode, and parse it if *parse*.
 
-        ``cached=False`` decodes unconditionally (the scalar reference
-        path); either way the decode is counted in :attr:`stats` so
-        harnesses can report decode work next to page reads.
+        The page always goes through :meth:`read`.  The *logical* decode
+        is counted under the decoded-cache protocol — a miss the first
+        time the page is read since :meth:`clear_cache`, a hit after —
+        or, with ``cached=False`` (the scalar reference path), as a miss
+        every time.  Parsing is the caller's decision: the seed index
+        keeps each leaf's records in its per-generation
+        :class:`~repro.core.seed_index.RecordTable` and passes
+        ``parse=False`` (returning ``None``) once the table holds the
+        leaf.  A parse that runs is counted in ``stats.parses`` and
+        calls this module's ``decode_metadata_page``.
         """
         payload = self.read(page_id)
-        if not cached:
+        if cached:
+            self.decoded.touch(DECODE_METADATA, page_id, self.stats)
+        else:
             self.stats.record_decode(DECODE_METADATA, hit=False)
-            return decode_metadata_page(payload)
-        return self.decoded.get_or_decode(
-            DECODE_METADATA, page_id, payload, decode_metadata_page, self.stats
-        )
+        if not parse:
+            return None
+        self.stats.record_parse(DECODE_METADATA)
+        return decode_metadata_page(payload)
 
     def read_elements(self, page_id: int, cached: bool = True):
         """Read + decode an element page (object page or R-Tree leaf)."""
         payload = self.read(page_id)
         if not cached:
             self.stats.record_decode(DECODE_ELEMENT, hit=False)
+            self.stats.record_parse(DECODE_ELEMENT)
             return decode_element_page(payload)
         return self.decoded.get_or_decode(
             DECODE_ELEMENT, page_id, payload, decode_element_page, self.stats

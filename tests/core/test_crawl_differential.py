@@ -5,7 +5,8 @@ the same set of pages and return exactly the same element ids as the
 record-at-a-time reference crawl (``range_query_scalar``), on every
 dataset and query.  These tests pin that property on random uniform
 data, on the microcircuit generator, and through the batch record API
-itself.
+itself.  Both crawls share ``SeedIndex.seed_query``, so the seed phase
+has its own reference: a record-at-a-time descent over raw pages.
 """
 
 import numpy as np
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 
 from repro.core import FLATIndex
 from repro.data.microcircuit import build_microcircuit
+from repro.geometry.intersect import boxes_intersect_box
+from repro.query import BenchmarkSpec, SCALED_SN_FRACTION
 from repro.storage import DECODE_METADATA, PageStore
+from repro.storage.serial import (
+    decode_element_page,
+    decode_metadata_page,
+    decode_node_page,
+)
 
 
 def random_mbrs(n, seed=0, span=100.0, extent=2.0):
@@ -47,6 +55,132 @@ def assert_crawls_identical(flat, store, query):
     old_result, old_pages = traced_pages(store, flat.range_query_scalar, query)
     assert np.array_equal(new_result, old_result)
     assert set(new_pages) == set(old_pages)
+
+
+def reference_seed(flat, query):
+    """Record-at-a-time seed descent over raw pages, without the store.
+
+    The seed phase as it ran before the record table: each leaf is
+    decoded from its raw bytes and its records are tested one by one
+    in slot order.  Returns ``(record fields or None, matching slots,
+    probed object pages, reads per category)``, where the reads are the
+    distinct pages touched — what a cold store charges.
+    """
+    store, seed = flat.store, flat.seed_index
+    touched: dict = {}
+
+    def page(page_id):
+        touched[page_id] = store.category(page_id)
+        return store.read_silent(page_id)
+
+    def reads():
+        counts: dict = {}
+        for category in touched.values():
+            counts[category] = counts.get(category, 0) + 1
+        return counts
+
+    probed = []
+    stack = [(seed.root_id, seed.height)]
+    while stack:
+        page_id, level = stack.pop()
+        if level == 0:
+            ids = seed.leaf_record_ids[page_id]
+            records = decode_metadata_page(page(page_id))
+            for slot, (page_mbr, partition_mbr, object_page_id, nbrs) in enumerate(
+                records
+            ):
+                if not boxes_intersect_box(page_mbr[None, :], query)[0]:
+                    continue
+                probed.append(int(object_page_id))
+                elements = decode_element_page(page(int(object_page_id)))
+                mask = boxes_intersect_box(elements, query)
+                if mask.any():
+                    record = (int(ids[slot]), page_mbr, partition_mbr,
+                              int(object_page_id), tuple(nbrs))
+                    return record, np.flatnonzero(mask), probed, reads()
+            continue
+        child_ids, child_mbrs, _leaf = decode_node_page(page(page_id))
+        for cid in child_ids[boxes_intersect_box(child_mbrs, query)][::-1]:
+            stack.append((int(cid), level - 1))
+    return None, None, probed, reads()
+
+
+def assert_seed_matches_reference(flat, query):
+    """``seed_query`` on a cold cache, with a cold and then a warm record
+    table, against :func:`reference_seed`."""
+    store, seed = flat.store, flat.seed_index
+    want, want_slots, want_probed, want_reads = reference_seed(flat, query)
+    seed.records.clear()
+    for _table in ("cold", "warm"):
+        store.clear_cache()
+        before = store.stats.snapshot()
+        seeded = seed.seed_query(query)
+        assert store.stats.diff(before).reads == want_reads
+        assert seed.last_probe_object_page_ids == want_probed
+        if want is None:
+            assert seeded is None
+            continue
+        record, slots = seeded
+        rid, page_mbr, partition_mbr, object_page_id, neighbor_ids = want
+        assert record.record_id == rid
+        assert np.array_equal(record.page_mbr, page_mbr)
+        assert np.array_equal(record.partition_mbr, partition_mbr)
+        assert record.object_page_id == object_page_id
+        assert record.neighbor_ids == neighbor_ids
+        assert np.array_equal(slots, want_slots)
+        # The returned record owns its arrays: no view of the table.
+        assert not np.shares_memory(record.page_mbr, seed.records.page_mbrs)
+        assert not np.shares_memory(record.partition_mbr,
+                                    seed.records.partition_mbrs)
+
+
+class TestSeedDifferential:
+    @pytest.mark.parametrize("n", [40, 800, 3000])
+    def test_random_queries(self, n):
+        flat = FLATIndex.build(PageStore(), random_mbrs(n, seed=n + 2))
+        rng = np.random.default_rng(n + 3)
+        for _ in range(15):
+            lo = rng.uniform(-5, 105, size=3)
+            query = np.concatenate([lo, lo + rng.uniform(0.05, 20, size=3)])
+            assert_seed_matches_reference(flat, query)
+
+    def test_microcircuit_sn_boxes(self):
+        circuit = build_microcircuit(6000, side=15.0, seed=3)
+        flat = FLATIndex.build(PageStore(), circuit.mbrs(),
+                               space_mbr=circuit.space_mbr)
+        queries = BenchmarkSpec("SN", SCALED_SN_FRACTION, 20).queries(
+            circuit.space_mbr, seed=5
+        )
+        for query in queries:
+            assert_seed_matches_reference(flat, query)
+
+    def test_empty_queries(self):
+        flat = FLATIndex.build(PageStore(), random_mbrs(1500, seed=6))
+        outside = np.array([500.0, 500, 500, 501, 501, 501])
+        assert reference_seed(flat, outside)[0] is None
+        assert_seed_matches_reference(flat, outside)
+        # Tiny boxes inside the space: the reference probes candidate
+        # object pages and finds no element in any of them.
+        rng = np.random.default_rng(7)
+        probed_misses = 0
+        for _ in range(60):
+            lo = rng.uniform(0, 100, size=3)
+            query = np.concatenate([lo, lo + 0.05])
+            record, _slots, probed, _reads = reference_seed(flat, query)
+            if record is None:
+                probed_misses += bool(probed)
+                assert_seed_matches_reference(flat, query)
+        assert probed_misses
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 2**31), st.integers(0, 2**31))
+def test_seed_differential_property(n, data_seed, query_seed):
+    flat = FLATIndex.build(PageStore(), random_mbrs(n, seed=data_seed))
+    rng = np.random.default_rng(query_seed)
+    lo = rng.uniform(-10, 100, size=3)
+    query = np.concatenate([lo, lo + rng.uniform(0, 30, size=3)])
+    assert_seed_matches_reference(flat, query)
 
 
 class TestDifferentialUniform:

@@ -107,6 +107,41 @@ class TestRestoredDirectories:
         assert meta["index"] == "FLAT"
 
 
+class TestBuildTimings:
+    TIMINGS = ("partitioning_seconds", "finding_neighbors_seconds",
+               "packing_seconds")
+
+    def test_index_file_size_does_not_depend_on_the_timings(self, tmp_path):
+        flat = FLATIndex.build(PageStore(), random_mbrs(300, seed=2))
+        sizes = []
+        for seconds in (0.1, 0.123456789012):
+            for name in self.TIMINGS:
+                setattr(flat.build_report, name, seconds)
+            directory = tmp_path / f"snap-{seconds}"
+            snapshot_index(flat, directory)
+            sizes.append((directory / index_meta_filename(0)).stat().st_size)
+            restored = restore_index(directory)
+            for name in self.TIMINGS:
+                value = getattr(restored.build_report, name)
+                assert value == float(f"{seconds:.9e}")
+                assert value == pytest.approx(seconds, rel=1e-9)
+            restored.store.close()
+        assert sizes[0] == sizes[1]
+
+    def test_numeric_timings_of_older_files_still_open(self, tmp_path):
+        flat = FLATIndex.build(PageStore(), random_mbrs(200, seed=3))
+        snapshot_index(flat, tmp_path / "snap")
+        meta_path = tmp_path / "snap" / index_meta_filename(0)
+        meta = json.loads(meta_path.read_text())
+        for name in self.TIMINGS:
+            meta["build_report"][name] = 0.123456789012
+        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+        restored = restore_index(tmp_path / "snap")
+        for name in self.TIMINGS:
+            assert getattr(restored.build_report, name) == 0.123456789012
+        restored.store.close()
+
+
 class TestSnapshotErrors:
     def test_restore_missing_directory(self, tmp_path):
         with pytest.raises(PageStoreError):

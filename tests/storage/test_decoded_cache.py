@@ -9,6 +9,7 @@ from repro.storage import (
     DECODE_ELEMENT,
     DECODE_METADATA,
     DecodedPageCache,
+    IOStats,
     PageStore,
 )
 from repro.storage.serial import encode_element_page, encode_metadata_page
@@ -71,6 +72,18 @@ class TestDecodedPageCache:
         assert ("element", 2) not in cache
         assert ("element", 1) in cache and ("element", 3) in cache
 
+    def test_touch_counts_like_a_memoized_decode(self):
+        cache = DecodedPageCache()
+        stats = IOStats()
+        cache.touch("metadata", 5, stats)
+        cache.touch("metadata", 5, stats)
+        assert stats.decode_misses == {"metadata": 1}
+        assert stats.decode_hits == {"metadata": 1}
+        assert stats.parses == {}
+        cache.clear()
+        cache.touch("metadata", 5, stats)
+        assert stats.decode_misses == {"metadata": 2}
+
     def test_invalid_capacity_rejected(self):
         with pytest.raises(ValueError):
             DecodedPageCache(capacity=0)
@@ -93,14 +106,21 @@ class TestStoreDecodedReads:
         assert store.stats.decode_misses == {DECODE_ELEMENT: 1}
         assert store.stats.decode_hits == {DECODE_ELEMENT: 1}
 
-    def test_read_metadata_cached_decodes_once(self):
+    def test_read_metadata_counts_logically_and_parses_on_request(self):
+        # No decoded metadata is memoized: the caller decides each parse,
+        # while the logical counters follow the per-query protocol.
         store = PageStore()
         page_id = metadata_page(store)
         a = store.read_metadata(page_id)
+        assert store.read_metadata(page_id, parse=False) is None
         b = store.read_metadata(page_id)
-        assert a is b
-        assert len(a) == 2
-        assert store.stats.decodes_in(DECODE_METADATA) == 1
+        assert a is not b and len(a) == len(b) == 2
+        assert store.stats.decode_misses == {DECODE_METADATA: 1}
+        assert store.stats.decode_hits == {DECODE_METADATA: 2}
+        assert store.stats.parses == {DECODE_METADATA: 2}
+        assert store.stats.reads == {CATEGORY_METADATA: 1}
+        assert store.stats.cache_hits == 2
+        assert len(store.decoded) == 1
 
     def test_uncached_reads_always_decode(self):
         store = PageStore()

@@ -433,3 +433,38 @@ class TestShardRoot:
             trial = self.crashed_copy(directory, sharded, k, monkeypatch)
             with pytest.raises(SnapshotError, match="checksum"):
                 ShardedFLATIndex.restore(trial)
+
+
+class _FirstFsyncCrash(Interposer):
+    """Records like :class:`Interposer`; crashes at the first ``fsync``."""
+
+    def point(self, op, name):
+        self.calls.append((op, name))
+        if op == "fsync" and sum(call[0] == "fsync" for call in self.calls) == 1:
+            raise Crash(f"{op} {name}")
+
+
+class TestCloseCrash:
+    def test_a_crashed_closing_commit_still_releases_the_store(
+        self, circuit, tmp_path, monkeypatch
+    ):
+        """A ``with FilePageStore.create(d)`` block whose exit commit dies
+        at its first fsync: the error propagates, the file is released,
+        and the previous generation is still the published one."""
+        mbrs, space, queries = circuit
+        directory = tmp_path / "store"
+        with monkeypatch.context() as patch:
+            with pytest.raises(Crash, match="fsync"):
+                with FilePageStore.create(directory) as store:
+                    flat = FLATIndex.build(store, mbrs, space_mbr=space,
+                                           page_capacity=16)
+                    assert flat.snapshot_generation() == 0
+                    want = state_of(flat, queries)
+                    mutate(flat, mbrs, seed=5)
+                    backend = store.backend
+                    handle = backend._file
+                    _FirstFsyncCrash().install(patch)
+        assert backend.closed
+        assert handle.closed
+        assert latest_generation(directory) == 0
+        assert restored_state(directory, None, queries) == want
