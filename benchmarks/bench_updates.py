@@ -273,9 +273,10 @@ def _stream_point(
     query CPU lives in worker processes, so the measured ingest rate is
     the write path's own cost (absorb + merge + publish), not a
     GIL-starvation artifact of the query load — the same reason the
-    serving benchmark runs its scaling sweep across processes.  Each
-    absorbed commit ships ``(directory, generation, pickled delta)`` to
-    the workers; each merge publishes the next on-disk generation.
+    serving benchmark runs its scaling sweep across processes.  An
+    absorbed commit ships nothing to the workers (they keep serving the
+    committed generation and the service corrects their answers with
+    the delta); each merge publishes the next on-disk generation.
     Warm worker caches (the sustained-serving regime, not the paper's
     cold-accounting one) keep the background load realistic.
     """

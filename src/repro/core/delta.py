@@ -9,12 +9,15 @@ committed ids), and only at a generation boundary is the accumulated
 delta merged into the page-backed index in one bulk
 :meth:`~repro.core.flat_index.FLATIndex.apply_batch`.
 
-Queries union the delta in: the crawl answers from the committed pages
-exactly as before, then :meth:`DeltaIndex.overlay` drops tombstoned ids
-and merges in the memtable's matching elements.  The delta is pure RAM
-and never touches the page store, so the paper's page-read accounting
-— the byte-exact pins every crawl test rests on — is untouched by an
-attached delta.
+Engines never see the delta: they answer from the committed pages of
+one generation only, and the delta is applied where answers are
+gathered — in :class:`~repro.query.service.QueryService` and at
+:class:`~repro.query.cluster.ClusterRouter`'s gather.  A range answer
+goes through :meth:`DeltaIndex.overlay` (tombstoned ids dropped, the
+memtable's matching elements merged in), a kNN answer through
+:meth:`DeltaIndex.knn_overlay`.  The delta is pure RAM and never
+touches the page store, so the paper's page-read accounting — the
+byte-exact pins every crawl test rests on — is untouched by it.
 
 A ``DeltaIndex`` is treated as *immutable once served*: the serving
 layer copies it (:meth:`copy`), absorbs a batch into the copy, and
@@ -31,11 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry.intersect import boxes_intersect_box
-from repro.geometry.mbr import (
-    mbr_distance_to_point,
-    mbr_union_many,
-    validate_mbrs,
-)
+from repro.geometry.mbr import mbr_distance_to_point, validate_mbrs
 
 
 class DeltaIndex:
@@ -166,17 +165,8 @@ class DeltaIndex:
         mask = boxes_intersect_box(self._insert_mbrs[rows], np.asarray(query))
         return np.sort(self._insert_ids[rows[mask]])
 
-    def mask(self, element_ids: np.ndarray) -> np.ndarray:
-        """Drop tombstoned ids from a (sorted) base result array."""
-        if not self._tombstones or not len(element_ids):
-            return element_ids
-        dead = np.fromiter(
-            self._tombstones, dtype=np.int64, count=len(self._tombstones)
-        )
-        return element_ids[~np.isin(element_ids, dead)]
-
     def tombstoned(self, element_ids: np.ndarray) -> np.ndarray:
-        """Boolean mask of ids deleted by this delta (paired filtering)."""
+        """Boolean mask of ids deleted by this delta."""
         if not self._tombstones or not len(element_ids):
             return np.zeros(len(element_ids), dtype=bool)
         dead = np.fromiter(
@@ -191,7 +181,7 @@ class DeltaIndex:
         two id sets are disjoint (memtable ids are above the base
         watermark), so a concatenate-and-sort is an exact merge.
         """
-        kept = self.mask(base_ids)
+        kept = base_ids[~self.tombstoned(base_ids)]
         hits = self.range_hits(query)
         if not len(hits):
             return kept
@@ -199,42 +189,29 @@ class DeltaIndex:
             return hits
         return np.sort(np.concatenate([kept, hits]))
 
-    def contains_ids(self, element_ids: np.ndarray) -> np.ndarray:
-        """Boolean mask of ids that are live memtable rows."""
-        return np.fromiter(
-            (int(eid) in self._row_of for eid in element_ids),
-            dtype=bool,
-            count=len(element_ids),
-        )
+    def knn_overlay(self, point: np.ndarray, k: int, base_ids: np.ndarray,
+                    base_dists: np.ndarray) -> tuple:
+        """The *k* nearest live elements to *point*, as ``(ids, distances)``.
 
-    def distances(self, element_ids: np.ndarray, point: np.ndarray) -> np.ndarray:
-        """MBR distances of live memtable ids to *point* (kNN support)."""
-        rows = np.fromiter(
-            (self._row_of[int(eid)] for eid in element_ids),
-            dtype=np.int64,
-            count=len(element_ids),
-        )
-        return mbr_distance_to_point(self._insert_mbrs[rows], np.asarray(point))
-
-    def knn_candidates(self, point: np.ndarray) -> tuple:
-        """All live memtable ids with their MBR distances to *point*.
-
-        The memtable is bounded by the merge threshold, so handing the
-        whole of it to a kNN merge is cheaper than any pruning.
+        *base_ids* / *base_dists* must be the committed base's exact top
+        ``k + tombstone_count`` by ``(distance, id)``: at most
+        :attr:`tombstone_count` deleted elements can precede a live
+        element of the true top *k*, so dropping the tombstoned ids
+        leaves every live base element that can still make it.  Every
+        live memtable row joins as a candidate — the memtable is bounded
+        by the merge threshold, so that is cheaper than any pruning —
+        and the first *k* by ``(distance, id)`` win, the tie-break of
+        every engine and of the brute-force baseline.
         """
+        alive = ~self.tombstoned(base_ids)
         rows = self._live_rows()
-        if not rows.size:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        ids = self._insert_ids[rows]
-        dists = mbr_distance_to_point(self._insert_mbrs[rows], np.asarray(point))
-        return ids, dists
-
-    def covering(self) -> np.ndarray | None:
-        """Union box of the live memtable MBRs (``None`` when empty)."""
-        rows = self._live_rows()
-        if not rows.size:
-            return None
-        return mbr_union_many(self._insert_mbrs[rows])
+        ids = np.concatenate([base_ids[alive], self._insert_ids[rows]])
+        dists = np.concatenate([
+            base_dists[alive],
+            mbr_distance_to_point(self._insert_mbrs[rows], np.asarray(point)),
+        ])
+        keep = np.lexsort((ids, dists))[:k]
+        return ids[keep], dists[keep]
 
     # -- lifecycle -------------------------------------------------------
 

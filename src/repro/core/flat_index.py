@@ -37,7 +37,6 @@ from repro.geometry.intersect import boxes_intersect_box, pairwise_intersects
 from repro.geometry.mbr import (
     mbr_center,
     mbr_contains_mbr,
-    mbr_contains_point,
     mbr_distance_to_point,
     mbr_union,
     mbr_union_many,
@@ -207,17 +206,10 @@ class FLATIndex:
         #: Records retired by merges in the current batch.
         self._dead_records: set = set()
         #: While a batch is applying, the set of record ids whose links
-        #: need recomputing; :meth:`_refresh_neighbors` parks ids here
-        #: instead of repairing eagerly, and :meth:`_repair_links_bulk`
-        #: settles the whole set once per commit.  ``None`` outside a
-        #: batch (eager repair).
+        #: need recomputing: every partition-box change parks its record
+        #: here, and :meth:`_repair_links_bulk` settles the whole set
+        #: once per commit.  ``None`` outside a batch.
         self._deferred_links: set | None = None
-        #: Optional :class:`~repro.core.delta.DeltaIndex` overlaid on
-        #: this index's query answers (attached by :meth:`with_delta`).
-        #: The delta lives purely in RAM: its hits are unioned into
-        #: results *after* the crawl, so page-read accounting is
-        #: untouched.
-        self.delta = None
 
     # -- construction ------------------------------------------------------
 
@@ -359,24 +351,6 @@ class FLATIndex:
         # kNN directories are built at most once across all clones no
         # matter who runs the first kNN query.
         clone._knn_state = self._knn_state
-        # Serving clones must answer with the same delta overlay as the
-        # index they were cloned from (the delta itself is read-only
-        # once attached).
-        clone.delta = self.delta
-        return clone
-
-    def with_delta(self, delta) -> "FLATIndex":
-        """A read clone of this index with *delta* overlaid on answers.
-
-        The clone serves the same pages through the same store; only the
-        query methods change — tombstoned ids are masked out of crawl
-        results and the delta memtable's matching elements are unioned
-        in.  *delta* must have been built against this index's id
-        watermark and is treated as immutable once attached (the serving
-        layer publishes a fresh copy per absorbed commit).
-        """
-        clone = self.with_store(self.store)
-        clone.delta = delta
         return clone
 
     def fork(self) -> "FLATIndex":
@@ -505,8 +479,8 @@ class FLATIndex:
         * link repair is deferred: every box change parks its record id
           and :meth:`_repair_links_bulk` recomputes the affected
           adjacency exactly, once, against the batch's *final* partition
-          boxes (links are a pure function of those boxes, so the result
-          is identical to eager per-change repair);
+          boxes (links are a pure function of those boxes, so one repair
+          against the final boxes equals a repair after every change);
         * seed leaves are rewritten and the upper levels repacked in the
           single end-of-batch :meth:`_flush_metadata`.
 
@@ -678,26 +652,15 @@ class FLATIndex:
     def _live_records(self) -> np.ndarray:
         return np.flatnonzero(self._mut.live)
 
-    def _route(self, center: np.ndarray) -> int:
-        """The record whose partition receives an element at *center*."""
-        mut = self._mut
-        live_ids = self._live_records()
-        boxes = mut.partition_mbrs[live_ids]
-        inside = live_ids[mbr_contains_point(boxes, center)]
-        if inside.size:
-            # Smallest containing box; ties go to the lowest record id.
-            return int(inside[np.argmin(mbr_volume(mut.partition_mbrs[inside]))])
-        return int(live_ids[np.argmin(mbr_distance_to_point(boxes, center))])
-
     def _route_batch(self, centers: np.ndarray) -> np.ndarray:
-        """Route a whole batch of element centers (:meth:`_route`, vectorized).
+        """The record whose partition receives each element center.
 
-        Same per-element answer as :meth:`_route` — smallest containing
-        live partition box, ties to the lowest record id, nearest box
-        for centers outside every partition — computed as a chunked
-        containment matrix instead of one directory scan per element.
-        Chunks bound the matrix at a few million cells, so memory stays
-        flat however large the batch.
+        An element goes to the smallest live partition box containing
+        its center, ties to the lowest record id; a center outside
+        every partition goes to the nearest box.  The whole batch is
+        routed as a chunked containment matrix; chunks bound it at a
+        few million cells, so memory stays flat however large the
+        batch.
         """
         mut = self._mut
         live_ids = self._live_records()
@@ -744,41 +707,8 @@ class FLATIndex:
             mut.partition_mbrs[touching, face] = new_space[face]
             grown.update(int(rid) for rid in touching)
         mut.space_mbr = new_space
-        for rid in sorted(grown):
-            dirty.add(rid)
-            self._refresh_neighbors(rid, dirty)
-
-    def _refresh_neighbors(self, rid: int, dirty: set) -> None:
-        """Recompute *rid*'s links exactly; keep symmetry, mark leaves.
-
-        Inside :meth:`apply_batch` the repair is deferred — the id is
-        parked and :meth:`_repair_links_bulk` settles the whole commit's
-        adjacency in one vectorized pass against the final boxes.
-        Neighbor sets are only ever updated in symmetric pairs, so the
-        directory stays symmetric (if stale) between the two.
-        """
-        if self._deferred_links is not None:
-            self._deferred_links.add(int(rid))
-            return
-        mut = self._mut
-        live_ids = self._live_records()
-        hits = live_ids[
-            boxes_intersect_box(
-                mut.partition_mbrs[live_ids], mut.partition_mbrs[rid]
-            )
-        ]
-        new_set = {int(h) for h in hits if int(h) != rid}
-        old_set = mut.neighbors[rid]
-        if new_set == old_set:
-            return
-        for gone in old_set - new_set:
-            mut.neighbors[gone].discard(rid)
-            dirty.add(gone)
-        for come in new_set - old_set:
-            mut.neighbors[come].add(rid)
-            dirty.add(come)
-        mut.neighbors[rid] = new_set
-        dirty.add(rid)
+        dirty.update(grown)
+        self._deferred_links.update(grown)
 
     def _repair_links_bulk(self, dirty: set) -> None:
         """Settle the batch's deferred link repairs in one exact pass.
@@ -786,12 +716,12 @@ class FLATIndex:
         Every record whose partition box changed this batch gets its
         neighbor set recomputed against *all* live partition boxes via
         a chunked intersection matrix, with symmetric add/remove diffs
-        applied (and the affected leaves marked dirty) exactly as the
-        eager repair would.  A link ``(a, b)`` changes only if ``a``'s
-        or ``b``'s box changed, and any such record is in the deferred
-        set — so recomputing the deferred records' rows repairs the
-        whole adjacency.  Records retired mid-batch were already
-        scrubbed symmetrically by :meth:`_try_merge` and are skipped.
+        applied and the affected leaves marked dirty.  A link ``(a, b)``
+        changes only if ``a``'s or ``b``'s box changed, and any such
+        record is in the deferred set — so recomputing the deferred
+        records' rows repairs the whole adjacency.  Records retired
+        mid-batch were already scrubbed symmetrically by
+        :meth:`_try_merge` and are skipped.
         """
         pending = self._deferred_links
         self._deferred_links = None
@@ -849,7 +779,7 @@ class FLATIndex:
         if not np.array_equal(widened, mut.partition_mbrs[rid]):
             mut.partition_mbrs[rid] = widened
             dirty.add(rid)
-            self._refresh_neighbors(rid, dirty)
+            self._deferred_links.add(rid)
 
     def _place(self, rid: int, page_id: int, ids: np.ndarray,
                mbrs: np.ndarray, dirty: set) -> None:
@@ -917,8 +847,7 @@ class FLATIndex:
         self._place(new_rid, new_page_id, ids[high], mbrs[high], dirty)
         dirty.add(rid)
         dirty.add(new_rid)
-        self._refresh_neighbors(rid, dirty)
-        self._refresh_neighbors(new_rid, dirty)
+        self._deferred_links.update((rid, new_rid))
 
     def _remove_elements(self, page_id: int, eids: np.ndarray,
                          dirty: set) -> None:
@@ -989,7 +918,7 @@ class FLATIndex:
         mut.neighbors[rid] = set()
         dirty.discard(rid)
         self._dead_records.add(rid)
-        self._refresh_neighbors(target, dirty)
+        self._deferred_links.add(target)
 
     def _flush_metadata(self, dirty: set) -> None:
         """Rewrite affected seed leaves, then repack the upper levels.
@@ -1139,25 +1068,6 @@ class FLATIndex:
             self, query[None, :], start, np.zeros_like(start), stats=stats,
             probed=self.seed_index.last_probe_object_page_ids,
         )
-        # The delta can hold elements outside the crawled space (e.g.
-        # inserts past the committed space box), so the overlay applies
-        # even when seeding found nothing.
-        return self._overlay_delta(out, query, stats)
-
-    def _overlay_delta(
-        self, out: np.ndarray, query: np.ndarray, stats: CrawlStats
-    ) -> np.ndarray:
-        """Correct a crawl's sorted result for the attached delta.
-
-        Pure RAM: tombstoned ids drop out, memtable hits merge in, and
-        no store counter moves — so every page-read pin stays byte-exact
-        with or without a delta attached.  ``range_query_scalar`` (the
-        pre-delta reference crawl) deliberately skips this.
-        """
-        if self.delta is None or self.delta.is_empty:
-            return out
-        out = self.delta.overlay(out, query)
-        stats.result_count = len(out)
         return out
 
     def range_query_scalar(self, query: np.ndarray) -> np.ndarray:
@@ -1280,12 +1190,6 @@ class FLATIndex:
             store.stats.merge(
                 IOStats(decode_misses=crawled.decode_misses, parses=crawled.parses)
             )
-        if self.delta is not None and not self.delta.is_empty:
-            results = [
-                self.delta.overlay(ids, query)
-                for ids, query in zip(results, queries)
-            ]
-            stats.result_count = sum(len(ids) for ids in results)
         return results
 
     def point_query(self, point: np.ndarray) -> np.ndarray:
@@ -1328,19 +1232,11 @@ class FLATIndex:
             stats.object_pages_read = round_stats.object_pages_read
             return ids
 
-        cover = self.covering_mbr()
-        if self.delta is not None and not self.delta.is_empty:
-            # Delta elements can sit outside the committed space; the
-            # radius expansion must know the true covered extent (and
-            # live count) or it could stop before reaching them.
-            extra = self.delta.covering()
-            if extra is not None:
-                cover = mbr_union(cover, extra)
         ids, dists, rounds = expanding_radius_knn(
             point,
             k,
-            element_count=self.live_element_count,
-            cover=cover,
+            element_count=self.element_count,
+            cover=self.covering_mbr(),
             range_query=crawl,
             distances=self._element_distances,
         )
@@ -1353,27 +1249,6 @@ class FLATIndex:
 
     def _element_distances(self, ids: np.ndarray, point: np.ndarray) -> np.ndarray:
         """MBR distances of the given element ids to *point*.
-
-        Ids above the committed watermark live in the delta memtable
-        (crawl results only ever contain committed or delta ids), and
-        their distances come straight from its in-RAM boxes.
-        """
-        if self.delta is not None and not self.delta.is_empty:
-            in_delta = self.delta.contains_ids(ids)
-            if in_delta.any():
-                dists = np.empty(len(ids), dtype=np.float64)
-                dists[in_delta] = self.delta.distances(ids[in_delta], point)
-                if not in_delta.all():
-                    dists[~in_delta] = self._base_element_distances(
-                        ids[~in_delta], point
-                    )
-                return dists
-        return self._base_element_distances(ids, point)
-
-    def _base_element_distances(
-        self, ids: np.ndarray, point: np.ndarray
-    ) -> np.ndarray:
-        """MBR distances of committed element ids to *point*.
 
         Reads go through the store (buffer + decoded cache), so pages
         the crawl just visited cost no further physical I/O.
@@ -1427,21 +1302,14 @@ class FLATIndex:
         """
         return self._next_id
 
-    @property
-    def live_element_count(self) -> int:
-        """Committed live elements plus the attached delta's net change."""
-        if self.delta is None:
-            return self.element_count
-        return self.element_count + self.delta.element_delta
-
     def contains_elements(self, element_ids) -> np.ndarray:
         """Boolean mask of which *element_ids* are live committed elements.
 
         Answers from the element directory (built lazily, then cached);
         purely an in-RAM lookup, valid on read-only restored snapshots
-        too.  The attached delta, if any, is *not* consulted — this is
-        the base-index membership test the delta's own delete validation
-        builds on.
+        too.  This is the base-index membership test a
+        :class:`~repro.core.delta.DeltaIndex` validates its deletes
+        against.
         """
         element_ids = np.atleast_1d(np.asarray(element_ids, dtype=np.int64))
         element_page = self._ensure_mutable().element_page

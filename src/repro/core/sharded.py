@@ -127,11 +127,6 @@ class ShardedFLATIndex:
         #: Crawl bookkeeping of the most recent query, aggregated over
         #: the touched shards.
         self.last_crawl_stats: CrawlStats | None = None
-        #: Optional :class:`~repro.core.delta.DeltaIndex` overlaid on
-        #: the scatter-gather answers (attached by :meth:`with_delta`).
-        #: One delta spans all shards — its ids are global, and its
-        #: contribution merges in after the per-shard gather.
-        self.delta = None
 
     # -- construction ----------------------------------------------------
 
@@ -203,22 +198,9 @@ class ShardedFLATIndex:
                     store=view,
                 )
             )
-        clone = ShardedFLATIndex(
+        return ShardedFLATIndex(
             shards, self.planner, self.element_count, next_id=self._next_id
         )
-        clone.delta = self.delta
-        return clone
-
-    def with_delta(self, delta) -> "ShardedFLATIndex":
-        """A read clone with *delta* overlaid on the scatter-gather.
-
-        See :meth:`FLATIndex.with_delta` — same contract, one delta for
-        the whole shard set (delta batches are buffered globally and
-        routed to shards by centroid only when merged into pages).
-        """
-        clone = self.with_views()
-        clone.delta = delta
-        return clone
 
     def fork(self) -> "ShardedFLATIndex":
         """A copy-on-write clone that can be mutated independently.
@@ -427,7 +409,7 @@ class ShardedFLATIndex:
             _merge_crawl_stats(stats, shard.index.last_crawl_stats)
             if local.size:
                 parts.append(shard.to_global(local))
-        out = QueryPlanner.merge_sorted_ids(parts, delta=self.delta, query=query)
+        out = QueryPlanner.merge_sorted_ids(parts)
         stats.result_count = len(out)
         self.last_plan = plan
         self.last_crawl_stats = stats
@@ -462,7 +444,7 @@ class ShardedFLATIndex:
             return shard.to_global(local), dists
 
         best_ids, best_dists, self.last_plan = self.planner.knn_walk(
-            point, k, visit, self.delta
+            point, k, visit
         )
         stats.result_count = len(best_ids)
         self.last_crawl_stats = stats
@@ -610,19 +592,11 @@ class ShardedFLATIndex:
         """The global id watermark (deleted ids are never reused)."""
         return self._next_id
 
-    @property
-    def live_element_count(self) -> int:
-        """Committed live elements plus the attached delta's net change."""
-        if self.delta is None:
-            return self.element_count
-        return self.element_count + self.delta.element_delta
-
     def contains_elements(self, element_ids) -> np.ndarray:
         """Boolean mask of which global ids are live committed elements.
 
         Pure in-RAM lookup against the routing directory (built lazily,
-        then cached); the attached delta is *not* consulted — see
-        :meth:`FLATIndex.contains_elements`.
+        then cached) — see :meth:`FLATIndex.contains_elements`.
         """
         element_ids = np.atleast_1d(np.asarray(element_ids, dtype=np.int64))
         routing = self._routing_directory()

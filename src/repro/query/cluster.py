@@ -30,9 +30,11 @@ and ``(directory, generation)`` reattach across process boundaries
   each query to exactly the planner-selected servers, and merges the
   per-shard sorted ids at the gather point with
   :meth:`QueryPlanner.merge_sorted_ids
-  <repro.query.planner.QueryPlanner.merge_sorted_ids>` — a
-  :class:`~repro.core.delta.DeltaIndex` attached to the router overlays
-  at that same gather point, exactly as in the monolithic stack.
+  <repro.query.planner.QueryPlanner.merge_sorted_ids>`.  A
+  :class:`~repro.core.delta.DeltaIndex` attached to the router is
+  applied there and nowhere else: servers only ever answer from a
+  committed generation, as :class:`~repro.query.service.QueryService`
+  workers do.
   Batches pipeline: up to a window of requests stay in flight per
   server, so aggregate throughput scales with the server count.
 * **Replication & failover** — a replica fleet is populated by
@@ -60,8 +62,9 @@ The router is single-threaded by design (one logical request stream
 per server connection); run several routers for concurrent fronts.
 Correctness is pinned in ``tests/query/test_cluster.py`` and
 ``benchmarks/bench_cluster.py``: every response — mid-roll, after a
-server kill, with a delta attached — is byte-identical to the
-monolithic :class:`~repro.core.sharded.ShardedFLATIndex` oracle.
+server kill — is byte-identical to the monolithic
+:class:`~repro.core.sharded.ShardedFLATIndex` oracle; with a delta
+attached, to the oracle's answers corrected by the same delta.
 """
 
 from __future__ import annotations
@@ -447,9 +450,10 @@ class ClusterRouter:
         self._owns_runtime_dir = _owns_runtime_dir
         self.clear_cache_per_query = clear_cache_per_query
         self.planner: QueryPlanner = control.planner
-        #: Optional :class:`~repro.core.delta.DeltaIndex` overlaid at
-        #: the gather point (global ids, same contract as
-        #: :attr:`ShardedFLATIndex.delta`).
+        #: Optional :class:`~repro.core.delta.DeltaIndex` (global ids)
+        #: applied to every answer at the gather point: ranges through
+        #: :meth:`~repro.core.delta.DeltaIndex.overlay`, kNN through
+        #: :meth:`~repro.core.delta.DeltaIndex.knn_overlay`.
         self.delta = None
         #: Servers declared dead so far (discovered through failed
         #: requests; every one triggered a failover or a shard loss).
@@ -661,18 +665,27 @@ class ClusterRouter:
         <repro.core.sharded.ShardedFLATIndex.knn_query>`
         (:meth:`QueryPlanner.knn_walk
         <repro.query.planner.QueryPlanner.knn_walk>`), with each visited
-        server contributing its exact local top k as global ids.
+        server contributing its exact local top k as global ids.  With a
+        :attr:`delta`, the walk gathers the committed top
+        ``k + tombstone_count`` and
+        :meth:`~repro.core.delta.DeltaIndex.knn_overlay` corrects it.
         """
         self._check_open()
         point = np.asarray(point, dtype=np.float64).reshape(3)
         cold = self.clear_cache_per_query
+        delta = self.delta
 
         def visit(pos: int, shard_k: int) -> tuple:
             return self._request_one(pos, ("knn", point, shard_k, cold))
 
+        base_k = k if delta is None else k + delta.tombstone_count
         best_ids, best_dists, self.last_plan = self.planner.knn_walk(
-            point, k, visit, self.delta
+            point, base_k, visit
         )
+        if delta is not None:
+            best_ids, best_dists = delta.knn_overlay(
+                point, k, best_ids, best_dists
+            )
         if return_distances:
             return best_ids, best_dists
         return best_ids
@@ -725,9 +738,10 @@ class ClusterRouter:
             for ids, stats in replies[start:start + count]:
                 parts.append(ids)
                 report.stats.merge(stats)
-            results.append(QueryPlanner.merge_sorted_ids(
-                parts, delta=self.delta, query=query
-            ))
+            ids = QueryPlanner.merge_sorted_ids(parts)
+            if self.delta is not None:
+                ids = self.delta.overlay(ids, query)
+            results.append(ids)
         report.query_count = len(results)
         report.per_query_results = [len(ids) for ids in results]
         report.result_elements = sum(report.per_query_results)

@@ -21,14 +21,17 @@ additionally expose ``last_crawl_stats`` (FLAT) get their per-query BFS
 bookkeeping collected by the harness; page-read and page-decode
 accounting always comes from the backing store's ``stats``.
 
-**Delta overlay contract.**  An engine carrying a non-empty
-:class:`~repro.core.delta.DeltaIndex` (its ``delta`` attribute, see
-:meth:`FLATIndex.with_delta <repro.core.flat_index.FLATIndex.with_delta>`)
-must answer all three methods *as if* the delta were already merged:
-tombstoned ids never appear, memtable elements do.  The correction is
-pure RAM — the overlay applies after the page crawl, so the page-read
-and decode accounting of a delta-carrying engine stays byte-identical
-to the delta-free crawl of the committed base generation.
+**Committed state only.**  An engine answers from one committed
+generation of its pages and nothing else.  The in-RAM
+:class:`~repro.core.delta.DeltaIndex` of the write path is applied
+where answers are gathered —
+:class:`~repro.query.service.QueryService` and
+:class:`~repro.query.cluster.ClusterRouter` — never inside an engine:
+a range answer through :meth:`~repro.core.delta.DeltaIndex.overlay`,
+and a kNN answer through :meth:`~repro.core.delta.DeltaIndex.knn_overlay`
+over the engine's top ``k + tombstone_count``.  The correction is pure
+RAM, so an engine's page-read and decode accounting is that of its
+committed generation.
 """
 
 from __future__ import annotations

@@ -96,18 +96,15 @@ class QueryPlanner:
         order = np.lexsort((np.arange(len(dists)), dists))
         return order, dists[order]
 
-    def knn_walk(self, point: np.ndarray, k: int, visit, delta=None) -> tuple:
+    def knn_walk(self, point: np.ndarray, k: int, visit) -> tuple:
         """The *k* nearest elements, walking shards in MINDIST order.
 
-        ``visit(shard_id, shard_k)`` returns one shard's exact local top
-        *shard_k* as ``(global ids, distances)``.  The walk stops when
-        the next shard's box is strictly farther than the current k-th
+        ``visit(shard_id, k)`` returns one shard's exact local top *k*
+        as ``(global ids, distances)``.  The walk stops when the next
+        shard's box is strictly farther than the current k-th
         candidate — it cannot contain anything closer, nor an
         equal-distance element that would win the id tie-break from a
-        *strictly* farther box.  With a non-empty *delta*, its memtable
-        candidates join the race and its tombstones are masked; each
-        shard is then asked for ``k + tombstones`` so that live
-        elements hidden behind deleted ones survive the mask.
+        *strictly* farther box.
 
         Returns ``(ids, distances, QueryPlan)``.
         """
@@ -116,24 +113,13 @@ class QueryPlanner:
             raise ValueError(f"k must be positive, got {k}")
         best_ids = np.empty(0, dtype=np.int64)
         best_dists = np.empty(0, dtype=np.float64)
-        if delta is not None and delta.is_empty:
-            delta = None
-        shard_k = k
-        if delta is not None:
-            shard_k = k + delta.tombstone_count
-            ids, dists = delta.knn_candidates(point)
-            keep = np.lexsort((ids, dists))[:k]
-            best_ids, best_dists = ids[keep], dists[keep]
         selected = []
         order, shard_dists = self.shards_by_distance(point)
         for sid, shard_dist in zip(order, shard_dists):
             if len(best_ids) >= k and shard_dist > best_dists[-1]:
                 break
-            hit_ids, hit_dists = visit(int(sid), shard_k)
+            hit_ids, hit_dists = visit(int(sid), k)
             selected.append(int(sid))
-            if delta is not None:
-                alive = ~delta.tombstoned(hit_ids)
-                hit_ids, hit_dists = hit_ids[alive], hit_dists[alive]
             ids = np.concatenate([best_ids, hit_ids])
             dists = np.concatenate([best_dists, hit_dists])
             keep = np.lexsort((ids, dists))[:k]
@@ -143,22 +129,13 @@ class QueryPlanner:
     # -- merging -------------------------------------------------------
 
     @staticmethod
-    def merge_sorted_ids(parts, delta=None, query=None) -> np.ndarray:
+    def merge_sorted_ids(parts) -> np.ndarray:
         """Merge per-shard sorted id arrays into one sorted result.
 
         Shards partition the element set, so the parts are disjoint and
-        a concatenate-and-sort is an exact merge.  When the serving
-        index carries a :class:`~repro.core.delta.DeltaIndex`, the
-        gather point is where its overlay applies — pass the *delta*
-        and the query box and the merged result is corrected in RAM
-        (tombstoned ids dropped, memtable hits for *query* unioned in)
-        without touching any shard's page accounting.
+        a concatenate-and-sort is an exact merge.
         """
         parts = [part for part in parts if len(part)]
         if not parts:
-            out = np.empty(0, dtype=np.int64)
-        else:
-            out = np.sort(np.concatenate(parts))
-        if delta is not None and not delta.is_empty:
-            out = delta.overlay(out, np.asarray(query, dtype=np.float64))
-        return out
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(parts))

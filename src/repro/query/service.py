@@ -58,28 +58,31 @@ submitted — a result is never a torn mix of pre- and post-update
 state.  In process mode the commit additionally *publishes* the fork
 as the next on-disk snapshot generation
 (:func:`~repro.core.snapshot.publish_fork_generation`); tasks carry the
-``(directory, generation)`` spec of the version they captured, and a
-worker process lazily restores that exact generation the first time a
-post-commit task reaches it — the same isolation guarantee, across
-address spaces.
+generation they captured and its ``(directory, generation)`` spec, and
+a worker process lazily restores that exact generation the first time
+a task reaches it — the same isolation guarantee, across address
+spaces.
 
 **The delta layer.**  Restructuring pages on every commit caps ingest
 at a few thousand elements per second.  With ``delta_threshold > 0``
 the service instead runs an LSM-style write path: small batches are
 *absorbed* into an in-RAM :class:`~repro.core.delta.DeltaIndex`
-(memtable + tombstones) attached to the committed base index, and only
-once the buffered delta crosses the threshold (or
+(memtable + tombstones) over the committed base index, and only once
+the buffered delta crosses the threshold (or
 ``merge_interval_seconds`` elapses, or :meth:`flush_delta` forces it)
 is the whole delta *merged* into pages through one bulk
 :meth:`~repro.core.flat_index.FLATIndex.apply_batch` on a fork — a
 generation boundary.  Both kinds of commit are full service versions
 with the same copy-on-write discipline (the delta is copied, the copy
 absorbs the batch, the copy is published), so snapshot isolation is
-unchanged; queries against a delta-carrying version answer from the
-committed pages and correct the result in RAM, leaving the paper's
-page-read accounting byte-exact.  In process mode an absorbed commit
-ships ``(directory, generation, pickled delta)`` — workers restore the
-unchanged base generation and attach the delta.
+unchanged.  The delta never reaches a worker: workers only ever serve
+committed generations, and the service corrects each answer with the
+delta its query captured where answers are gathered — ranges through
+:meth:`~repro.core.delta.DeltaIndex.overlay`, kNN through
+:meth:`~repro.core.delta.DeltaIndex.knn_overlay` over the base's top
+``k + tombstone_count``.  An absorbed commit therefore publishes and
+ships nothing and leaves every worker's engine, buffer pool and record
+table warm, and the paper's page-read accounting stays byte-exact.
 
 **Trajectory prefetching.**  Spatial analysis sessions issue box after
 box along latent structures, so consecutive queries are strongly
@@ -130,13 +133,13 @@ MODE_THREAD = "thread"
 MODE_PROCESS = "process"
 
 _NEEDS_SNAPSHOT = (
-    "process-mode updates need an index restored from a snapshot directory "
-    "(worker processes restore committed generations from disk); "
+    "process-mode merges need an index restored from a snapshot directory "
+    "(worker processes restore merged generations from disk); "
     "snapshot_index() + restore_index() first"
 )
 
 #: Index generations one worker keeps cloned: tasks submitted just
-#: before a commit may still arrive for an older version, so a few
+#: before a merge may still arrive for an older generation, so a few
 #: stay warm before the least recently used is dropped.
 KEPT_GENERATIONS = 4
 
@@ -231,8 +234,9 @@ class ServiceReport:
 class UpdateReport:
     """Outcome of one atomically committed update batch."""
 
-    #: Generation number the commit published.  The initial index is
-    #: generation 0, so the first commit reports 1.
+    #: Version the commit published: commits so far, absorbed or
+    #: merged.  The initial index is version 0, so the first commit
+    #: reports 1.
     version: int
     #: Ids assigned to the batch's inserted elements.
     inserted_ids: np.ndarray
@@ -286,16 +290,16 @@ class WorkerEngines:
                  owns_indexes: bool = False):
         self.prefetch_config = prefetch_config
         self._owns_indexes = owns_indexes
-        #: version -> (engine clone, Prefetcher or None, source index)
+        #: generation -> (engine clone, Prefetcher or None, source index)
         self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, version: int, load) -> tuple:
-        entry = self._entries.get(version)
+    def get(self, generation: int, load) -> tuple:
+        entry = self._entries.get(generation)
         if entry is not None:
-            self._entries.move_to_end(version)
+            self._entries.move_to_end(generation)
             return entry[:2]
         index = load()
         if _is_sharded(index):
@@ -306,7 +310,7 @@ class WorkerEngines:
         if self.prefetch_config is not None:
             prefetcher = Prefetcher(index, self.prefetch_config)
             prefetcher.attach(engine)
-        self._entries[version] = (engine, prefetcher, index)
+        self._entries[generation] = (engine, prefetcher, index)
         while len(self._entries) > KEPT_GENERATIONS:
             old = self._entries.popitem(last=False)[1][2]
             close = getattr(old.store, "close", None)
@@ -328,8 +332,9 @@ def serve_task(engine, prefetcher, queries, cold: bool, hint=None,
     swallowed — prediction must never fail a query — and counted.
 
     Returns ``(results, IOStats delta, prefetch info, seconds, shard
-    counts)``: one sorted id array per query; the demand I/O the
-    clone's store counted; ``None`` without a prefetcher, else a dict
+    counts)``: one answer per query — a sorted id array, or the kNN
+    point's ``(ids, distances)`` top *k*; the demand I/O the clone's
+    store counted; ``None`` without a prefetcher, else a dict
     of the prefetcher's I/O (``"io"``) and ``"staged"``,
     ``"consumed"`` and ``"failures"`` counts during the task; the
     answer's wall seconds; and ``(shards visited, shards pruned)`` from
@@ -348,7 +353,7 @@ def serve_task(engine, prefetcher, queries, cold: bool, hint=None,
         if k is None:
             results = [engine.range_query(queries[0])]
         else:
-            results = [engine.knn_query(queries[0], k)]
+            results = [engine.knn_query(queries[0], k, return_distances=True)]
     seconds = time.perf_counter() - t0
     delta = store.stats.diff(before)
     plan = getattr(engine, "last_plan", None)
@@ -379,7 +384,7 @@ def serve_task(engine, prefetcher, queries, cold: bool, hint=None,
 # Process workers run module-level functions, so tasks pickle by
 # reference.  Generation 0 arrives pickled through the pool initializer;
 # later generations are restored lazily from the (directory, generation)
-# spec a post-commit task carries.
+# spec a post-merge task carries.
 
 #: This worker process's generation cache (set by the pool initializer).
 _PROCESS_ENGINES: WorkerEngines | None = None
@@ -392,33 +397,50 @@ def _process_worker_init(payload: bytes, prefetch_config=None) -> None:
     _PROCESS_ENGINES.get(0, lambda: index)
 
 
-def _restore_generation(version: int, spec):
-    """Restore one served generation in a worker process from its spec."""
+def _restore_generation(generation: int, spec):
+    """Restore one committed generation in a worker process from its spec."""
     if spec is None:
         raise RuntimeError(
-            f"worker process has no engine for generation {version} and "
+            f"worker process has no engine for generation {generation} and "
             "the task carried no snapshot spec to restore it from"
         )
     from repro.core.flat_index import FLATIndex
 
-    index = FLATIndex.restore(spec[0], generation=spec[1])
-    if len(spec) > 2 and spec[2] is not None:
-        # An absorbed commit: the base generation on disk is unchanged
-        # and the version's delta travels pickled with the spec.
-        index = index.with_delta(pickle.loads(spec[2]))
-    return index
+    return FLATIndex.restore(spec[0], generation=spec[1])
 
 
-def _process_run_group(version: int, spec, queries, cold: bool, hint=None,
+def _process_run_group(generation: int, spec, queries, cold: bool, hint=None,
                        k: int | None = None) -> tuple:
-    """A pool process's task: :func:`serve_task` on its clone of *version*.
+    """A pool process's task: :func:`serve_task` on its clone of *generation*.
 
     Returns ``(pid, *serve_task(...))``.
     """
     engine, prefetcher = _PROCESS_ENGINES.get(
-        version, lambda: _restore_generation(version, spec)
+        generation, lambda: _restore_generation(generation, spec)
     )
     return (os.getpid(), *serve_task(engine, prefetcher, queries, cold, hint, k))
+
+
+# -- the gather side -----------------------------------------------------
+
+
+def _corrected(delta, queries, results, k: int | None = None) -> list:
+    """One task's answers, corrected for the delta its queries captured.
+
+    Range results are sorted id arrays, corrected by
+    :meth:`~repro.core.delta.DeltaIndex.overlay`.  A kNN result is the
+    committed base's ``(ids, distances)`` top ``k + tombstone_count``
+    (the task asked for that many), cut to the top *k* by
+    :meth:`~repro.core.delta.DeltaIndex.knn_overlay`.
+    """
+    if k is not None:
+        ((ids, dists),) = results
+        if delta is not None:
+            ids, _dists = delta.knn_overlay(queries[0], k, ids, dists)
+        return [ids]
+    if delta is None:
+        return results
+    return [delta.overlay(ids, query) for ids, query in zip(results, queries)]
 
 
 class _ProcessFuture:
@@ -426,14 +448,17 @@ class _ProcessFuture:
 
     *absorb* runs once, as the task's done-callback, and folds its stat
     delta and worker into the service's lifetime accounting;
-    ``result()`` returns the single query's id array only after that,
-    so a caller that reads the answer and then the service's totals
-    sees the task in them.  The name predates thread tasks returning
-    the same tuple; the repository benchmark's tracer patches it.
+    ``result()`` returns the single query's id array, corrected for the
+    *delta* the query captured, only after that, so a caller that reads
+    the answer and then the service's totals sees the task in them.
+    The name predates thread tasks returning the same tuple; the
+    repository benchmark's tracer patches it.
     """
 
-    def __init__(self, future, absorb):
+    def __init__(self, future, absorb, delta, queries):
         self._future = future
+        self._delta = delta
+        self._queries = queries
         # The callback must not reference this wrapper: the future keeps
         # its callbacks, and a cycle back to it would keep the service
         # alive until the next full garbage collection.
@@ -450,7 +475,7 @@ class _ProcessFuture:
     def result(self, timeout=None):
         value = self._future.result(timeout)
         self._absorbed.wait()
-        return value[1][0]
+        return _corrected(self._delta, self._queries, value[1])[0]
 
     def done(self) -> bool:
         return self._future.done()
@@ -565,17 +590,24 @@ class QueryService:
             )
         if prefetch_config is not None and not prefetch:
             raise ValueError("prefetch_config given but prefetch is False")
-        self._index = index
-        #: The committed, delta-free index (always == ``_index`` while
-        #: no delta is buffered); forks and merges start here.
+        #: The committed index workers serve; forks and merges start
+        #: here.
         self._base = index
         #: Buffered :class:`DeltaIndex`, or ``None`` — copy-on-write:
         #: commits copy it, mutate the copy and publish the copy.
-        self._delta = getattr(index, "delta", None)
+        self._delta = None
         self.delta_threshold = int(delta_threshold)
         self.merge_interval_seconds = merge_interval_seconds
         self._last_merge = time.monotonic()
+        #: Commits so far, absorbed or merged.
         self._version = 0
+        #: Merges so far: the generation of :attr:`_base`, under which
+        #: every worker caches its clone of it.
+        self._generation = 0
+        #: ``(directory, generation)`` a worker process restores
+        #: :attr:`_base` from: the last merge's publish, or ``None`` for
+        #: generation 0, which arrives through the pool initializer.
+        self._spec = None
         self.worker_count = workers
         self.clear_cache_per_query = clear_cache_per_query
         self._mode = mode
@@ -589,21 +621,11 @@ class QueryService:
             None if self._prefetch_cfg is None
             else SessionTracker(self._prefetch_cfg)
         )
-        #: version -> snapshot spec a worker process can restore that
-        #: version from: ``(directory, generation)`` after a merge
-        #: commit, ``(directory, generation, pickled delta)`` after an
-        #: absorbed commit.  Generation 0 is shipped pickled through
-        #: the pool initializer, so it needs no spec.
-        self._gen_specs: dict = {0: None}
         #: On-disk generation of the last commit this service published
         #: (initially the served index's own generation, if file-backed)
         #: — pins the single-writer lineage check at publish time.
         backend = getattr(getattr(index, "store", None), "backend", None)
         self._published_gen = getattr(backend, "generation", None)
-        #: Snapshot directory of the served index, if file-backed —
-        #: absorbed commits in process mode name it in their spec.
-        directory = getattr(backend, "directory", None)
-        self._snapshot_dir = None if directory is None else str(directory)
         #: Thread mode: pool thread ident -> that thread's WorkerEngines.
         self._engines: dict = {}
         #: Lifetime totals of finished tasks: demand I/O, the workers
@@ -613,8 +635,8 @@ class QueryService:
         self._prefetch_failures = 0
         self._stats_lock = threading.Lock()
         self._lifecycle_lock = threading.Lock()
-        #: Serializes apply_updates callers and guards the (version,
-        #: index) pair swap.
+        #: Serializes apply_updates callers and guards the swap of the
+        #: served state (version, generation, base, spec, delta).
         self._commit_lock = threading.Lock()
         if mode == MODE_PROCESS:
             with_store = getattr(index, "with_store", None)
@@ -636,29 +658,32 @@ class QueryService:
     # -- dispatch -------------------------------------------------------
 
     def _current(self) -> tuple:
-        """The (version, index, snapshot spec) queries run against."""
+        """The ``(generation, base, spec, delta)`` a query runs against."""
         with self._commit_lock:
-            return self._version, self._index, self._gen_specs.get(self._version)
+            return self._generation, self._base, self._spec, self._delta
 
-    def _thread_task(self, version: int, index, queries, hint, k) -> tuple:
-        """A pool thread's task: :func:`serve_task` on its clone of *version*."""
+    def _thread_task(self, generation: int, index, queries, hint, k) -> tuple:
+        """A pool thread's task: :func:`serve_task` on its clone of *generation*."""
         ident = threading.get_ident()
         engines = self._engines.get(ident)
         if engines is None:
             engines = self._engines[ident] = WorkerEngines(self._prefetch_cfg)
-        engine, prefetcher = engines.get(version, lambda: index)
+        engine, prefetcher = engines.get(generation, lambda: index)
         return (ident, *serve_task(engine, prefetcher, queries,
                                    self.clear_cache_per_query, hint, k))
 
     def _task(self, current: tuple, queries, hint=None, k=None):
-        """Submit one task against a captured ``(version, index, spec)``."""
-        version, index, spec = current
+        """Submit one task against a captured ``(generation, base, spec,
+        delta)``; a kNN task asks the base for ``k + tombstone_count``."""
+        generation, index, spec, delta = current
+        if k is not None and delta is not None:
+            k += delta.tombstone_count
         if self._mode == MODE_PROCESS:
             return self._pool.submit(
-                _process_run_group, version, spec, queries,
+                _process_run_group, generation, spec, queries,
                 self.clear_cache_per_query, hint, k,
             )
-        return self._pool.submit(self._thread_task, version, index, queries,
+        return self._pool.submit(self._thread_task, generation, index, queries,
                                  hint, k)
 
     def _hint(self, session_id, query):
@@ -699,7 +724,8 @@ class QueryService:
         query = np.asarray(query, dtype=np.float64)
         current = self._current()
         future = self._task(current, query[None, :], self._hint(session_id, query))
-        return _ProcessFuture(future, self._absorb_future)
+        return _ProcessFuture(future, self._absorb_future, current[3],
+                              query[None, :])
 
     def run(self, queries, index_name: str = "") -> ServiceReport:
         """Serve a whole batch; results aggregate into the report.
@@ -741,9 +767,10 @@ class QueryService:
         """
         self._check_open()
         queries = _as_array(queries, 6, "query boxes")
-        report = self._report(self._index, index_name, session_id=session_id,
+        report = self._report(self._base, index_name, session_id=session_id,
                               prefetch_enabled=self.prefetch_enabled)
         outcomes = []
+        deltas = []
         t0 = time.perf_counter()
         for query in queries:
             current = self._current()
@@ -751,8 +778,9 @@ class QueryService:
             t_submit = time.perf_counter()
             outcomes.append(self._task(current, query[None, :], hint).result())
             report.latencies_seconds.append(time.perf_counter() - t_submit)
+            deltas.append(current[3])
         report.wall_seconds = time.perf_counter() - t0
-        self._merge(report, outcomes)
+        self._merge(report, outcomes, deltas, queries[:, None, :])
         return report
 
     def run_knn(self, points, k: int, index_name: str = "") -> ServiceReport:
@@ -804,19 +832,25 @@ class QueryService:
             first += len(group)
         outcomes = [future.result() for future in futures]
         report.wall_seconds = time.perf_counter() - t0
-        self._merge(report, outcomes)
+        self._merge(report, outcomes, [current[3]] * len(groups), groups, k)
 
-    def _merge(self, report: ServiceReport, outcomes: list) -> None:
+    def _merge(self, report: ServiceReport, outcomes: list, deltas: list,
+               groups: list, k=None) -> None:
         """Fold task outcomes, in submission order, into *report* and
-        the lifetime totals."""
+        the lifetime totals.
+
+        Each task's answers are corrected for the delta its queries
+        captured (``deltas[i]`` for the queries ``groups[i]``).
+        """
         results = []
         demand = IOStats()
         prefetch_io = IOStats()
         workers: set = set()
         failures = 0
-        for worker, task_results, delta, prefetch, _seconds, shards in outcomes:
-            results.extend(task_results)
-            demand.merge(delta)
+        for outcome, delta, group in zip(outcomes, deltas, groups):
+            worker, task_results, io, prefetch, _seconds, shards = outcome
+            results.extend(_corrected(delta, group, task_results, k))
+            demand.merge(io)
             workers.add(worker)
             report.shard_tasks += shards[0]
             report.shards_pruned += shards[1]
@@ -850,8 +884,8 @@ class QueryService:
         * **Absorbed** (``delta_threshold > 0`` and the buffered work
           stays under it): the batch lands in a *copy* of the current
           :class:`~repro.core.delta.DeltaIndex` and the commit swaps in
-          the unchanged base index with the new delta attached — no
-          page is touched, which is what makes sustained ingest cheap.
+          the new delta over the unchanged base index — no page is
+          touched, which is what makes sustained ingest cheap.
         * **Merged** (threshold crossed, ``merge_interval_seconds``
           elapsed, ``force_merge=True``, or ``delta_threshold == 0``):
           the accumulated delta plus this batch drains through one bulk
@@ -872,16 +906,17 @@ class QueryService:
         the next on-disk snapshot generation before the swap, so worker
         processes can restore it; this requires the served index to
         live on a restored snapshot directory (an mmap-backed store).
-        An absorbed commit publishes nothing — its spec names the
-        unchanged base generation plus the pickled delta.  A commit
-        rejected by the concurrent-commit check may leave its
-        already-published generation orphaned on disk — harmless, since
-        workers only ever restore generations a task names explicitly.
+        An absorbed commit publishes and ships nothing: workers keep
+        serving the unchanged base generation, warm, and the service
+        corrects their answers with the new delta.  A commit rejected
+        by the concurrent-commit check may leave its already-published
+        generation orphaned on disk — harmless, since workers only ever
+        restore generations a task names explicitly.
         """
         self._check_open()
-        if not hasattr(self._index, "fork"):
+        if not hasattr(self._base, "fork"):
             raise RuntimeError(
-                f"{type(self._index).__name__} does not support updates "
+                f"{type(self._base).__name__} does not support updates "
                 "(no fork()); serve a FLAT or sharded FLAT index"
             )
         with self._commit_lock:
@@ -916,7 +951,6 @@ class QueryService:
             )
         )
         spec = None
-        generation = None
         if merge:
             fork = base.fork()
             drain_ids, drain_mbrs, drain_deletes, next_id = new_delta.drain()
@@ -931,7 +965,7 @@ class QueryService:
                 from repro.storage.pagestore import SnapshotError
 
                 try:
-                    directory, generation = publish_fork_generation(
+                    directory, published = publish_fork_generation(
                         fork, expected_base=self._published_gen
                     )
                 except SnapshotError:
@@ -940,18 +974,10 @@ class QueryService:
                     raise
                 except PageStoreError as exc:
                     raise RuntimeError(_NEEDS_SNAPSHOT) from exc
-                spec = (str(directory), int(generation))
-            new_index = fork
+                spec = (str(directory), int(published))
+            element_count = fork.element_count
         else:
-            new_index = base.with_delta(new_delta)
-            if self._mode == MODE_PROCESS:
-                if self._snapshot_dir is None or self._published_gen is None:
-                    raise RuntimeError(_NEEDS_SNAPSHOT)
-                spec = (
-                    self._snapshot_dir,
-                    int(self._published_gen),
-                    pickle.dumps(new_delta),
-                )
+            element_count = base.element_count + new_delta.element_delta
         with self._commit_lock:
             if self._base is not base or self._delta is not delta:
                 # A concurrent commit slipped in between capture and
@@ -962,28 +988,23 @@ class QueryService:
                     "concurrent apply_updates detected; serialize update "
                     "batches through a single updater"
                 )
-            self._index = new_index
             self._version += 1
             version = self._version
             if merge:
-                self._base = new_index
+                self._base = fork
                 self._delta = None
+                self._generation += 1
+                self._spec = spec
+                if spec is not None:
+                    self._published_gen = spec[1]
                 self._last_merge = time.monotonic()
             else:
                 self._delta = new_delta
-            if spec is not None:
-                self._gen_specs[version] = spec
-                if generation is not None:
-                    self._published_gen = generation
         return UpdateReport(
             version=version,
             inserted_ids=inserted,
             deleted_count=deleted,
-            element_count=(
-                new_index.element_count
-                if merge
-                else new_index.live_element_count
-            ),
+            element_count=element_count,
             wall_seconds=time.perf_counter() - t0,
             merged=merge,
             delta_elements=0 if merge else new_delta.size,
@@ -1032,7 +1053,7 @@ class QueryService:
 
     @property
     def current_version(self) -> int:
-        """Generation number of the currently served index (0 initially)."""
+        """Commits so far, absorbed or merged (0 initially)."""
         with self._commit_lock:
             return self._version
 

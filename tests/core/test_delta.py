@@ -2,12 +2,16 @@
 
 Two bars.  First, ``DeltaIndex`` itself behaves like a tiny index:
 watermarked monotonic ids, atomic delete validation (``KeyError``
-naming every unknown id), exact overlay arithmetic.  Second — the
-differential pin the whole LSM-style write path rests on — *any*
-interleaving of delta-absorbed batches, generation-boundary merges and
-queries answers byte-identically to a scratch-rebuilt index over the
-surviving elements, on memory stores and on restored file stores, and
-attaching a delta never changes the committed crawl's page accounting.
+naming every unknown id), exact overlay arithmetic for ranges and kNN.
+Second — the differential pin the whole LSM-style write path rests on —
+*any* interleaving of delta-absorbed batches, generation-boundary
+merges and queries answers byte-identically to a scratch-rebuilt index
+over the surviving elements, on memory stores and on restored file
+stores, and correcting answers with a delta never changes the
+committed crawl's page accounting.  Engines never see the delta: the
+answers here are corrected the way the gather points
+(``QueryService``, ``ClusterRouter``) correct them, by
+:class:`GatherOverlay`.
 """
 
 import tempfile
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import DeltaIndex, FLATIndex
 from repro.geometry.intersect import boxes_intersect_box
-from repro.geometry.mbr import mbr_distance_to_point
+from repro.geometry.mbr import mbr_distance_to_point, point_as_box
 from repro.storage import PageStore
 
 
@@ -42,6 +46,36 @@ def live_arrays(live):
     ids = np.fromiter(sorted(live), dtype=np.int64, count=len(live))
     boxes = np.stack([live[int(i)] for i in ids])
     return ids, boxes
+
+
+class GatherOverlay:
+    """A committed index's answers, corrected by *delta* at the gather.
+
+    The rule ``QueryService`` and ``ClusterRouter`` apply: a range
+    answer goes through ``DeltaIndex.overlay``; a kNN answer asks the
+    base for its top ``k + tombstone_count`` and goes through
+    ``DeltaIndex.knn_overlay``.
+    """
+
+    def __init__(self, index, delta):
+        self.index = index
+        self.delta = delta
+
+    @property
+    def live_element_count(self):
+        return self.index.element_count + self.delta.element_delta
+
+    def range_query(self, query):
+        return self.delta.overlay(self.index.range_query(query), query)
+
+    def point_query(self, point):
+        return self.range_query(point_as_box(point))
+
+    def knn_query(self, point, k):
+        ids, dists = self.index.knn_query(
+            point, k + self.delta.tombstone_count, return_distances=True
+        )
+        return self.delta.knn_overlay(point, k, ids, dists)[0]
 
 
 class TestDeltaIndex:
@@ -119,6 +153,53 @@ class TestDeltaIndex:
         assert np.array_equal(out, base)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    base_cells=st.lists(
+        st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+        min_size=1, max_size=30,
+    ),
+    memtable_cells=st.lists(
+        st.tuples(st.integers(-2, 6), st.integers(-2, 6), st.integers(-2, 6)),
+        max_size=10,
+    ),
+    dead=st.sets(st.integers(0, 29), max_size=12),
+    point=st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)),
+    k=st.integers(1, 12),
+)
+def test_knn_overlay_is_exact_with_ties_by_id(
+    base_cells, memtable_cells, dead, point, k
+):
+    # Unit boxes on an integer grid: many elements share a distance,
+    # so the (distance, id) tie-break decides the answer.
+    def boxes(cells):
+        lo = np.asarray(cells, dtype=np.float64).reshape(-1, 3)
+        return np.concatenate([lo, lo + 1.0], axis=1)
+
+    base = boxes(base_cells)
+    point = np.asarray(point, dtype=np.float64) + 0.5
+    delta = DeltaIndex(next_id=len(base))
+    new_ids = delta.insert(boxes(memtable_cells))
+    tombstones = sorted(i for i in dead if i < len(base))
+    delta.delete(tombstones, lambda ids: np.asarray(ids) < len(base))
+
+    # The base's exact top k + tombstone_count, as an engine returns it.
+    base_ids = np.arange(len(base), dtype=np.int64)
+    base_dists = mbr_distance_to_point(base, point)
+    top = np.lexsort((base_ids, base_dists))[: k + delta.tombstone_count]
+    ids, dists = delta.knn_overlay(point, k, base_ids[top], base_dists[top])
+
+    live = {i: base[i] for i in range(len(base)) if i not in tombstones}
+    live.update(zip(new_ids.tolist(), boxes(memtable_cells)))
+    live_ids, live_boxes = live_arrays(live) if live else (
+        np.empty(0, dtype=np.int64), np.empty((0, 6))
+    )
+    live_dists = mbr_distance_to_point(live_boxes, point)
+    want = np.lexsort((live_ids, live_dists))[:k]
+    assert np.array_equal(ids, live_ids[want])
+    assert np.array_equal(dists, live_dists[want])
+
+
 class TestDeltaOverlayOnFLAT:
     def test_attached_delta_corrects_all_query_kinds(self):
         mbrs = random_mbrs(500, seed=10)
@@ -127,7 +208,7 @@ class TestDeltaOverlayOnFLAT:
         new = random_mbrs(60, seed=11, span=150.0)
         new_ids = delta.insert(new)
         delta.delete(list(range(0, 80)), index.contains_elements)
-        served = index.with_delta(delta)
+        served = GatherOverlay(index, delta)
 
         live = {i: mbrs[i] for i in range(80, len(mbrs))}
         for gid, mbr in zip(new_ids, new):
@@ -168,7 +249,7 @@ class TestDeltaOverlayOnFLAT:
         delta = DeltaIndex(next_id=index.next_element_id)
         delta.insert(random_mbrs(50, seed=15))
         delta.delete(list(range(0, 40)), index.contains_elements)
-        assert per_query_reads(index.with_delta(delta)) == bare
+        assert per_query_reads(GatherOverlay(index, delta)) == bare
 
 
 # -- the interleaving pin ------------------------------------------------
@@ -224,13 +305,14 @@ def _drive_interleaving(index, mbrs, seed, ops):
             for gid, mbr in zip(delta.insert(new), new):
                 live[int(gid)] = mbr
         _assert_matches_brute_force(
-            index.with_delta(delta), live, query_seed=(seed + step) % (2**31)
+            GatherOverlay(index, delta), live,
+            query_seed=(seed + step) % (2**31),
         )
     # Final bar: a scratch rebuild over the surviving elements answers
     # byte-identically (local rebuild ids map positionally to ours).
     ids, boxes = live_arrays(live)
     rebuilt = FLATIndex.build(PageStore(), boxes, page_capacity=16)
-    served = index.with_delta(delta)
+    served = GatherOverlay(index, delta)
     for query in random_queries(8, seed % (2**31)):
         assert np.array_equal(
             served.range_query(query), ids[rebuilt.range_query(query)]

@@ -290,22 +290,34 @@ class TestConnectionGenerations:
 
 class TestDeltaOverlayAtGather:
     def test_range_and_knn_with_delta(self, snapshot_root, cluster_no_replicas):
+        # The oracle's committed answers, corrected by the same delta
+        # with the same gather rule, are what the router must return.
         _root, oracle, queries, points = snapshot_root
         delta = DeltaIndex(next_id=oracle.next_element_id)
         delta.insert(random_mbrs(40, seed=9))
-        delta.delete(np.arange(0, 30, 3), oracle.contains_elements)
-        overlaid = oracle.with_delta(delta)
+        # Tombstones also hide every point's nearest committed elements,
+        # so the walk must gather more than k.
+        nearest = [oracle.knn_query(point, 3) for point in points]
+        delta.delete(
+            np.union1d(np.arange(0, 30, 3), np.concatenate(nearest)),
+            oracle.contains_elements,
+        )
         cluster_no_replicas.delta = delta
-        assert cluster_no_replicas.live_element_count == overlaid.live_element_count
+        assert cluster_no_replicas.live_element_count == (
+            oracle.element_count + delta.element_delta
+        )
         for query in queries:
             assert np.array_equal(
                 cluster_no_replicas.range_query(query),
-                overlaid.range_query(query),
+                delta.overlay(oracle.range_query(query), query),
             )
         for point in points:
+            base = oracle.knn_query(
+                point, 9 + delta.tombstone_count, return_distances=True
+            )
             assert np.array_equal(
                 cluster_no_replicas.knn_query(point, 9),
-                overlaid.knn_query(point, 9),
+                delta.knn_overlay(point, 9, *base)[0],
             )
 
 

@@ -1,14 +1,17 @@
 """Serving under the LSM-style write path: absorb, merge, flush.
 
 With ``delta_threshold > 0`` the service buffers update batches in an
-in-RAM delta attached to the committed base index and merges into
-pages only at generation boundaries.  The contract under test: every
-commit — absorbed or merged — is a full snapshot-isolated version
-whose served answers are exactly the surviving element set, across
-thread and process modes, monolithic and sharded indexes, and across
-the absorb→merge boundary itself.
+in-RAM delta over the committed base index and merges into pages only
+at generation boundaries.  The contract under test: every commit —
+absorbed or merged — is a full snapshot-isolated version whose served
+answers are exactly the surviving element set, across thread and
+process modes, monolithic and sharded indexes, and across the
+absorb→merge boundary itself.  Workers serve only committed
+generations and the service corrects every query kind where answers
+are gathered, so an absorbed commit leaves every worker warm.
 """
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -16,7 +19,9 @@ import pytest
 
 from repro.core import FLATIndex, ShardedFLATIndex, restore_index, snapshot_index
 from repro.geometry.intersect import boxes_intersect_box
-from repro.query import MODE_PROCESS, QueryService
+from repro.geometry.mbr import mbr_distance_to_point
+from repro.query import MODE_PROCESS, MODE_THREAD, QueryService
+from repro.query import service as service_module
 from repro.storage import PageStore
 
 
@@ -228,8 +233,8 @@ class TestProcessModeDelta:
                     live[int(gid)] = mbr
                 for gid in range(30):
                     del live[gid]
-                # Worker processes restore the unchanged base generation
-                # and attach the shipped delta.
+                # Workers keep serving the unchanged base generation;
+                # the service corrects their answers with the delta.
                 assert_serving_exact(service, live, queries)
                 flushed = service.flush_delta()
                 assert flushed is not None and flushed.merged
@@ -243,10 +248,161 @@ class TestProcessModeDelta:
         finally:
             restored.store.close()
 
-    def test_absorbed_commit_requires_snapshot_directory(self):
+    def test_memory_store_absorbs_exactly(self):
+        # An absorbed commit ships nothing to the workers, so a
+        # memory-backed process service serves it like any other.
+        mbrs = random_mbrs(300, seed=24)
+        flat = FLATIndex.build(PageStore(), mbrs)
+        live = {i: mbrs[i] for i in range(len(mbrs))}
+        with QueryService(
+            flat, workers=1, mode=MODE_PROCESS, delta_threshold=100
+        ) as service:
+            inserts = random_mbrs(2, seed=25)
+            report = service.apply_updates(inserts=inserts, delete_ids=[4, 9])
+            assert not report.merged
+            for gid, mbr in zip(report.inserted_ids, inserts):
+                live[int(gid)] = mbr
+            del live[4], live[9]
+            assert_serving_exact(service, live, random_queries(6, seed=26))
+
+    def test_first_merge_requires_snapshot_directory(self):
         flat = FLATIndex.build(PageStore(), random_mbrs(300, seed=24))
         with QueryService(
             flat, workers=1, mode=MODE_PROCESS, delta_threshold=100
         ) as service:
+            service.apply_updates(inserts=random_mbrs(2, seed=25))
             with pytest.raises(RuntimeError, match="snapshot directory"):
-                service.apply_updates(inserts=random_mbrs(2, seed=25))
+                service.flush_delta()
+
+
+class TestAbsorbedCommitsKeepWorkersWarm:
+    @pytest.mark.parametrize("mode", [MODE_THREAD, MODE_PROCESS])
+    def test_absorbed_commit_reads_and_parses_nothing(self, tmp_path, mode):
+        mbrs = random_mbrs(1500, seed=40)
+        snapshot_index(
+            FLATIndex.build(PageStore(), mbrs, page_capacity=32),
+            tmp_path / "snap",
+        )
+        restored = restore_index(tmp_path / "snap")
+        queries = random_queries(8, seed=41)
+        context = (
+            multiprocessing.get_context("fork") if mode == MODE_PROCESS else None
+        )
+
+        def one_pass(service):
+            before = service.aggregate_stats().snapshot()
+            service.run(queries)
+            io = service.aggregate_stats().diff(before)
+            return io.total_reads, io.parses.get("metadata", 0)
+
+        try:
+            with QueryService(
+                restored, workers=1, mode=mode, mp_context=context,
+                clear_cache_per_query=False, delta_threshold=1000,
+            ) as service:
+                reads, parses = one_pass(service)
+                assert reads > 0 and parses > 0
+                report = service.apply_updates(
+                    inserts=random_mbrs(5, seed=42), delete_ids=[1, 2]
+                )
+                assert not report.merged
+                assert one_pass(service) == (0, 0)
+                # A merge is a new generation: its clone starts cold.
+                assert service.flush_delta().merged
+                reads, parses = one_pass(service)
+                assert reads > 0 and parses > 0
+        finally:
+            restored.store.close()
+
+
+class TestGatherPoint:
+    """Every query kind is corrected by the delta its query captured."""
+
+    K = 5
+
+    @pytest.fixture(params=["flat-thread", "flat-process", "sharded-thread"])
+    def delta_service(self, request, tmp_path):
+        kind, mode = request.param.split("-")
+        mbrs = random_mbrs(900, seed=50)
+        if kind == "flat":
+            index = FLATIndex.build(PageStore(), mbrs, page_capacity=32)
+            if mode == MODE_PROCESS:
+                snapshot_index(index, tmp_path / "snap")
+                index = restore_index(tmp_path / "snap")
+        else:
+            index = ShardedFLATIndex.build(mbrs, shard_count=3, page_capacity=32)
+        points = np.array([[20.0, 20, 20], [50.0, 60, 70], [90.0, 10, 40]])
+        # Tombstones hide every point's nearest committed elements ...
+        nearest = np.unique(np.concatenate([
+            np.argsort(mbr_distance_to_point(mbrs, point))[: self.K]
+            for point in points
+        ]))
+        # ... and memtable elements sit outside the committed space box.
+        outliers = np.array([
+            [300.0, 300, 300, 301, 301, 301],
+            [-50.0, 20, 20, -49, 21, 21],
+        ])
+        inserts = np.vstack([random_mbrs(20, seed=51), outliers])
+        points = np.vstack([points, outliers[:, :3] + 0.5])
+        queries = np.vstack([
+            np.hstack([points - 8.0, points + 8.0]),
+            random_queries(4, seed=52),
+        ])
+        live = {i: mbrs[i] for i in range(len(mbrs))}
+        # Monolithic runs group queries, so grouped answers are
+        # corrected query by query too.
+        batch = 3 if kind == "flat" else 1
+        try:
+            with QueryService(
+                index, workers=2, mode=mode, batch_queries=batch,
+                delta_threshold=10_000,
+            ) as service:
+                report = service.apply_updates(
+                    inserts=inserts, delete_ids=nearest
+                )
+                assert not report.merged
+                for gid, mbr in zip(report.inserted_ids, inserts):
+                    live[int(gid)] = mbr
+                for gid in nearest:
+                    del live[int(gid)]
+                yield service, live, queries, points
+        finally:
+            if mode == MODE_PROCESS:
+                index.store.close()
+
+    def test_every_query_kind_matches_brute_force(self, delta_service,
+                                                  monkeypatch):
+        service, live, queries, points = delta_service
+        ids = np.fromiter(sorted(live), dtype=np.int64, count=len(live))
+        boxes = np.stack([live[int(i)] for i in ids])
+        want_range = [ids[boxes_intersect_box(boxes, q)] for q in queries]
+        want_knn = []
+        for point in points:
+            dists = mbr_distance_to_point(boxes, point)
+            want_knn.append(ids[np.lexsort((ids, dists))[: self.K]])
+
+        for query, want in zip(queries, want_range):
+            assert np.array_equal(service.submit(query).result(), want)
+
+        # run, run_session and run_knn report counts; the spy sees the
+        # answers those counts are taken from.
+        gathered = []
+        corrected = service_module._corrected
+
+        def spy(*args, **kwargs):
+            answers = corrected(*args, **kwargs)
+            gathered.extend(answers)
+            return answers
+
+        monkeypatch.setattr(service_module, "_corrected", spy)
+        for serve, want in (
+            (lambda: service.run(queries), want_range),
+            (lambda: service.run_session(queries, "walker"), want_range),
+            (lambda: service.run_knn(points, self.K), want_knn),
+        ):
+            gathered.clear()
+            report = serve()
+            assert report.per_query_results == [len(w) for w in want]
+            assert len(gathered) == len(want)
+            for got, expect in zip(gathered, want):
+                assert np.array_equal(got, expect)
