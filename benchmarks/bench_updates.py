@@ -7,8 +7,9 @@ serves the SN range workload through
 * **before** — steady-state serving, no writers;
 * **during** — an updater thread applies insert+delete batches through
   :meth:`~repro.query.service.QueryService.apply_updates` (each commit
-  forks the current generation copy-on-write and atomically swaps it
-  in) while the query loop keeps serving;
+  is a merge: the shards it touches are bulkloaded afresh beside the
+  served generation, which is then atomically swapped out) while the
+  query loop keeps serving;
 * **after** — steady-state serving on the final generation.
 
 Reported per phase: query throughput, mean latency and page reads per
@@ -16,11 +17,16 @@ query; for the storm itself: update throughput (elements applied per
 second) and per-commit wall time.  The correctness gate re-checks a
 sample of the served queries against a brute-force scan of the final
 element set — served results must be exact after any number of commits.
+The read-cost gate serves the same queries from a fresh
+:meth:`~repro.core.sharded.ShardedFLATIndex.build` of the final live set:
+page reads per query after the storm must be within 10 % of it
+(``reads_after_storm_within_10pct_of_bulkload``) — merges must not let
+read cost drift with turnover.
 
 A second, **sustained-stream** section measures the LSM-style write
 path: a tight updater loop pushes insert+delete batches through the
-service at several ``delta_threshold`` settings (0 = merge every
-commit, the legacy path) while a query loop keeps serving.  Each
+service at several ``delta_threshold`` settings (0 = every commit is a
+merge) while a query loop keeps serving.  Each
 frontier point reports sustained ingest rate (elements per second of
 commit wall time), p50/p95 commit latency and p50/p95 query latency
 during the stream — the ingest-rate vs. query-latency frontier the
@@ -178,6 +184,15 @@ def run_updates_bench(
             for query in queries
         )
 
+    # The read-cost bar: a fresh bulkload of the final live set, served
+    # the same way.  A merge rebuilds the shards it touches, so the
+    # stormed index should read about what the fresh one reads.
+    fresh = ShardedFLATIndex.build(
+        boxes, shard_count=shard_count, space_mbr=circuit.space_mbr
+    )
+    with QueryService(fresh, workers=workers) as service:
+        bulkload = [service.run(queries, "bulkload") for _ in range(2)]
+
     updated = sum(c.update_count for c in commits)
     commit_wall = sum(c.wall_seconds for c in commits)
     phases = [
@@ -185,6 +200,8 @@ def run_updates_bench(
         _phase_stats("during", during),
         _phase_stats("after", after),
     ]
+    fresh_reads = _phase_stats("bulkload", bulkload)["page_reads_per_query"]
+    reads_ratio = phases[2]["page_reads_per_query"] / fresh_reads
     return {
         "benchmark": "updates",
         "workload": {
@@ -209,8 +226,13 @@ def run_updates_bench(
             "final_version": final_version,
             "final_element_count": len(live),
         },
+        "fresh_bulkload": {
+            "page_reads_per_query": fresh_reads,
+            "reads_after_storm_over_bulkload": reads_ratio,
+        },
         "checks": {
             "served_results_exact_after_storm": exact,
+            "reads_after_storm_within_10pct_of_bulkload": reads_ratio <= 1.10,
             "all_commits_published": final_version == update_batches,
             "update_throughput_positive": updated > 0 and commit_wall > 0,
             "query_throughput_positive": all(
@@ -509,6 +531,12 @@ def main(argv=None) -> int:
         f"{updates['commits']} commits "
         f"({updates['mean_commit_seconds'] * 1000:.1f} ms/commit), "
         f"final generation {updates['final_version']}"
+    )
+    fresh = report["fresh_bulkload"]
+    print(
+        f"  fresh bulkload of the final live set: "
+        f"{fresh['page_reads_per_query']:7.1f} page reads/query "
+        f"(after the storm: {fresh['reads_after_storm_over_bulkload']:.2f}x)"
     )
     print("sustained stream (ingest vs. latency frontier):")
     for point in points:

@@ -8,8 +8,8 @@ query batches with snapshot-isolated update commits
 buffered work stays under ``delta_threshold`` is absorbed into the
 in-RAM delta (workers keep serving the committed generation and the
 service corrects their answers), and the commit that crosses it merges
-everything buffered into a copy-on-write fork that is swapped in
-atomically.  After every commit the served answers are checked against
+everything buffered: the shards it touches are bulkloaded afresh and
+the new generation is swapped in atomically.  After every commit the served answers are checked against
 a brute-force scan of the tracked element set; the script exits 1 on
 any mismatch.
 

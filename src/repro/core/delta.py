@@ -6,8 +6,13 @@ repair and a seed-leaf flush however small the batch.  The delta layer
 buys back that cost the way an LSM tree does — small commits land in a
 RAM *memtable* (inserted elements) plus a *tombstone set* (deleted
 committed ids), and only at a generation boundary is the accumulated
-delta merged into the page-backed index in one bulk
-:meth:`~repro.core.flat_index.FLATIndex.apply_batch`.
+delta merged: :meth:`~repro.core.flat_index.FLATIndex.merged`
+bulkloads the live set — the committed elements minus the tombstones,
+plus the memtable — afresh, every element id kept, the way an LSM merge
+rewrites its run instead of patching pages in place.  Patching pages
+leaves split and under-full pages behind, so a patched index's read
+cost drifts up with turnover; a rebuilt one reads like a fresh
+bulkload.
 
 Engines never see the delta: they answer from the committed pages of
 one generation only, and the delta is applied where answers are
@@ -60,6 +65,12 @@ class DeltaIndex:
         self._row_of: dict = {}
         #: Committed (base) element ids deleted while buffered here.
         self._tombstones: set = set()
+        #: ``(sorted tombstone ids, live memtable ids, their MBRs)``,
+        #: built on the first query of this delta version and dropped
+        #: by every mutation.  A served delta is never mutated (commits
+        #: mutate a :meth:`copy`), so a served delta builds them once;
+        #: two threads racing to build them build equal arrays.
+        self._arrays: tuple | None = None
 
     # -- mutation --------------------------------------------------------
 
@@ -80,6 +91,7 @@ class DeltaIndex:
         for offset, eid in enumerate(new_ids):
             self._row_of[int(eid)] = first_row + offset
         self.next_id += len(new_ids)
+        self._arrays = None
         return new_ids
 
     def delete(self, element_ids, base_contains) -> None:
@@ -116,6 +128,7 @@ class DeltaIndex:
         for eid in memtable_kills:
             self._live[self._row_of.pop(eid)] = False
         self._tombstones.update(base_kills)
+        self._arrays = None
 
     # -- introspection ---------------------------------------------------
 
@@ -154,25 +167,38 @@ class DeltaIndex:
 
     # -- querying --------------------------------------------------------
 
-    def _live_rows(self) -> np.ndarray:
-        return np.flatnonzero(self._live)
+    def _query_arrays(self) -> tuple:
+        """``(sorted tombstones, live memtable ids, their MBRs)``.
+
+        Memtable ids are assigned in ascending order and rows kept in
+        arrival order, so the live ids come out sorted too.
+        """
+        arrays = self._arrays
+        if arrays is None:
+            rows = np.flatnonzero(self._live)
+            dead = np.fromiter(
+                self._tombstones, dtype=np.int64, count=len(self._tombstones)
+            )
+            arrays = self._arrays = (
+                np.sort(dead), self._insert_ids[rows], self._insert_mbrs[rows]
+            )
+        return arrays
 
     def range_hits(self, query: np.ndarray) -> np.ndarray:
         """Memtable element ids whose MBR intersects the query box, sorted."""
-        rows = self._live_rows()
-        if not rows.size:
-            return np.empty(0, dtype=np.int64)
-        mask = boxes_intersect_box(self._insert_mbrs[rows], np.asarray(query))
-        return np.sort(self._insert_ids[rows[mask]])
+        _dead, ids, mbrs = self._query_arrays()
+        if not len(ids):
+            return ids
+        return ids[boxes_intersect_box(mbrs, np.asarray(query))]
 
     def tombstoned(self, element_ids: np.ndarray) -> np.ndarray:
         """Boolean mask of ids deleted by this delta."""
-        if not self._tombstones or not len(element_ids):
+        dead = self._query_arrays()[0]
+        element_ids = np.asarray(element_ids, dtype=np.int64)
+        if not len(dead) or not len(element_ids):
             return np.zeros(len(element_ids), dtype=bool)
-        dead = np.fromiter(
-            self._tombstones, dtype=np.int64, count=len(self._tombstones)
-        )
-        return np.isin(element_ids, dead)
+        at = np.minimum(np.searchsorted(dead, element_ids), len(dead) - 1)
+        return dead[at] == element_ids
 
     def overlay(self, base_ids: np.ndarray, query: np.ndarray) -> np.ndarray:
         """A base crawl's sorted result, corrected for this delta.
@@ -204,11 +230,11 @@ class DeltaIndex:
         every engine and of the brute-force baseline.
         """
         alive = ~self.tombstoned(base_ids)
-        rows = self._live_rows()
-        ids = np.concatenate([base_ids[alive], self._insert_ids[rows]])
+        _dead, live_ids, live_mbrs = self._query_arrays()
+        ids = np.concatenate([base_ids[alive], live_ids])
         dists = np.concatenate([
             base_dists[alive],
-            mbr_distance_to_point(self._insert_mbrs[rows], np.asarray(point)),
+            mbr_distance_to_point(live_mbrs, np.asarray(point)),
         ])
         keep = np.lexsort((ids, dists))[:k]
         return ids[keep], dists[keep]
@@ -235,15 +261,5 @@ class DeltaIndex:
         past the consumed ids either way.  The delta itself is left
         untouched — the caller publishes a fresh one after the merge.
         """
-        rows = self._live_rows()
-        delete_ids = np.sort(
-            np.fromiter(
-                self._tombstones, dtype=np.int64, count=len(self._tombstones)
-            )
-        )
-        return (
-            self._insert_ids[rows],
-            self._insert_mbrs[rows],
-            delete_ids,
-            self.next_id,
-        )
+        delete_ids, insert_ids, insert_mbrs = self._query_arrays()
+        return insert_ids, insert_mbrs, delete_ids, self.next_id

@@ -51,7 +51,12 @@ from repro.storage.constants import (
     PAGE_HEADER_BYTES,
     PAGE_SIZE,
 )
-from repro.storage.pagestore import PageStore, PageStoreError
+from repro.storage.pagestore import (
+    MemoryPageBackend,
+    OverlayPageBackend,
+    PageStore,
+    PageStoreError,
+)
 from repro.storage.serial import (
     decode_element_page,
     encode_element_page,
@@ -196,6 +201,9 @@ class FLATIndex:
         #: builds them first publishes them to every sibling (the values
         #: are deterministic, so a concurrent double-build is benign).
         self._knn_state: dict = {}
+        #: Sorted ids of the live elements, built on the first
+        #: :meth:`contains_elements` and dropped by :meth:`apply_batch`.
+        self._live_ids: np.ndarray | None = None
         #: Maintenance directories of the write path, built lazily on
         #: the first mutation (:class:`_MutableState`).
         self._mut: _MutableState | None = None
@@ -222,6 +230,8 @@ class FLATIndex:
         page_capacity: int = OBJECT_PAGE_CAPACITY,
         seed_fanout: int | None = None,
         spatial_metadata_grouping: bool = True,
+        element_ids: np.ndarray | None = None,
+        next_id: int | None = None,
     ) -> "FLATIndex":
         """Bulkload FLAT over *element_mbrs* (Algorithm 1 + data layout).
 
@@ -230,6 +240,12 @@ class FLATIndex:
         depth-matched configurations).  ``spatial_metadata_grouping``
         controls how metadata records are packed onto seed-tree leaves
         (STR tiles vs raw partition order; ablation knob).
+
+        ``element_ids`` names the rows (default: their positions) and
+        ``next_id`` sets the id watermark (default: one past the largest
+        id) — how :meth:`merged` rebuilds a live set keeping every
+        element id.  With a *space_mbr*, an empty *element_mbrs* builds
+        one empty partition covering it.
         """
         element_mbrs = validate_mbrs(element_mbrs)
         if page_capacity > OBJECT_PAGE_CAPACITY:
@@ -237,6 +253,21 @@ class FLATIndex:
                 f"page_capacity {page_capacity} exceeds the 4K page's "
                 f"{OBJECT_PAGE_CAPACITY}-element capacity"
             )
+        if element_ids is not None:
+            element_ids = np.asarray(element_ids, dtype=np.int64)
+            if element_ids.shape != (len(element_mbrs),):
+                raise ValueError(
+                    f"element_ids has shape {element_ids.shape} for "
+                    f"{len(element_mbrs)} elements"
+                )
+            top = int(element_ids.max()) + 1 if len(element_ids) else 0
+            if next_id is None:
+                next_id = top
+            elif next_id < top:
+                raise ValueError(
+                    f"next_id {next_id} does not pass the largest element "
+                    f"id {top - 1}"
+                )
         report = BuildReport()
 
         t0 = time.perf_counter()
@@ -255,7 +286,10 @@ class FLATIndex:
         for i, partition in enumerate(partitions):
             payload = encode_element_page(element_mbrs[partition.element_ids])
             page_id = store.allocate(payload, CATEGORY_OBJECT)
-            object_page_element_ids[page_id] = partition.element_ids
+            object_page_element_ids[page_id] = (
+                partition.element_ids if element_ids is None
+                else element_ids[partition.element_ids]
+            )
             records.append(
                 MetadataRecord(
                     record_id=i,
@@ -280,7 +314,88 @@ class FLATIndex:
             len(element_mbrs),
             report,
             page_capacity=page_capacity,
+            next_id=next_id,
         )
+
+    def merged(self, insert_ids, insert_mbrs, delete_ids,
+               next_id: int) -> "FLATIndex":
+        """This index with one batch applied, bulkloaded afresh: a merge.
+
+        Reads every committed element once (``read_silent``: a merge is
+        construction, not query I/O), drops *delete_ids*, adds the
+        *insert_ids* / *insert_mbrs* rows and bulkloads the live set in
+        ascending id order with :meth:`build` — the index a fresh
+        bulkload of the same live set gives, page for page, with every
+        element id kept and the watermark at least *next_id*.  The space
+        is :meth:`covering_mbr` grown to the inserts (the box the write
+        path's space growth gives); page capacity and seed fanout are
+        this index's.  The arguments are a drained delta's
+        (:meth:`~repro.core.delta.DeltaIndex.drain`), and *delete_ids*
+        follow :meth:`apply_batch`'s rules (live committed
+        elements; ``KeyError`` names every missing id, duplicates raise
+        ``ValueError``).
+
+        This index is left as it is — readers may still crawl it — and
+        the result lives on a store of its own (:meth:`_rebuild_store`).
+        """
+        insert_mbrs = validate_mbrs(np.atleast_2d(insert_mbrs))
+        insert_ids = np.atleast_1d(np.asarray(insert_ids, dtype=np.int64))
+        if len(insert_ids) != len(insert_mbrs):
+            raise ValueError(
+                f"insert_ids has {len(insert_ids)} ids for "
+                f"{len(insert_mbrs)} elements"
+            )
+        deletes = np.sort(np.atleast_1d(np.asarray(delete_ids, dtype=np.int64)))
+        twice = deletes[1:][deletes[1:] == deletes[:-1]]
+        if len(twice):
+            raise ValueError(f"duplicate element id {twice[0]} in delete batch")
+        missing = deletes[~self.contains_elements(deletes)]
+        if len(missing):
+            raise KeyError(f"unknown element ids: {missing.tolist()}")
+        pages = self.object_page_element_ids
+        ids = np.concatenate(list(pages.values()))
+        mbrs = np.concatenate(
+            [decode_element_page(self.store.read_silent(page)) for page in pages]
+        )
+        kept = ~np.isin(ids, deletes)
+        ids = np.concatenate([ids[kept], insert_ids])
+        mbrs = np.concatenate([mbrs[kept], insert_mbrs])
+        order = np.argsort(ids, kind="stable")
+        ids = ids[order]
+        if np.any(ids[1:] == ids[:-1]):
+            raise ValueError("insert_ids collide with live element ids")
+        top = int(ids[-1]) + 1 if len(ids) else 0
+        rebuilt = FLATIndex.build(
+            self._rebuild_store(),
+            mbrs[order],
+            # Algorithm 1 grows the space to cover the inserts.
+            space_mbr=self.covering_mbr(),
+            page_capacity=self.page_capacity,
+            seed_fanout=self.seed_index.fanout,
+            element_ids=ids,
+            next_id=max(self._next_id, int(next_id), top),
+        )
+        rebuilt._live_ids = ids
+        return rebuilt
+
+    def _rebuild_store(self) -> PageStore:
+        """An empty writable store for a rebuild of this index.
+
+        A rebuild shares no page with the index it replaces, so it does
+        not fork this store's page list: an in-memory index rebuilds
+        into a new memory backend with the same codec, and an index on
+        a snapshot into a fresh overlay over the snapshot's read-only
+        file backend (an overlay's own pages are left behind).  The
+        overlay's page ids start past that generation's page table, so
+        publishing the rebuild never reuses a logical page id of a
+        published generation — ``categories.bin`` is one sidecar for
+        every generation of a directory.
+        """
+        backend = self.store.backend
+        backend = getattr(backend, "base", backend)
+        if isinstance(backend, MemoryPageBackend):
+            return PageStore(backend=MemoryPageBackend(codec=backend.codec))
+        return PageStore(backend=OverlayPageBackend(backend))
 
     # -- persistence -------------------------------------------------------
 
@@ -431,9 +546,13 @@ class FLATIndex:
     # range/point/kNN answers to a from-scratch rebuild.
     #
     # Mutating an index that has live :meth:`with_store` clones is not
-    # supported — clones share directories by reference.  Concurrent
-    # serving uses :meth:`fork` + commit instead (see
-    # :meth:`repro.query.service.QueryService.apply_updates`).
+    # supported — clones share directories by reference; mutate a
+    # :meth:`fork` instead.  Direct ``insert`` / ``delete`` /
+    # ``apply_batch`` and the cluster's rolling updates patch pages
+    # here, but a delta merge does not: patched pages split full and
+    # leave under-full pages behind, so read cost drifts up with
+    # turnover.  :meth:`repro.query.service.QueryService.apply_updates`
+    # merges through :meth:`merged`, a bulkload of the live set.
 
     def insert(self, element_mbrs: np.ndarray) -> np.ndarray:
         """Insert elements; returns their newly assigned element ids.
@@ -470,9 +589,10 @@ class FLATIndex:
         """Apply one commit's inserts and deletes as a single bulk pass.
 
         This is the write path proper: :meth:`insert` and :meth:`delete`
-        are thin wrappers over it, and a delta merge replays its whole
-        memtable through one call.  The batch pays its structural costs
-        once per commit, not once per element —
+        are thin wrappers over it, and a cluster rolling update replays
+        its whole batch through one call (a delta merge rebuilds
+        instead, see :meth:`merged`).  The batch pays its structural
+        costs once per commit, not once per element —
 
         * elements are routed to partitions in one vectorized pass and
           each touched object page is decoded/rewritten once;
@@ -490,11 +610,11 @@ class FLATIndex:
         duplicates raise ``ValueError``, and validation runs before any
         state is touched.  An empty batch is a cheap no-op.
 
-        ``insert_ids`` / ``next_id`` let a delta merge replay its
-        already-assigned element ids and advance the id watermark past
-        ids the delta consumed (inserted-then-deleted elements never
-        reach pages but their ids must stay retired).  Returns the
-        inserted elements' ids.
+        ``insert_ids`` / ``next_id`` replay already-assigned element ids
+        (a drained delta's) and advance the id watermark past ids the
+        caller consumed (inserted-then-deleted elements never reach
+        pages but their ids must stay retired).  Returns the inserted
+        elements' ids.
         """
         if insert_mbrs is None:
             insert_mbrs = np.empty((0, 6), dtype=np.float64)
@@ -643,6 +763,7 @@ class FLATIndex:
 
     def _invalidate_query_state(self) -> None:
         self._knn_state.clear()
+        self._live_ids = None
         self.seed_index.records.clear()
 
     def _page_elements(self, page_id: int) -> np.ndarray:
@@ -1305,19 +1426,24 @@ class FLATIndex:
     def contains_elements(self, element_ids) -> np.ndarray:
         """Boolean mask of which *element_ids* are live committed elements.
 
-        Answers from the element directory (built lazily, then cached);
-        purely an in-RAM lookup, valid on read-only restored snapshots
-        too.  This is the base-index membership test a
+        Answers from a sorted array of the live ids, built once from
+        :attr:`object_page_element_ids` and kept until the write path
+        changes the index; purely an in-RAM lookup, valid on read-only
+        restored snapshots too, and it never builds the write path's
+        directories.  This is the base-index membership test a
         :class:`~repro.core.delta.DeltaIndex` validates its deletes
         against.
         """
         element_ids = np.atleast_1d(np.asarray(element_ids, dtype=np.int64))
-        element_page = self._ensure_mutable().element_page
-        return np.fromiter(
-            (int(eid) in element_page for eid in element_ids),
-            dtype=bool,
-            count=len(element_ids),
-        )
+        live = self._live_ids
+        if live is None:
+            live = self._live_ids = np.sort(
+                np.concatenate(list(self.object_page_element_ids.values()))
+            )
+        if not len(live):
+            return np.zeros(len(element_ids), dtype=bool)
+        at = np.minimum(np.searchsorted(live, element_ids), len(live) - 1)
+        return live[at] == element_ids
 
     @property
     def object_page_count(self) -> int:

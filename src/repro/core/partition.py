@@ -88,7 +88,16 @@ def compute_partitions(
         raise ValueError(f"page_capacity must be positive, got {page_capacity}")
     n = len(element_mbrs)
     if n == 0:
-        raise ValueError("cannot partition an empty data set")
+        if space_mbr is None:
+            raise ValueError("cannot partition an empty data set")
+        # No elements but a space to tile: one empty partition covering
+        # it, its page MBR a point at the space's lower corner (the box
+        # the write path gives an emptied page).
+        space_mbr = np.asarray(space_mbr, dtype=np.float64)
+        corner = space_mbr[:3]
+        return [Partition(element_ids=np.empty(0, dtype=np.int64),
+                          page_mbr=np.concatenate([corner, corner]),
+                          partition_mbr=space_mbr.copy())]
 
     if space_mbr is None:
         space_mbr = mbr_union_many(element_mbrs)

@@ -288,17 +288,18 @@ class ShardedFLATIndex:
         """Apply one commit's inserts and deletes across the shard set.
 
         The sharded mirror of :meth:`FLATIndex.apply_batch` — and a
-        delta merge's entry point: inserts route to shards by centroid
-        (widening protruding shard boxes so planner pruning stays
-        exact), deletes route through the global directory, and each
-        touched shard absorbs its whole slice of the commit through one
-        inner ``apply_batch`` (one link-repair pass and one metadata
-        flush per shard per commit).  Same contract as the monolithic
-        version: ``delete_ids`` must name live committed elements
-        (``KeyError`` names every missing id, duplicates raise
-        ``ValueError``, validation precedes any mutation), an empty
-        batch is a cheap no-op, and ``insert_ids``/``next_id`` replay a
-        drained delta's assigned ids.
+        cluster rolling update's entry point (a delta merge rebuilds
+        through :meth:`merged` instead): :meth:`_route` sends inserts
+        to shards by centroid (widening protruding shard boxes so
+        planner pruning stays exact) and deletes through the global
+        directory, and each touched shard absorbs its whole slice of
+        the commit through one inner ``apply_batch`` (one link-repair
+        pass and one metadata flush per shard per commit).  Same
+        contract as the monolithic version: ``delete_ids`` must name
+        live committed elements (``KeyError`` names every missing id,
+        duplicates raise ``ValueError``, validation precedes any
+        mutation), an empty batch is a cheap no-op, and
+        ``insert_ids``/``next_id`` replay already-assigned ids.
         """
         if insert_mbrs is None:
             insert_mbrs = np.empty((0, 6), dtype=np.float64)
@@ -322,9 +323,53 @@ class ShardedFLATIndex:
                 self._next_id = max(self._next_id, int(next_id))
             return new_ids
         self._check_mutable()
+        per_shard_inserts, per_shard_deletes = self._route(
+            insert_mbrs, new_ids, delete_ids
+        )
+        for pos in sorted(set(per_shard_inserts) | set(per_shard_deletes)):
+            shard = self.shards[pos]
+            shard.mbr = self.planner.shard_mbrs[pos]
+            gids, local_mbrs = _slice(per_shard_inserts.get(pos))
+            # element_ids stays sorted (ids are assigned monotonically
+            # and deleted slots keep their stale values), so the local
+            # id of a live global id is its searchsorted position — and
+            # appends leave existing positions untouched, so the delete
+            # slice stays valid while the same call inserts.
+            local_deletes = np.searchsorted(
+                shard.element_ids,
+                np.asarray(per_shard_deletes.get(pos, []), dtype=np.int64),
+            )
+            local = shard.index.apply_batch(
+                insert_mbrs=local_mbrs, delete_ids=local_deletes
+            )
+            if len(gids):
+                expected = np.arange(
+                    len(shard.element_ids), len(shard.element_ids) + len(gids)
+                )
+                if not np.array_equal(local, expected):
+                    raise AssertionError("shard-local id assignment drifted")
+                shard.element_ids = np.append(shard.element_ids, gids)
+        self.element_count += len(new_ids) - len(delete_ids)
+        if next_id is not None:
+            self._next_id = max(self._next_id, int(next_id))
+        return new_ids
+
+    def _route(self, insert_mbrs: np.ndarray, new_ids: np.ndarray,
+               delete_ids: np.ndarray) -> tuple:
+        """Validate one batch and route it to shards.
+
+        Returns ``(inserts, deletes)``: shard position -> the
+        ``(global id, mbr)`` pairs that land there, and shard position
+        -> the global ids deleted there.  Deletes are validated before
+        anything moves (``KeyError`` names every missing id, duplicates
+        raise ``ValueError``).  An insert routes to the shard whose box
+        contains its centroid (smallest such box; the closest box for
+        outliers), and a box its MBR protrudes from widens in the
+        planner first, so pruning stays exact.  The routing directory
+        gains the inserted ids and loses the deleted ones, and the id
+        watermark passes the inserted ids.
+        """
         routing = self._routing_directory()
-        # Validate before mutating: a bad id must not strand the valid
-        # ids of the batch half-removed from the routing directory.
         if len(delete_ids):
             unique: set = set()
             missing: list = []
@@ -353,46 +398,67 @@ class ShardedFLATIndex:
                     pos = int(np.argmin(mbr_distance_to_point(boxes, center)))
                 if not bool(mbr_contains_mbr(boxes[pos], mbr)):
                     self.planner.widen_shard(pos, mbr)
-                    self.shards[pos].mbr = self.planner.shard_mbrs[pos]
                 per_shard_inserts.setdefault(pos, []).append((int(gid), mbr))
                 routing[int(gid)] = pos
         per_shard_deletes: dict = {}
         for gid in delete_ids:
             gid = int(gid)
             per_shard_deletes.setdefault(routing.pop(gid), []).append(gid)
+        return per_shard_inserts, per_shard_deletes
 
+    def merged(self, insert_ids, insert_mbrs, delete_ids,
+               next_id: int) -> "ShardedFLATIndex":
+        """This shard set with one batch applied, the touched shards
+        bulkloaded afresh: a merge.
+
+        The sharded mirror of :meth:`FLATIndex.merged
+        <repro.core.flat_index.FLATIndex.merged>`.  The batch routes
+        through :meth:`_route`, the routing :meth:`apply_batch` uses,
+        on a copy of the planner and routing directory; each shard that
+        gains or loses an element is rebuilt by its index's ``merged``
+        (shard-local ids kept, inserts appended to its id map), and
+        every other shard is carried over as the same object.  This
+        index is left as it is.
+        """
+        insert_mbrs = validate_mbrs(np.atleast_2d(insert_mbrs))
+        insert_ids = np.atleast_1d(np.asarray(insert_ids, dtype=np.int64))
+        if len(insert_ids) != len(insert_mbrs):
+            raise ValueError(
+                f"insert_ids has {len(insert_ids)} ids for "
+                f"{len(insert_mbrs)} elements"
+            )
+        delete_ids = np.atleast_1d(np.asarray(delete_ids, dtype=np.int64))
+        routing = dict(self._routing_directory())
+        out = ShardedFLATIndex(list(self.shards), self.planner.copy(),
+                               self.element_count, next_id=self._next_id)
+        out._element_shard = routing
+        per_shard_inserts, per_shard_deletes = out._route(
+            insert_mbrs, insert_ids, delete_ids
+        )
         for pos in sorted(set(per_shard_inserts) | set(per_shard_deletes)):
-            shard = self.shards[pos]
-            entries = per_shard_inserts.get(pos, [])
-            gids = np.array([gid for gid, _mbr in entries], dtype=np.int64)
-            local_mbrs = (
-                np.stack([mbr for _gid, mbr in entries])
-                if entries
-                else np.empty((0, 6), dtype=np.float64)
+            shard = out.shards[pos]
+            gids, local_mbrs = _slice(per_shard_inserts.get(pos))
+            first = len(shard.element_ids)
+            index = shard.index.merged(
+                np.arange(first, first + len(gids)),
+                local_mbrs,
+                np.searchsorted(
+                    shard.element_ids,
+                    np.asarray(per_shard_deletes.get(pos, []), dtype=np.int64),
+                ),
+                first + len(gids),
             )
-            # element_ids stays sorted (ids are assigned monotonically
-            # and deleted slots keep their stale values), so the local
-            # id of a live global id is its searchsorted position — and
-            # appends leave existing positions untouched, so the delete
-            # slice stays valid while the same call inserts.
-            local_deletes = np.searchsorted(
-                shard.element_ids,
-                np.asarray(per_shard_deletes.get(pos, []), dtype=np.int64),
+            out.shards[pos] = Shard(
+                shard_id=shard.shard_id,
+                mbr=out.planner.shard_mbrs[pos],
+                element_ids=np.append(shard.element_ids, gids),
+                index=index,
+                store=index.store,
             )
-            local = shard.index.apply_batch(
-                insert_mbrs=local_mbrs, delete_ids=local_deletes
-            )
-            if entries:
-                expected = np.arange(
-                    len(shard.element_ids), len(shard.element_ids) + len(gids)
-                )
-                if not np.array_equal(local, expected):
-                    raise AssertionError("shard-local id assignment drifted")
-                shard.element_ids = np.append(shard.element_ids, gids)
-        self.element_count += len(new_ids) - len(delete_ids)
-        if next_id is not None:
-            self._next_id = max(self._next_id, int(next_id))
-        return new_ids
+        out.store = PageStoreGroup([shard.store for shard in out.shards])
+        out.element_count += len(insert_ids) - len(delete_ids)
+        out._next_id = max(out._next_id, int(next_id))
+        return out
 
     # -- querying --------------------------------------------------------
 
@@ -613,6 +679,14 @@ class ShardedFLATIndex:
     def shard_element_counts(self) -> list:
         """Elements per shard, in shard-id order (balance diagnostics)."""
         return [shard.element_count for shard in self.shards]
+
+
+def _slice(entries) -> tuple:
+    """``(global ids, mbrs)`` arrays of one shard's routed inserts."""
+    if not entries:
+        return np.empty(0, dtype=np.int64), np.empty((0, 6), dtype=np.float64)
+    return (np.array([gid for gid, _mbr in entries], dtype=np.int64),
+            np.stack([mbr for _gid, mbr in entries]))
 
 
 def _merge_crawl_stats(total: CrawlStats, part: CrawlStats | None) -> None:

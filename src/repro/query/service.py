@@ -44,24 +44,24 @@ same tuple, so both modes aggregate through one path.
 task, amortizing per-page decode work across every query in the group
 while the cold-cache accounting stays per-query byte-exact.
 
-**Queries under updates.**  :meth:`QueryService.apply_updates` mutates
-the served index with snapshot isolation: the update batch is applied
-to a copy-on-write *fork* (:meth:`FLATIndex.fork
-<repro.core.flat_index.FLATIndex.fork>`) of the current generation, so
-in-flight queries keep crawling the untouched old generation; the
-commit then atomically swaps the service's current index, and workers
-clone the new generation on their next task.  A :meth:`~QueryService.run`
-or :meth:`~QueryService.run_knn` batch executes entirely against the
-generation current when it started, and :meth:`~QueryService.submit`
-and each session query against the one current when they were
-submitted — a result is never a torn mix of pre- and post-update
-state.  In process mode the commit additionally *publishes* the fork
-as the next on-disk snapshot generation
-(:func:`~repro.core.snapshot.publish_fork_generation`); tasks carry the
-generation they captured and its ``(directory, generation)`` spec, and
-a worker process lazily restores that exact generation the first time
-a task reaches it — the same isolation guarantee, across address
-spaces.
+**Queries under updates.**  :meth:`QueryService.apply_updates` changes
+the served index with snapshot isolation: a merge builds the next
+generation as a new index (:meth:`FLATIndex.merged
+<repro.core.flat_index.FLATIndex.merged>`, a bulkload of the live set
+on a store of its own), so in-flight queries keep crawling the
+untouched old generation; the commit then atomically swaps the
+service's current index, and workers clone the new generation on their
+next task.  A :meth:`~QueryService.run` or :meth:`~QueryService.run_knn`
+batch executes entirely against the generation current when it
+started, and :meth:`~QueryService.submit` and each session query
+against the one current when they were submitted — a result is never a
+torn mix of pre- and post-update state.  In process mode the commit
+additionally *publishes* the rebuild as the next on-disk snapshot
+generation (:func:`~repro.core.snapshot.publish_fork_generation`) and
+reopens it as the service's base; tasks carry the generation they
+captured and its ``(directory, generation)`` spec, and a worker process
+lazily restores that exact generation the first time a task reaches it
+— the same isolation guarantee, across address spaces.
 
 **The delta layer.**  Restructuring pages on every commit caps ingest
 at a few thousand elements per second.  With ``delta_threshold > 0``
@@ -70,10 +70,10 @@ the service instead runs an LSM-style write path: small batches are
 (memtable + tombstones) over the committed base index, and only once
 the buffered delta crosses the threshold (or
 ``merge_interval_seconds`` elapses, or :meth:`flush_delta` forces it)
-is the whole delta *merged* into pages through one bulk
-:meth:`~repro.core.flat_index.FLATIndex.apply_batch` on a fork — a
-generation boundary.  Both kinds of commit are full service versions
-with the same copy-on-write discipline (the delta is copied, the copy
+is the whole delta *merged* — a generation boundary, where the live
+set is bulkloaded afresh, like an LSM merge rewriting its run, instead
+of patching pages in place.  Both kinds of commit are full service
+versions with the same copy-on-write discipline (the delta is copied, the copy
 absorbs the batch, the copy is published), so snapshot isolation is
 unchanged.  The delta never reaches a worker: workers only ever serve
 committed generations, and the service corrects each answer with the
@@ -244,7 +244,7 @@ class UpdateReport:
     deleted_count: int
     #: Live elements after the commit.
     element_count: int
-    #: Fork + mutate + commit wall time.
+    #: Absorb or merge (rebuild + publish) + commit wall time.
     wall_seconds: float
     #: ``True`` when this commit restructured pages (a generation
     #: boundary); ``False`` when the batch was absorbed into the in-RAM
@@ -527,10 +527,12 @@ class QueryService:
     delta_threshold:
         Buffered-work limit (memtable rows + tombstones) of the in-RAM
         delta layer.  ``0`` (default) disables the layer: every
-        :meth:`apply_updates` merges into pages immediately, the
-        pre-delta behaviour.  Positive values absorb update batches
-        into the delta and merge only once the buffered size reaches
-        the threshold — the LSM-style fast write path.
+        :meth:`apply_updates` merges — rebuilds the live set —
+        immediately.  Positive values absorb update batches into the
+        delta and merge only once the buffered size reaches the
+        threshold — the LSM-style fast write path, and the one to use
+        for small commits, since a merge costs time in proportion to
+        the live set.
     merge_interval_seconds:
         Optional staleness bound: a commit also merges when this much
         wall time passed since the last generation boundary, however
@@ -590,8 +592,7 @@ class QueryService:
             )
         if prefetch_config is not None and not prefetch:
             raise ValueError("prefetch_config given but prefetch is False")
-        #: The committed index workers serve; forks and merges start
-        #: here.
+        #: The committed index workers serve; merges start here.
         self._base = index
         #: Buffered :class:`DeltaIndex`, or ``None`` — copy-on-write:
         #: commits copy it, mutate the copy and publish the copy.
@@ -608,6 +609,9 @@ class QueryService:
         #: :attr:`_base` from: the last merge's publish, or ``None`` for
         #: generation 0, which arrives through the pool initializer.
         self._spec = None
+        #: Whether the service restored :attr:`_base` itself (after a
+        #: process-mode merge) and so closes its store on :meth:`close`.
+        self._owns_base = False
         self.worker_count = workers
         self.clear_cache_per_query = clear_cache_per_query
         self._mode = mode
@@ -888,11 +892,14 @@ class QueryService:
           touched, which is what makes sustained ingest cheap.
         * **Merged** (threshold crossed, ``merge_interval_seconds``
           elapsed, ``force_merge=True``, or ``delta_threshold == 0``):
-          the accumulated delta plus this batch drains through one bulk
-          :meth:`~repro.core.flat_index.FLATIndex.apply_batch` into a
-          copy-on-write fork of the base — a generation boundary whose
-          commit-wide link repair and metadata flush amortize over the
-          whole drained delta.
+          the accumulated delta plus this batch drains into
+          :meth:`~repro.core.flat_index.FLATIndex.merged`, which
+          bulkloads the live set afresh — every element id kept, only
+          the touched shards of a sharded index — on a store of its
+          own: a generation boundary that leaves the index a fresh
+          bulkload would build, so read cost does not drift with
+          turnover.  A merge costs time in proportion to the live set,
+          not to the batch, so small commits belong in the delta layer.
 
         Either way, queries in flight keep reading the exact version
         (pages *and* delta) they captured at submit time; queries
@@ -900,24 +907,29 @@ class QueryService:
         mix.  Updates are expected to flow through a single updater: a
         second ``apply_updates`` racing a commit is detected and
         rejected with ``RuntimeError`` (its batch is discarded, never
-        silently merged or dropped).
+        silently merged or dropped); in process mode it can surface
+        first as a :class:`~repro.storage.pagestore.PageStoreError`
+        from the superseded generation (its store closed, or the
+        directory advanced past it).
 
-        In process mode a merge additionally *publishes* the fork as
+        In process mode a merge additionally *publishes* the rebuild as
         the next on-disk snapshot generation before the swap, so worker
-        processes can restore it; this requires the served index to
-        live on a restored snapshot directory (an mmap-backed store).
-        An absorbed commit publishes and ships nothing: workers keep
-        serving the unchanged base generation, warm, and the service
-        corrects their answers with the new delta.  A commit rejected
+        processes can restore it, and the service reopens that
+        generation as its base (the rebuilt pages do not stay in RAM);
+        this requires the served index to live on a restored snapshot
+        directory (an mmap-backed store).  An absorbed commit publishes
+        and ships nothing: workers keep serving the unchanged base
+        generation, warm, and the service corrects their answers with
+        the new delta.  A commit rejected
         by the concurrent-commit check may leave its already-published
         generation orphaned on disk — harmless, since workers only ever
         restore generations a task names explicitly.
         """
         self._check_open()
-        if not hasattr(self._base, "fork"):
+        if not hasattr(self._base, "merged"):
             raise RuntimeError(
                 f"{type(self._base).__name__} does not support updates "
-                "(no fork()); serve a FLAT or sharded FLAT index"
+                "(no merged()); serve a FLAT or sharded FLAT index"
             )
         with self._commit_lock:
             base = self._base
@@ -952,21 +964,17 @@ class QueryService:
         )
         spec = None
         if merge:
-            fork = base.fork()
-            drain_ids, drain_mbrs, drain_deletes, next_id = new_delta.drain()
-            fork.apply_batch(
-                insert_mbrs=drain_mbrs,
-                delete_ids=drain_deletes,
-                insert_ids=drain_ids,
-                next_id=next_id,
-            )
+            merged = base.merged(*new_delta.drain())
             if self._mode == MODE_PROCESS:
-                from repro.core.snapshot import publish_fork_generation
+                from repro.core.snapshot import (
+                    publish_fork_generation,
+                    restore_index,
+                )
                 from repro.storage.pagestore import SnapshotError
 
                 try:
                     directory, published = publish_fork_generation(
-                        fork, expected_base=self._published_gen
+                        merged, expected_base=self._published_gen
                     )
                 except SnapshotError:
                     # Lineage violations (another publisher advanced the
@@ -975,9 +983,13 @@ class QueryService:
                 except PageStoreError as exc:
                     raise RuntimeError(_NEEDS_SNAPSHOT) from exc
                 spec = (str(directory), int(published))
-            element_count = fork.element_count
+                # Serve the next merge from the published generation, so
+                # the service holds none of the rebuilt pages in RAM.
+                merged = restore_index(directory, generation=published)
+            element_count = merged.element_count
         else:
             element_count = base.element_count + new_delta.element_delta
+        stale = None
         with self._commit_lock:
             if self._base is not base or self._delta is not delta:
                 # A concurrent commit slipped in between capture and
@@ -991,7 +1003,10 @@ class QueryService:
             self._version += 1
             version = self._version
             if merge:
-                self._base = fork
+                if self._owns_base:
+                    stale = self._base
+                self._base = merged
+                self._owns_base = spec is not None
                 self._delta = None
                 self._generation += 1
                 self._spec = spec
@@ -1000,6 +1015,9 @@ class QueryService:
                 self._last_merge = time.monotonic()
             else:
                 self._delta = new_delta
+        if stale is not None:
+            # Only an updater reads the base in process mode.
+            stale.store.close()
         return UpdateReport(
             version=version,
             inserted_ids=inserted,
@@ -1097,6 +1115,9 @@ class QueryService:
         with self._lifecycle_lock:
             self._closed = True
         self._pool.shutdown(wait=True)
+        with self._commit_lock:
+            if self._owns_base:
+                self._base.store.close()
 
     def __enter__(self) -> "QueryService":
         return self

@@ -1,7 +1,7 @@
 """Snapshot-isolated serving: queries keep answering during commits.
 
-``QueryService.apply_updates`` mutates a copy-on-write fork and swaps
-it in atomically.  The contract under test: every served query reflects
+``QueryService.apply_updates`` builds the next generation beside the
+served one and swaps it in atomically.  The contract under test: every served query reflects
 exactly one committed generation — the full pre-update state or the
 full post-update state, never a torn mix — and queries racing a commit
 keep completing.
@@ -153,15 +153,15 @@ class TestApplyUpdates:
         with QueryService(index, workers=2) as service:
             first_forked = threading.Event()
             second_done = threading.Event()
-            original_fork = index.fork
+            original_merged = index.merged
 
-            def stalling_fork():
-                fork = original_fork()
+            def stalling_merged(*batch):
+                merged = original_merged(*batch)
                 first_forked.set()
                 assert second_done.wait(timeout=10)
-                return fork
+                return merged
 
-            index.fork = stalling_fork
+            index.merged = stalling_merged
             try:
                 errors: list = []
 
@@ -174,7 +174,7 @@ class TestApplyUpdates:
                 slow = threading.Thread(target=slow_updater)
                 slow.start()
                 assert first_forked.wait(timeout=10)
-                index.fork = original_fork  # the racer forks normally
+                index.merged = original_merged  # the racer merges normally
                 service.apply_updates(inserts=random_mbrs(5, seed=2))
                 second_done.set()
                 slow.join()
@@ -184,7 +184,7 @@ class TestApplyUpdates:
                 assert "concurrent apply_updates" in str(errors[0])
                 assert service.current_version == 1
             finally:
-                index.fork = original_fork
+                index.merged = original_merged
                 second_done.set()
 
     def test_engine_without_fork_is_rejected(self):

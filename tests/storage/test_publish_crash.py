@@ -5,8 +5,9 @@ process that wrote them does not.  The harness interposes on the store
 writer's calls — file writes made through :mod:`repro.storage.filestore`,
 ``os.fsync`` and ``os.replace`` — and raises at the k-th call, for every
 k; a write that crashes lands its first half (a torn write).  After each
-crash of an export, an in-place commit, a fork publish and a replica
-ship, the directory's latest generation is the old one or the new one,
+crash of an export, an in-place commit, a fork publish, a merge's
+publish (a rebuilt index on a fresh overlay) and a replica ship, the
+directory's latest generation is the old one or the new one,
 byte-identical in pages, categories and SN answers, and a second publish
 succeeds.  Power loss, where unfsynced bytes vanish too, is not
 modelled here.
@@ -264,6 +265,57 @@ class ForkPublish:
         return publish_next(self.directory, self.circuit)
 
 
+def merge_batch(index, mbrs, seed):
+    """One deterministic merge's drained batch over *index*."""
+    rng = np.random.default_rng(seed)
+    first = index.next_element_id
+    live = np.flatnonzero(index.contains_elements(np.arange(first)))
+    inserts = mbrs[rng.choice(len(mbrs), size=12, replace=False)] + 0.01
+    deletes = np.sort(rng.choice(live, size=8, replace=False))
+    return np.arange(first, first + 12), inserts, deletes, first + 12
+
+
+class MergePublish:
+    """``publish_fork_generation`` of a merge: the live set rebuilt."""
+
+    def __init__(self, circuit, templates):
+        mbrs, space, queries = circuit
+        self.circuit = circuit
+        self.template = templates / "merge"
+        flat = FLATIndex.build(PageStore(), mbrs, space_mbr=space,
+                               page_capacity=16)
+        snapshot_index(flat, self.template)
+        self.old, self.new = 0, 1
+        self.prepare(templates / "merge-reference")
+        self.generations = {0: state_of(flat, queries),
+                            1: state_of(self.merged, queries)}
+        self.abandon()
+
+    def prepare(self, directory):
+        self.directory = directory
+        shutil.copytree(self.template, directory)
+        self.base = restore_index(directory)
+        self.merged = self.base.merged(
+            *merge_batch(self.base, self.circuit[0], seed=5)
+        )
+
+    def publish(self):
+        publish_fork_generation(self.merged, expected_base=0)
+
+    def abandon(self):
+        self.base.store.close()
+
+    def republish(self, survivor):
+        base = restore_index(self.directory)
+        merged = base.merged(*merge_batch(base, self.circuit[0], seed=99))
+        _directory, generation = publish_fork_generation(
+            merged, expected_base=base.store.generation
+        )
+        want = state_of(merged, self.circuit[2])
+        base.store.close()
+        return generation, want
+
+
 class Ship:
     """``ship_index_generation`` of generation 1 onto a replica of 0."""
 
@@ -298,7 +350,7 @@ class Ship:
 
 
 PUBLISHERS = {"export": Export, "in-place": InPlace, "fork": ForkPublish,
-              "ship": Ship}
+              "merge": MergePublish, "ship": Ship}
 
 
 @pytest.fixture(scope="module", params=sorted(PUBLISHERS))
