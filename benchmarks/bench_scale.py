@@ -26,9 +26,11 @@ What the artifact records, per codec:
   compressed store misses less — plus the physical bytes those reads
   fetched;
 * what the pool charges (``pool_resident_bytes``) beside the bytes it
-  really holds (``pool_held_bytes``): pooled pages are the inflated
-  4 KiB ones, so a delta64 pool holds several times its charge, and a
-  pool hit never runs the codec;
+  really holds (``pool_held_bytes``): a page read for its bytes is
+  pooled inflated, so a later hit never runs the codec, while a
+  metadata leaf read only to be charged is pooled as its stored blob —
+  so a delta64 pool holds more than its charge, less than its pages
+  inflated;
 * modeled I/O seconds from :class:`~repro.storage.diskmodel.DiskModel`
   with ``page_bytes`` set to the codec's mean physical blob size — the
   paper-grade 10 kRPM SAS estimate of the same read counts.

@@ -194,12 +194,13 @@ class FLATIndex:
         #: Reusable visited bitmask of the crawl kernel (per clone;
         #: managed by :func:`~repro.core.crawl.crawl`).
         self._visited_scratch: np.ndarray | None = None
-        #: Lazily built kNN directories — ``element_page``/``element_slot``
-        #: (element id -> object page / slot) and ``cover`` (the covering
-        #: box).  A plain dict shared *by reference* across
-        #: :meth:`with_store` clones, so whichever index or worker clone
-        #: builds them first publishes them to every sibling (the values
-        #: are deterministic, so a concurrent double-build is benign).
+        #: kNN directories — ``element_page``/``element_slot`` (element
+        #: id -> object page / slot, built lazily) and ``cover`` (the
+        #: covering box, see :meth:`covering_mbr`).  A plain dict shared
+        #: *by reference* across :meth:`with_store` clones, so whichever
+        #: index or worker clone builds them first publishes them to
+        #: every sibling (the values are deterministic, so a concurrent
+        #: double-build is benign).
         self._knn_state: dict = {}
         #: Sorted ids of the live elements, built on the first
         #: :meth:`contains_elements` and dropped by :meth:`apply_batch`.
@@ -307,7 +308,7 @@ class FLATIndex:
         )
         report.packing_seconds = time.perf_counter() - t0
 
-        return cls(
+        index = cls(
             store,
             seed_index,
             object_page_element_ids,
@@ -316,6 +317,12 @@ class FLATIndex:
             page_capacity=page_capacity,
             next_id=next_id,
         )
+        # The partitions tile the space box gap-free, so their union is
+        # the space this build covered.
+        index._knn_state["cover"] = mbr_union_many(
+            np.stack([partition.partition_mbr for partition in partitions])
+        )
+        return index
 
     def merged(self, insert_ids, insert_mbrs, delete_ids,
                next_id: int) -> "FLATIndex":
@@ -763,6 +770,8 @@ class FLATIndex:
 
     def _invalidate_query_state(self) -> None:
         self._knn_state.clear()
+        # The live partition boxes tile the write path's space box.
+        self._knn_state["cover"] = self._mut.space_mbr.copy()
         self._live_ids = None
         self.seed_index.records.clear()
 
@@ -1398,11 +1407,13 @@ class FLATIndex:
     def covering_mbr(self) -> np.ndarray:
         """The box covering all partitions (the build's effective space).
 
-        Computed once from the metadata records (partition MBRs tile the
-        space gap-free, so their union is exactly the space box passed
-        to — or derived by — :meth:`build`), cached and shared across
-        :meth:`with_store` clones; restored indexes recover it the same
-        way.
+        Partition MBRs tile the space gap-free, so their union is
+        exactly the space box passed to — or derived by — :meth:`build`.
+        :meth:`build` keeps that box, the write path keeps its grown
+        space box, and a restore reads the box from the generation's
+        index files, all shared across :meth:`with_store` clones.  Only
+        an index restored from files written without the box computes
+        it, once, from the metadata records.
         """
         if "cover" not in self._knn_state:
             boxes = np.stack(

@@ -12,7 +12,8 @@ A snapshot directory holds numbered, copy-on-write *generations*:
   leaf page ids, the object-page → element-id mapping (CSR form) and
   the build report's pointer-count histogram.
 * ``index-NNNNNN.json`` — scalars: element count, id watermark, page
-  capacity, seed root/height/fanout, build timings, a format version.
+  capacity, seed root/height/fanout, the covered space box, build
+  timings, a format version.
 
 ``snapshot_index`` exports an index into a fresh directory as
 generation 0; ``snapshot_generation`` publishes the current state of an
@@ -118,6 +119,9 @@ def _index_files(flat, generation: int) -> dict:
         "seed_root_id": int(seed.root_id),
         "seed_height": int(seed.height),
         "seed_fanout": seed.fanout,
+        # The space the partitions tile, so a restore need not parse
+        # every metadata leaf to learn it.
+        "cover": flat.covering_mbr().tolist(),
         # Timings in a fixed-width form, so the file's size does not
         # vary from build to build; ``float()`` reads them back.
         "build_report": {
@@ -306,6 +310,15 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
             f"{version!r} in {meta_path.name} does not match this build's "
             f"{INDEX_FORMAT_VERSION}"
         )
+    cover = meta.get("cover")
+    if cover is not None:
+        try:
+            cover = np.asarray(cover, dtype=np.float64).reshape(6)
+        except (TypeError, ValueError):
+            raise SnapshotError(
+                f"snapshot directory {directory}: index manifest "
+                f"{meta_path.name} holds a malformed cover {meta['cover']!r}"
+            ) from None
     arrays_path = directory / index_arrays_filename(generation)
     if not arrays_path.exists():
         raise SnapshotError(
@@ -365,7 +378,7 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
     element_count = int(meta["element_count"])
     from repro.storage.constants import OBJECT_PAGE_CAPACITY
 
-    return FLATIndex(
+    index = FLATIndex(
         store,
         seed,
         object_page_element_ids,
@@ -374,3 +387,7 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
         page_capacity=int(meta.get("page_capacity", OBJECT_PAGE_CAPACITY)),
         next_id=int(meta.get("next_element_id", element_count)),
     )
+    if cover is not None:
+        # Older files lack the box; covering_mbr() then computes it.
+        index._knn_state["cover"] = cover
+    return index

@@ -26,10 +26,19 @@ class BufferPool:
     LRU entries are evicted until the budget holds.  This is how the
     scale benchmark models a fixed grant over stores whose physical
     pages differ in size — a compressed store fits proportionally more
-    pages into the same *charged* budget.  The pages held are the
-    inflated ones, so the RAM they occupy (:attr:`held_bytes`) is larger
-    than the charge (:attr:`resident_bytes`); holding inflated pages is
-    what lets a pool hit skip the codec.
+    pages into the same *charged* budget.
+
+    What a :class:`~repro.storage.pagestore.PageStore` pools is what its
+    read needed (see :meth:`~repro.storage.pagestore.PageStore.read`):
+    the inflated page for a read of its bytes — so a later hit skips the
+    codec — and the stored blob as is, a
+    :class:`~repro.storage.codec.StoredBlob`, for a metadata leaf read
+    only to be charged.  A hit on a blob that needs the bytes inflates
+    it once, and the store replaces it in place.  Every value supports
+    ``len()``: the RAM the pool holds (:attr:`held_bytes`) counts
+    inflated pages at their logical size and blobs at their stored one,
+    so over a compressed store it exceeds the charge
+    (:attr:`resident_bytes`) by the inflated pages alone.
     """
 
     def __init__(self, capacity: int | None = None,
@@ -42,7 +51,8 @@ class BufferPool:
             )
         self.capacity = capacity
         self.byte_capacity = byte_capacity
-        self._pages: OrderedDict[int, bytes] = OrderedDict()
+        #: page id -> pooled value: page bytes or a stored blob.
+        self._pages: OrderedDict = OrderedDict()
         self._costs: dict[int, int] = {}
         self._resident_bytes = 0
         self.hits = 0
@@ -70,7 +80,8 @@ class BufferPool:
 
         *cost* is the bytes charged against ``byte_capacity`` (the
         page's physical stored size); it defaults to ``len(page)`` and
-        is ignored by pools without a byte budget.
+        is ignored by pools without a byte budget.  Putting a pooled id
+        again replaces its value; without a *cost* its charge is kept.
         """
         if page_id in self._pages:
             self._pages.move_to_end(page_id)
@@ -103,8 +114,9 @@ class BufferPool:
     def held_bytes(self) -> int:
         """Bytes of the pages actually held (the sum of their lengths).
 
-        A store pools *inflated* pages but charges their stored size, so
-        over a compressed store this exceeds :attr:`resident_bytes`.
+        A store charges every page its stored size but pools a page it
+        read for its bytes *inflated*, so over a compressed store this
+        exceeds :attr:`resident_bytes`.
         """
         return sum(len(page) for page in self._pages.values())
 

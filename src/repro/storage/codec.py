@@ -244,6 +244,30 @@ class PageCodec:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+class StoredBlob:
+    """A page as its store holds it: a codec blob, not yet inflated.
+
+    What a backend's ``blob`` fetch returns under a codec other than
+    ``raw``, and what a buffer pool holds for a page read only to be
+    charged (see :meth:`~repro.storage.pagestore.PageStore.read`).
+    ``len()`` is the stored size; :meth:`inflate` runs the codec.
+    """
+
+    __slots__ = ("blob", "codec", "category")
+
+    def __init__(self, blob: bytes, codec: PageCodec, category: str):
+        self.blob = blob
+        self.codec = codec
+        self.category = category
+
+    def __len__(self) -> int:
+        return len(self.blob)
+
+    def inflate(self) -> bytes:
+        """The logical page bytes."""
+        return self.codec.decode(self.blob, self.category)
+
+
 class RawCodec(PageCodec):
     """The identity codec: blobs are the logical page bytes."""
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.storage.buffer import BufferPool
-from repro.storage.codec import DEFAULT_CODEC, get_codec
+from repro.storage.codec import DEFAULT_CODEC, StoredBlob, get_codec
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.decoded_cache import DecodedPageCache
 from repro.storage.pagestore import (
@@ -470,6 +470,12 @@ class FilePageBackend:
         return OverlayPageBackend(self)
 
     def payload(self, page_id: int) -> bytes:
+        stored = self.blob(page_id)
+        return stored if self._raw_codec else stored.inflate()
+
+    def blob(self, page_id: int):
+        """The page as stored, not inflated: a :class:`StoredBlob`, or
+        the logical bytes on a ``raw`` store (its blob is the page)."""
         self._check_open()
         offset, length = self._segments[self._table[page_id]]
         if self._mmap is not None:
@@ -481,7 +487,7 @@ class FilePageBackend:
             blob = os.pread(self._file.fileno(), length, offset)
         if self._raw_codec:
             return blob
-        return self._codec.decode(blob, self._categories[page_id])
+        return StoredBlob(blob, self._codec, self._categories[page_id])
 
     def stored_bytes(self, page_id: int) -> int:
         """Physical bytes this page occupies on disk (its blob length)."""

@@ -23,6 +23,7 @@ buffer pool.
 from __future__ import annotations
 
 from repro.storage.buffer import BufferPool
+from repro.storage.codec import StoredBlob, get_codec
 from repro.storage.constants import PAGE_SIZE
 from repro.storage.decoded_cache import (
     DECODE_ELEMENT,
@@ -60,7 +61,8 @@ class MemoryPageBackend:
     are held *compressed* in RAM and decoded by :meth:`payload` — the
     in-memory mirror of a compressed file store, for fitting more pages
     into the same footprint at a decode cost per *physical* read (the
-    store only calls :meth:`payload` on a buffer-pool miss).
+    store calls :meth:`payload` only on a buffer-pool miss of a read
+    that needs the page's bytes, and :meth:`blob` on one that does not).
     """
 
     #: Memory backends always accept :meth:`append`.
@@ -70,8 +72,6 @@ class MemoryPageBackend:
 
     def __init__(self, codec: str | None = None):
         if codec is not None:
-            from repro.storage.codec import get_codec
-
             codec = get_codec(codec)
             if codec.name == "raw":
                 codec = None
@@ -118,11 +118,17 @@ class MemoryPageBackend:
 
     def payload(self, page_id: int) -> bytes:
         """The logical bytes of a page (bounds already checked by the store)."""
-        if self._codec is not None:
-            return self._codec.decode(
-                self._pages[page_id], self._categories[page_id]
-            )
-        return self._pages[page_id]
+        stored = self.blob(page_id)
+        return stored if self._codec is None else stored.inflate()
+
+    def blob(self, page_id: int):
+        """The page as held, not inflated: a :class:`StoredBlob` under a
+        codec, the logical bytes otherwise."""
+        if self._codec is None:
+            return self._pages[page_id]
+        return StoredBlob(
+            self._pages[page_id], self._codec, self._categories[page_id]
+        )
 
     def stored_bytes(self, page_id: int) -> int:
         """Bytes this page actually occupies in RAM (its blob length)."""
@@ -197,13 +203,21 @@ class OverlayPageBackend:
         """True once the base is closed: the overlay reads through it."""
         return getattr(self._base, "closed", False)
 
-    def payload(self, page_id: int) -> bytes:
+    def _own(self, page_id: int):
+        """The overlay's own (uncompressed) payload of a page, or ``None``
+        for an unchanged base page."""
         if page_id >= self._base_len:
             return self._tail[page_id - self._base_len]
-        override = self._overrides.get(page_id)
-        if override is not None:
-            return override
-        return self._base.payload(page_id)
+        return self._overrides.get(page_id)
+
+    def payload(self, page_id: int) -> bytes:
+        own = self._own(page_id)
+        return self._base.payload(page_id) if own is None else own
+
+    def blob(self, page_id: int):
+        """The page as stored: the base's blob, or the overlay's own page."""
+        own = self._own(page_id)
+        return self._base.blob(page_id) if own is None else own
 
     def stored_bytes(self, page_id: int) -> int:
         """Physical bytes of a page: overlay pages sit uncompressed in
@@ -330,6 +344,11 @@ class PageStore:
         self.buffer = BufferPool() if buffer is None else buffer
         self.decoded = DecodedPageCache() if decoded is None else decoded
         self.stats = IOStats()
+        #: Set by :meth:`read_metadata` for its one :meth:`read` of a
+        #: leaf it will not parse: that read needs no page bytes.  Like
+        #: the pool and the stats, it assumes one reader thread per
+        #: store (concurrent readers each take a :meth:`view`).
+        self._blob_read = False
         #: Optional staging area a trajectory prefetcher fills ahead of
         #: the next query (see :mod:`repro.query.prefetch`).  When set,
         #: a buffer-missed read first checks the area: a staged page is
@@ -427,12 +446,22 @@ class PageStore:
         """Fetch a page, counting a physical read on buffer miss.
 
         The order is the cost model: bounds first, then the buffer pool,
-        and the backend only on a pool miss.  A pool hit is one dict
-        lookup and never reaches the backend, so a compressed store
-        inflates a page once per physical read (``backend.payload`` is
-        the call that inflates) and the pool keeps the inflated bytes.
-        A read of a closed backend raises before the pool is asked, so
-        a pooled page is not served after ``close()`` either.
+        and the backend only on a pool miss.  A read of a closed backend
+        raises before the pool is asked, so a pooled page is not served
+        after ``close()`` either.
+
+        A page inflates only when a read needs its bytes.  A miss calls
+        ``backend.payload`` — where a compressed store inflates — and
+        pools the logical page; a hit is one dict lookup.  The one read
+        that needs no bytes is :meth:`read_metadata`'s read of a leaf it
+        will not parse: its miss calls ``backend.blob`` and pools the
+        stored blob as is (a :class:`~repro.storage.codec.StoredBlob`
+        under a codec other than ``raw``).  A later hit that needs the
+        bytes inflates that blob once and replaces it in place, keeping
+        its recency and its charge; it still counts as a hit.  Either
+        way the miss is charged the page's stored bytes, so the
+        counters, the pool's order and its charge do not depend on
+        whether a page was inflated.
 
         A buffer miss consults the attached prefetch area (if any)
         before charging physical I/O: consuming a staged page counts a
@@ -452,8 +481,14 @@ class PageStore:
             cached = buffer.get(page_id)
             if cached is not None:
                 self.stats.record_cache_hit()
+                if type(cached) is StoredBlob and not self._blob_read:
+                    cached = cached.inflate()
+                    buffer.put(page_id, cached)
                 return cached
-        payload = backend.payload(page_id)
+        if self._blob_read:
+            payload = backend.blob(page_id)
+        else:
+            payload = backend.payload(page_id)
         if buffer is not None:
             if buffer.byte_capacity is None:
                 buffer.put(page_id, payload)
@@ -491,18 +526,28 @@ class PageStore:
                       parse: bool = True) -> list | None:
         """Read a metadata page, count its decode, and parse it if *parse*.
 
-        The page always goes through :meth:`read`.  The *logical* decode
-        is counted under the decoded-cache protocol — a miss the first
-        time the page is read since :meth:`clear_cache`, a hit after —
-        or, with ``cached=False`` (the scalar reference path), as a miss
-        every time.  Parsing is the caller's decision: the seed index
-        keeps each leaf's records in its per-generation
+        The page always goes through :meth:`read`, so it is charged and
+        pooled like any page.  The *logical* decode is counted under the
+        decoded-cache protocol — a miss the first time the page is read
+        since :meth:`clear_cache`, a hit after — or, with
+        ``cached=False`` (the scalar reference path), as a miss every
+        time.  Parsing is the caller's decision: the seed index keeps
+        each leaf's records in its per-generation
         :class:`~repro.core.seed_index.RecordTable` and passes
         ``parse=False`` (returning ``None``) once the table holds the
-        leaf.  A parse that runs is counted in ``stats.parses`` and
-        calls this module's ``decode_metadata_page``.
+        leaf.  Such a read needs no bytes, so a pool miss fetches the
+        leaf's stored blob and pools it without inflating it (see
+        :meth:`read`).  A parse that runs is counted in ``stats.parses``
+        and calls this module's ``decode_metadata_page``.
         """
-        payload = self.read(page_id)
+        if parse:
+            payload = self.read(page_id)
+        else:
+            self._blob_read = True
+            try:
+                self.read(page_id)
+            finally:
+                self._blob_read = False
         if cached:
             self.decoded.touch(DECODE_METADATA, page_id, self.stats)
         else:

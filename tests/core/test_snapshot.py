@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core import FLATIndex, restore_index, snapshot_index
+from repro.core import seed_index as seed_index_module
 from repro.core.snapshot import index_arrays_filename, index_meta_filename
 from repro.data.microcircuit import build_microcircuit
+from repro.geometry.mbr import mbr_union_many
 from repro.query import BenchmarkSpec, SCALED_SN_FRACTION, run_queries
 from repro.storage import FilePageStore, PageStore, PageStoreError, SnapshotError
+from repro.storage import pagestore as pagestore_module
 
 
 def random_mbrs(n, seed=0, span=100.0, extent=2.0):
@@ -140,6 +143,94 @@ class TestBuildTimings:
         for name in self.TIMINGS:
             assert getattr(restored.build_report, name) == 0.123456789012
         restored.store.close()
+
+
+def computed_cover(index):
+    """The union of every partition box, read from the metadata leaves."""
+    return mbr_union_many(np.stack(
+        [record.partition_mbr for record in index.seed_index.iter_records()]
+    ))
+
+
+@pytest.fixture
+def leaf_parses(monkeypatch):
+    """Leaf pages parsed, through either name a parse is made by."""
+    calls = []
+    for module in (seed_index_module, pagestore_module):
+        original = module.decode_metadata_page
+
+        def counting(payload, original=original):
+            calls.append(len(payload))
+            return original(payload)
+
+        monkeypatch.setattr(module, "decode_metadata_page", counting)
+    return calls
+
+
+class TestCarriedCover:
+    """The covered space box rides with the index and its files, so
+    ``covering_mbr()`` — asked by every merge — parses no leaf."""
+
+    def batch(self, index, seed):
+        rng = np.random.default_rng(seed)
+        ids = np.concatenate(list(index.object_page_element_ids.values()))
+        deletes = np.sort(rng.choice(ids, size=200, replace=False))
+        # Some inserts fall outside the space, growing it.
+        inserts = random_mbrs(200, seed=seed, span=120.0)
+        start = index.next_element_id
+        return (np.arange(start, start + 200, dtype=np.int64), inserts,
+                deletes, start + 200)
+
+    def test_built_restored_and_merged_carry_the_union(self, tmp_path):
+        flat = FLATIndex.build(PageStore(), random_mbrs(3000, seed=5))
+        assert np.array_equal(flat.covering_mbr(), computed_cover(flat))
+        flat.snapshot(tmp_path / "snap")
+        restored = restore_index(tmp_path / "snap")
+        try:
+            assert np.array_equal(restored.covering_mbr(), computed_cover(flat))
+            merged = restored.merged(*self.batch(restored, seed=6))
+            assert np.array_equal(merged.covering_mbr(), computed_cover(merged))
+            assert not np.array_equal(merged.covering_mbr(),
+                                      flat.covering_mbr())
+        finally:
+            restored.store.close()
+
+    def test_write_path_carries_its_grown_space(self, tmp_path):
+        flat = FLATIndex.build(PageStore(), random_mbrs(3000, seed=7))
+        _ids, inserts, deletes, _next_id = self.batch(flat, seed=8)
+        flat.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+        assert np.array_equal(flat.covering_mbr(), computed_cover(flat))
+        flat.snapshot(tmp_path / "snap")
+        restored = restore_index(tmp_path / "snap")
+        try:
+            assert np.array_equal(restored.covering_mbr(), computed_cover(flat))
+        finally:
+            restored.store.close()
+
+    def test_restore_and_merge_parse_no_leaf(self, tmp_path, leaf_parses):
+        flat = FLATIndex.build(PageStore(), random_mbrs(3000, seed=9))
+        flat.snapshot(tmp_path / "snap")
+        restored = restore_index(tmp_path / "snap")
+        try:
+            restored.covering_mbr()
+            restored.merged(*self.batch(restored, seed=10))
+            assert leaf_parses == []
+        finally:
+            restored.store.close()
+
+    def test_older_files_compute_the_cover(self, tmp_path, leaf_parses):
+        flat = FLATIndex.build(PageStore(), random_mbrs(3000, seed=11))
+        flat.snapshot(tmp_path / "snap")
+        meta_path = tmp_path / "snap" / index_meta_filename(0)
+        meta = json.loads(meta_path.read_text())
+        del meta["cover"]
+        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+        restored = restore_index(tmp_path / "snap")
+        try:
+            assert np.array_equal(restored.covering_mbr(), flat.covering_mbr())
+            assert len(leaf_parses) == restored.metadata_page_count
+        finally:
+            restored.store.close()
 
 
 class TestSnapshotErrors:
@@ -277,6 +368,16 @@ class TestIndexSnapshotRobustness:
         path = directory / index_meta_filename(0)
         path.write_text(path.read_text()[:25])
         with pytest.raises(SnapshotError, match="truncated or not valid JSON"):
+            restore_index(directory)
+
+    @pytest.mark.parametrize("cover", [[0.0, 1.0], "box", ["x"] * 6])
+    def test_malformed_cover(self, tmp_path, cover):
+        directory = self._exported(tmp_path)
+        path = directory / index_meta_filename(0)
+        meta = json.loads(path.read_text())
+        meta["cover"] = cover
+        path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotError, match="malformed cover"):
             restore_index(directory)
 
     def test_missing_array_bundle(self, tmp_path):
