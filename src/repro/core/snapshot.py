@@ -52,6 +52,7 @@ from repro.storage.filestore import (
     append_overlay_generation,
     latest_generation,
     list_generations,
+    require_keys,
     ship_store_generation,
     write_store_snapshot,
 )
@@ -61,6 +62,13 @@ from repro.storage.pagestore import OverlayPageBackend, PageStoreError, Snapshot
 #: Version 2 introduced numbered generations and the write-path fields
 #: (id watermark, page capacity, seed fanout, dead-record slots).
 INDEX_FORMAT_VERSION = 2
+
+#: Fields of ``index-N.json`` and arrays of ``index-N.npz`` that a
+#: restore cannot do without.
+_REQUIRED_META = ("element_count", "seed_root_id", "seed_height")
+_REQUIRED_ARRAYS = ("record_page", "record_slot", "leaf_page_ids",
+                    "object_page_ids", "object_page_offsets",
+                    "object_page_element_ids", "pointer_counts")
 
 
 def index_meta_filename(generation: int) -> str:
@@ -310,6 +318,8 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
             f"{version!r} in {meta_path.name} does not match this build's "
             f"{INDEX_FORMAT_VERSION}"
         )
+    require_keys(directory, f"index manifest {meta_path.name}", meta,
+                 _REQUIRED_META)
     cover = meta.get("cover")
     if cover is not None:
         try:
@@ -327,6 +337,8 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
         )
 
     with np.load(arrays_path) as bundle:
+        require_keys(directory, f"index array bundle {arrays_path.name}",
+                     bundle.files, _REQUIRED_ARRAYS)
         record_page = bundle["record_page"]
         record_slot = bundle["record_slot"]
         leaf_page_ids = [int(pid) for pid in bundle["leaf_page_ids"]]

@@ -16,11 +16,16 @@ and ``(directory, generation)`` reattach across process boundaries
   :mod:`multiprocessing.connection` listener (length-prefixed pickle
   frames on an ``AF_UNIX`` socket, authkey-authenticated).  Each
   connection is one serving worker, exactly like a
-  :class:`~repro.query.service.QueryService` pool thread: it owns a
+  :class:`~repro.query.service.QueryService` pool worker: it runs the
+  pool processes' request/reply loop,
+  :func:`~repro.query.service.serve_requests`, owns a
   :class:`~repro.query.service.WorkerEngines` cache and a
   :class:`~repro.query.prefetch.SessionTracker`, and answers a range
   request with :func:`~repro.query.service.serve_task` — staging a
-  session's predicted window after the answer.  Servers return
+  session's predicted window after the answer.  A request that raises
+  is answered with the exception object; the router raises
+  :class:`ClusterError` (``shard N server error: Type: msg``) chained
+  from it, and the server keeps serving.  Servers return
   **global** element ids: the shard's local→global id map travels to
   the server at launch and with every reload.
 * :class:`ClusterRouter` — the query tier's front door.  It keeps a
@@ -84,17 +89,18 @@ import numpy as np
 from repro.geometry.mbr import point_as_box
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.prefetch import PrefetchConfig, SessionTracker
-from repro.query.service import WorkerEngines, serve_task
+from repro.query.service import (
+    CLOSED_ERRORS,
+    WorkerEngines,
+    read_reply,
+    serve_requests,
+    serve_task,
+)
 from repro.storage.stats import IOStats
 
 # repro.core imports stay function-local: repro.core.flat_index imports
 # repro.query at module level, so a top-level import here would close an
 # import cycle through the two packages' __init__ modules.
-
-#: Connection-level failures that mean "this server is gone" (as
-#: opposed to a server-side exception, which arrives as an ``error``
-#: reply and raises :class:`ClusterError` without failing the server).
-_DEAD_SERVER_ERRORS = (EOFError, OSError)
 
 #: Requests kept in flight per server connection during a batch.  The
 #: protocol is strictly request/reply-in-order per connection, so the
@@ -114,8 +120,9 @@ class ClusterError(RuntimeError):
 #
 # One process per shard server.  The process restores the shard index
 # from its snapshot directory, then serves request/reply streams: one
-# handler thread per accepted connection.  Each connection is a serving
-# worker like a QueryService pool thread — it owns one WorkerEngines
+# handler thread per accepted connection, running the loop QueryService
+# pool processes run (serve_requests).  Each connection is a serving
+# worker like a QueryService pool worker — it owns one WorkerEngines
 # (stat-isolated clones of the newest generations over the single shared
 # mmap, each with its prefetcher) and one SessionTracker, and answers
 # range requests with the same serve_task body.
@@ -128,7 +135,6 @@ class _ShardServer:
         from repro.core.snapshot import restore_index
 
         self.shard_dir = Path(shard_dir)
-        self.stopping = threading.Event()
         self._swap_lock = threading.Lock()
         self.prefetch_config = PrefetchConfig()
         #: Staging crawls that raised, over every connection (reported
@@ -211,41 +217,26 @@ class _ShardServer:
                 "pid": os.getpid(),
                 "prefetch_failures": self.prefetch_failures,
             }
-        if kind == "shutdown":
-            return None
         raise ValueError(f"unknown cluster request {kind!r}")
 
     def serve_connection(self, conn, listener) -> None:
-        state = self.connection_state()
+        """Serve one connection with the pool workers' loop,
+        :func:`~repro.query.service.serve_requests`; a request that
+        raises is answered with its exception, and the server lives on.
+        The loop's stop request (``None``) shuts the server down."""
+        engines, sessions = self.connection_state()
         try:
-            while True:
-                try:
-                    request = conn.recv()
-                except _DEAD_SERVER_ERRORS:
-                    return
-                try:
-                    reply = self.dispatch(request, *state)
-                except Exception as exc:  # server must outlive bad requests
-                    try:
-                        conn.send(("error", f"{type(exc).__name__}: {exc}"))
-                    except _DEAD_SERVER_ERRORS:
-                        return
-                    continue
-                try:
-                    conn.send(("ok", reply))
-                except _DEAD_SERVER_ERRORS:
-                    return
-                if request[0] == "shutdown":
-                    self.stopping.set()
-                    conn.close()
-                    listener.close()
-                    # The main thread is parked in ``listener.accept()``,
-                    # which a cross-thread close does not reliably wake on
-                    # Linux — exit the process here instead.  The reply is
-                    # already in the socket buffer and survives the exit.
-                    os._exit(0)
+            stopped = serve_requests(
+                conn, lambda request: self.dispatch(request, engines, sessions)
+            )
         finally:
             conn.close()
+        if stopped:
+            listener.close()
+            # The main thread is parked in ``listener.accept()``, which a
+            # cross-thread close does not reliably wake on Linux — exit
+            # the process here instead.
+            os._exit(0)
 
 
 def _serve_shard(shard_dir, generation, element_ids, address, authkey,
@@ -255,11 +246,11 @@ def _serve_shard(shard_dir, generation, element_ids, address, authkey,
     listener = Listener(address, family="AF_UNIX", authkey=authkey)
     ready.send(("ready", os.getpid()))
     ready.close()
-    while not server.stopping.is_set():
+    while True:
         try:
             conn = listener.accept()
         except OSError:
-            break  # listener closed by a shutdown request
+            break  # listener closed by a stop request
         threading.Thread(
             target=server.serve_connection,
             args=(conn, listener),
@@ -303,7 +294,7 @@ class ShardServerHandle:
         self._connection().send(message)
 
     def recv(self):
-        return self._connection().recv()
+        return read_reply(self._connection())
 
     def request(self, message):
         """One synchronous request/reply exchange (no pipelining)."""
@@ -574,9 +565,11 @@ class ClusterRouter:
 
     @staticmethod
     def _unwrap(reply, pos: int):
-        status, payload = reply
-        if status != "ok":
-            raise ClusterError(f"shard {pos} server error: {payload}")
+        ok, payload = reply
+        if not ok:
+            raise ClusterError(
+                f"shard {pos} server error: {type(payload).__name__}: {payload}"
+            ) from payload
         return payload
 
     def _request_one(self, pos: int, message):
@@ -585,7 +578,7 @@ class ClusterRouter:
             handle = self._endpoint(pos)
             try:
                 reply = handle.request(message)
-            except _DEAD_SERVER_ERRORS:
+            except CLOSED_ERRORS:
                 self._mark_dead(handle)
                 continue
             return self._unwrap(reply, pos)
@@ -598,7 +591,10 @@ class ClusterRouter:
         dies mid-stream pushes its unanswered requests back onto the
         work queue; they re-resolve to the shard's next live endpoint
         (reads are idempotent, so a request the dead server may have
-        already executed is safely re-run).
+        already executed is safely re-run).  An error reply, or a shard
+        left with no live server, raises only once every request sent
+        has its reply read, so no connection is left holding the answer
+        to a request its next caller did not send.
         """
         replies = [None] * len(requests)
         pending: dict = {}
@@ -607,36 +603,43 @@ class ClusterRouter:
         def drain_one(handle, queue) -> None:
             try:
                 reply = handle.recv()
-            except _DEAD_SERVER_ERRORS:
+            except CLOSED_ERRORS:
                 self._mark_dead(handle)
                 work.extendleft(reversed([(i, (pos, msg))
                                           for i, pos, msg in queue]))
                 queue.clear()
                 return
             i, pos, _msg = queue.popleft()
-            replies[i] = self._unwrap(reply, pos)
+            replies[i] = (reply, pos)
 
-        while work or any(pending.values()):
-            if not work:
-                for handle, queue in pending.items():
-                    if queue:
-                        drain_one(handle, queue)
-                continue
-            i, (pos, message) = work.popleft()
-            handle = self._endpoint(pos)
-            queue = pending.setdefault(handle, deque())
-            if len(queue) >= PIPELINE_WINDOW:
-                drain_one(handle, queue)
-                work.appendleft((i, (pos, message)))
-                continue
-            try:
-                handle.send(message)
-            except _DEAD_SERVER_ERRORS:
-                self._mark_dead(handle)
-                work.appendleft((i, (pos, message)))
-                continue
-            queue.append((i, pos, message))
-        return replies
+        try:
+            while work or any(pending.values()):
+                if not work:
+                    for handle, queue in pending.items():
+                        if queue:
+                            drain_one(handle, queue)
+                    continue
+                i, (pos, message) = work.popleft()
+                handle = self._endpoint(pos)
+                queue = pending.setdefault(handle, deque())
+                if len(queue) >= PIPELINE_WINDOW:
+                    drain_one(handle, queue)
+                    work.appendleft((i, (pos, message)))
+                    continue
+                try:
+                    handle.send(message)
+                except CLOSED_ERRORS:
+                    self._mark_dead(handle)
+                    work.appendleft((i, (pos, message)))
+                    continue
+                queue.append((i, pos, message))
+        finally:
+            # A batch cut short by a lost shard still reads the replies
+            # it is owed.
+            for handle, queue in pending.items():
+                while queue:
+                    drain_one(handle, queue)
+        return [self._unwrap(reply, pos) for reply, pos in replies]
 
     # -- querying -------------------------------------------------------
 
@@ -821,7 +824,7 @@ class ClusterRouter:
             if primary.alive:
                 try:
                     self._unwrap(primary.request(reload), pos)
-                except _DEAD_SERVER_ERRORS:
+                except CLOSED_ERRORS:
                     self._mark_dead(primary)
             replica = self._replicas[pos]
             if replica is not None:
@@ -834,7 +837,7 @@ class ClusterRouter:
                 if replica.alive:
                     try:
                         self._unwrap(replica.request(reload), pos)
-                    except _DEAD_SERVER_ERRORS:
+                    except CLOSED_ERRORS:
                         self._mark_dead(replica)
             # A shard whose every server died mid-roll can no longer
             # serve — surface it now rather than on the next query.
@@ -890,7 +893,7 @@ class ClusterRouter:
         for handle in handles:
             if handle.alive and handle.process.is_alive():
                 try:
-                    handle.request(("shutdown",))
+                    handle.send(None)  # the stop request: no reply
                 except Exception:
                     pass
             handle.close_connection()

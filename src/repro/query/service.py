@@ -36,7 +36,16 @@ CPU-bound crawl serializes on the GIL no matter the pool size.
 is pickled once into each worker (a read-only mmap-backed store
 pickles as its ``(directory, generation)`` spec and reattaches by
 remapping — page bytes never cross the pipe, and every process shares
-the same OS page cache).  Thread tasks and process tasks return the
+the same OS page cache).  Each worker process is joined to the service
+by one duplex ``multiprocessing`` Pipe: a task is sent from the
+submitting thread as soon as a worker is free (else it waits in one
+FIFO), and one reader thread per worker takes each reply, hands the
+worker its next queued task and resolves the task's future.  The
+worker side is :func:`serve_requests`, the one request/reply loop that
+shard-server connections (:mod:`repro.query.cluster`) run too; a task
+that raises comes back as the exception object itself, so the caller
+re-raises its type, and a worker that dies breaks the pool
+(``BrokenProcessPool``).  Thread tasks and process tasks return the
 same tuple, so both modes aggregate through one path.
 ``batch_queries`` additionally groups in-flight queries into one
 :meth:`FLATIndex.range_query_multi
@@ -117,9 +126,12 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+import weakref
+from collections import OrderedDict, deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.pool import ExceptionWithTraceback
 
 import numpy as np
 
@@ -381,20 +393,89 @@ def serve_task(engine, prefetcher, queries, cold: bool, hint=None,
     return results, delta, info, seconds, shards
 
 
-# Process workers run module-level functions, so tasks pickle by
-# reference.  Generation 0 arrives pickled through the pool initializer;
+# A pool process and a shard-server connection run one request/reply
+# loop, serve_requests.  A reply is (True, value) or (False, exception):
+# the exception object itself, so the caller can raise its type, with
+# the worker's traceback as its __cause__.
+
+#: Connection failures that mean the peer is gone.
+CLOSED_ERRORS = (EOFError, OSError)
+
+
+def _send(conn, data) -> bool:
+    """Send *data* on *conn*; ``False`` if the peer is gone."""
+    try:
+        conn.send_bytes(data)
+    except CLOSED_ERRORS:
+        return False
+    return True
+
+
+def read_reply(conn) -> tuple:
+    """The next ``(ok, value)`` reply on *conn*.
+
+    Raises one of :data:`CLOSED_ERRORS` once the peer is gone; a reply
+    that does not unpickle comes back as ``(False, its error)``.
+    """
+    data = conn.recv_bytes()
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        return False, exc
+
+
+def serve_requests(conn, handle) -> bool:
+    """The one worker loop: answer every request on *conn* until it ends.
+
+    Each request is answered with ``(True, handle(request))``, or with
+    ``(False, exc)`` when unpickling or handling it raised *exc* (the
+    traceback arrives as ``exc.__cause__``); a value that does not
+    pickle is answered with its pickling error.  Returns ``True`` at a
+    ``None`` request — the stop request, which gets no reply — and
+    ``False`` once the peer is gone.
+    """
+    while True:
+        try:
+            data = conn.recv_bytes()
+        except CLOSED_ERRORS:
+            return False
+        try:
+            request = pickle.loads(data)
+            if request is None:
+                return True
+            reply = (True, handle(request))
+        except Exception as exc:  # answered; the worker serves on
+            reply = (False, ExceptionWithTraceback(exc, exc.__traceback__))
+        try:
+            data = pickle.dumps(reply)
+        except Exception as exc:  # a value or error that does not pickle
+            data = pickle.dumps((False, exc))
+        if not _send(conn, data):
+            return False
+
+
+# Process-pool tasks are (function, args, kwargs), the function pickled
+# by reference.  Generation 0 arrives pickled with the worker's start;
 # later generations are restored lazily from the (directory, generation)
 # spec a post-merge task carries.
 
-#: This worker process's generation cache (set by the pool initializer).
+#: This worker process's generation cache (set when the worker starts).
 _PROCESS_ENGINES: WorkerEngines | None = None
 
+#: The request that stops a pool worker.
+_STOP = pickle.dumps(None)
 
-def _process_worker_init(payload: bytes, prefetch_config=None) -> None:
+#: Why a task of a broken pool fails.
+_BROKEN = "a worker process exited unasked; the pool is not usable anymore"
+
+
+def _pool_worker(conn, payload: bytes, prefetch_config) -> None:
+    """A pool process: load generation 0, then run tasks from *conn*."""
     global _PROCESS_ENGINES
     _PROCESS_ENGINES = WorkerEngines(prefetch_config, owns_indexes=True)
     index = pickle.loads(payload)
     _PROCESS_ENGINES.get(0, lambda: index)
+    serve_requests(conn, lambda task: task[0](*task[1], **task[2]))
 
 
 def _restore_generation(generation: int, spec):
@@ -419,6 +500,119 @@ def _process_run_group(generation: int, spec, queries, cold: bool, hint=None,
         generation, lambda: _restore_generation(generation, spec)
     )
     return (os.getpid(), *serve_task(engine, prefetcher, queries, cold, hint, k))
+
+
+class _ProcessPool:
+    """*workers* processes, each joined to the service by one duplex Pipe.
+
+    :meth:`submit` pickles a task in the calling thread (a task that
+    does not pickle raises there) and sends it as soon as a worker is
+    free; otherwise the task waits in one FIFO, so no task queues
+    behind a slow one while another worker is idle.  One reader thread
+    per worker takes each reply, hands that worker the next queued
+    task, then resolves the task's future.  A worker that exits
+    unasked breaks the pool: its task, every queued task and every
+    later :meth:`submit` fail with ``BrokenProcessPool``.
+    """
+
+    def __init__(self, workers: int, context, payload: bytes, prefetch_config):
+        # Re-entrant: a garbage collection inside a locked section may
+        # run the owning service's finalizer, which calls stop().
+        self._lock = threading.RLock()
+        #: ``(future, pickled task)`` pairs waiting for a free worker.
+        self._queue: deque = deque()
+        #: Connections of free workers.
+        self._idle: list = []
+        #: Connection -> the future of the task its worker runs.
+        self._running: dict = {}
+        self._closing = self._broken = False
+        #: ``(process, reader thread, connection)`` per worker.
+        self._workers = []
+        for _ in range(workers):
+            conn, child = context.Pipe()
+            process = context.Process(target=_pool_worker, daemon=True,
+                                      args=(child, payload, prefetch_config))
+            process.start()
+            child.close()
+            reader = threading.Thread(target=self._read, args=(conn,), daemon=True)
+            self._workers.append((process, reader, conn))
+            self._idle.append(conn)
+        # Readers start once every worker is forked: no fork sees them.
+        for _process, reader, _conn in self._workers:
+            reader.start()
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        future = Future()
+        data = pickle.dumps((fn, args, kwargs))
+        with self._lock:
+            if self._broken:
+                raise BrokenProcessPool(_BROKEN)
+            if self._closing:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            self._queue.append((future, data))
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            self._dispatch(conn)
+        return future
+
+    def _dispatch(self, conn) -> None:
+        """Send the free worker on *conn* the next queued task; else idle
+        it, or stop it once the pool closes."""
+        with self._lock:
+            while self._queue:
+                future, data = self._queue.popleft()
+                if future.set_running_or_notify_cancel():  # else cancelled
+                    self._running[conn] = future
+                    break
+            else:  # nothing queued
+                if not self._closing:
+                    self._idle.append(conn)
+                    return
+                data = _STOP
+        _send(conn, data)  # a dead worker's reader fails the task
+
+    def _read(self, conn) -> None:
+        """One worker's reader thread."""
+        while True:
+            try:
+                ok, value = read_reply(conn)
+            except CLOSED_ERRORS:
+                break
+            future = self._running.pop(conn)
+            # The worker's next task goes out before this one's
+            # done-callbacks run.
+            self._dispatch(conn)
+            if ok:
+                future.set_result(value)
+            else:
+                future.set_exception(value)
+        with self._lock:
+            lost = self._running.pop(conn, None)
+            if lost is None and self._closing:
+                return  # stopped as asked
+            self._broken = True
+            failed = [f for f, _data in self._queue
+                      if f.set_running_or_notify_cancel()]
+            self._queue.clear()
+        for future in failed + ([] if lost is None else [lost]):
+            future.set_exception(BrokenProcessPool(_BROKEN))
+
+    def stop(self) -> None:
+        """Have every worker stop once the tasks submitted so far are
+        done; returns at once."""
+        with self._lock:
+            self._closing = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            _send(conn, _STOP)
+
+    def shutdown(self) -> None:
+        """:meth:`stop`, then wait for every worker and reader to end."""
+        self.stop()
+        for process, reader, conn in self._workers:
+            reader.join()
+            process.join()
+            conn.close()
 
 
 # -- the gather side -----------------------------------------------------
@@ -510,8 +704,9 @@ class QueryService:
         every query.  ``False`` serves warm: caches accumulate across
         queries within each worker.
     mode:
-        ``"thread"`` (default) or ``"process"``.  Process workers get
-        the index pickled once via the pool initializer; a read-only
+        ``"thread"`` (default) or ``"process"``.  Process workers
+        start with the service, each joined to it by one duplex Pipe,
+        and get the index pickled once at start; a read-only
         mmap-backed store reattaches by remapping its snapshot
         directory, so page bytes are shared through the OS page cache.
         Sharded indexes are thread-only.
@@ -607,7 +802,7 @@ class QueryService:
         self._generation = 0
         #: ``(directory, generation)`` a worker process restores
         #: :attr:`_base` from: the last merge's publish, or ``None`` for
-        #: generation 0, which arrives through the pool initializer.
+        #: generation 0, which every worker process starts with.
         self._spec = None
         #: Whether the service restored :attr:`_base` itself (after a
         #: process-mode merge) and so closes its store on :meth:`close`.
@@ -645,14 +840,13 @@ class QueryService:
         if mode == MODE_PROCESS:
             with_store = getattr(index, "with_store", None)
             clean = index if with_store is None else with_store(index.store.view())
-            payload = pickle.dumps(clean)
-            context = mp_context or multiprocessing.get_context()
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_process_worker_init,
-                initargs=(payload, self._prefetch_cfg),
+            self._pool = _ProcessPool(
+                workers, mp_context or multiprocessing.get_context(),
+                pickle.dumps(clean), self._prefetch_cfg,
             )
+            # The pool's reader threads keep it alive, so a service
+            # dropped unclosed stops its workers here.
+            weakref.finalize(self, self._pool.stop)
         else:
             self._pool = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix="query-worker"
@@ -1106,18 +1300,18 @@ class QueryService:
         """Shut the pool down.
 
         Idempotent and safe to call from several threads: *every*
-        caller returns only once the pool has shut down and all
-        in-flight queries finished (``Executor.shutdown`` is itself
-        idempotent, so later callers simply join the same shutdown).
-        ``submit``/``run`` after close raise :class:`RuntimeError`
-        instead of queueing onto a dead pool.
+        caller returns only once all in-flight queries finished and
+        every pool thread or worker process has stopped (a second
+        caller waits for the first).  ``submit``/``run`` after close
+        raise :class:`RuntimeError` instead of queueing onto a dead
+        pool.
         """
         with self._lifecycle_lock:
             self._closed = True
-        self._pool.shutdown(wait=True)
-        with self._commit_lock:
-            if self._owns_base:
-                self._base.store.close()
+            self._pool.shutdown()
+            with self._commit_lock:
+                if self._owns_base:
+                    self._base.store.close()
 
     def __enter__(self) -> "QueryService":
         return self

@@ -186,6 +186,17 @@ def _table_files(generation: int, codec: str, categories: list, table: list,
             (json.dumps(manifest) + "\n").encode())
 
 
+def require_keys(directory, source: str, present, keys) -> None:
+    """Raise :class:`SnapshotError` naming *directory*, *source* (the
+    file) and the first of *keys* that *present* lacks."""
+    for key in keys:
+        if key not in present:
+            raise SnapshotError(
+                f"snapshot directory {directory}: {source} is missing the "
+                f"{key!r} field"
+            )
+
+
 def _load_manifest(directory: Path, generation: int) -> dict:
     """Read and structurally validate one generation's manifest."""
     path = directory / manifest_filename(generation)
@@ -220,12 +231,7 @@ def _load_manifest(directory: Path, generation: int) -> dict:
     required = ["page_count", "physical_page_count", "page_table"]
     if version >= 3:
         required += ["codec", "segments", "data_bytes"]
-    for key in required:
-        if key not in manifest:
-            raise SnapshotError(
-                f"snapshot directory {directory}: manifest {path.name} is "
-                f"missing the {key!r} field"
-            )
+    require_keys(directory, f"manifest {path.name}", manifest, required)
     physical = int(manifest["physical_page_count"])
     if version == 2:
         # A v2 store is a v3 store avant la lettre: raw codec, one

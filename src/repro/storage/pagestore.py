@@ -511,15 +511,6 @@ class PageStore:
         )
         return payload
 
-    def read_many(self, page_ids) -> list:
-        """Fetch a batch of pages with the same accounting as :meth:`read`.
-
-        Batched crawls hand whole frontiers of object pages here instead
-        of issuing one :meth:`read` per record; the page-read accounting
-        is identical read-for-read.
-        """
-        return [self.read(int(page_id)) for page_id in page_ids]
-
     # -- decoded reads -------------------------------------------------
 
     def read_metadata(self, page_id: int, cached: bool = True,
@@ -572,7 +563,8 @@ class PageStore:
         """Decoded element arrays for a batch of pages.
 
         Exactly :meth:`read_elements` per page — one definition of the
-        read+decode path — with :meth:`read_many`'s accounting.
+        read+decode path, so the accounting is :meth:`read`'s, read for
+        read.
         """
         return [self.read_elements(int(page_id)) for page_id in page_ids]
 

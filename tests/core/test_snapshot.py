@@ -386,6 +386,51 @@ class TestIndexSnapshotRobustness:
         with pytest.raises(SnapshotError, match="missing index array bundle"):
             restore_index(directory)
 
+    @pytest.fixture
+    def store_opens(self, monkeypatch):
+        """Directories ``FilePageStore.open`` was called on."""
+        opened = []
+        original = FilePageStore.open
+
+        def spy(directory, *args, **kwargs):
+            opened.append(directory)
+            return original(directory, *args, **kwargs)
+
+        monkeypatch.setattr(FilePageStore, "open", spy)
+        return opened
+
+    @pytest.mark.parametrize("field", ["seed_root_id", "seed_height",
+                                       "element_count"])
+    def test_missing_manifest_field(self, tmp_path, store_opens, field):
+        # Refused before the store opens, so no pages.dat is left open.
+        directory = self._exported(tmp_path)
+        path = directory / index_meta_filename(0)
+        meta = json.loads(path.read_text())
+        del meta[field]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(SnapshotError) as raised:
+            restore_index(directory)
+        assert str(raised.value) == (
+            f"snapshot directory {directory}: index manifest {path.name} "
+            f"is missing the {field!r} field"
+        )
+        assert store_opens == []
+
+    def test_missing_array(self, tmp_path, store_opens):
+        directory = self._exported(tmp_path)
+        path = directory / index_arrays_filename(0)
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files
+                      if name != "record_slot"}
+        np.savez(path, **arrays)
+        with pytest.raises(SnapshotError) as raised:
+            restore_index(directory)
+        assert str(raised.value) == (
+            f"snapshot directory {directory}: index array bundle {path.name} "
+            "is missing the 'record_slot' field"
+        )
+        assert store_opens == []
+
     def test_missing_index_manifest_for_generation(self, tmp_path):
         directory = self._exported(tmp_path)
         (directory / index_meta_filename(0)).unlink()

@@ -132,8 +132,28 @@ class TestClusterPinnedToOracle:
         )
 
     def test_unknown_request_rejected(self, cluster_no_replicas):
-        with pytest.raises(ClusterError, match="unknown cluster request"):
+        with pytest.raises(ClusterError, match="unknown cluster request") as raised:
             cluster_no_replicas._request_one(0, ("frobnicate",))
+        # The server returns the exception object; the router keeps the
+        # "Type: msg" text and chains the original.
+        assert str(raised.value) == (
+            "shard 0 server error: ValueError: unknown cluster request 'frobnicate'"
+        )
+        assert type(raised.value.__cause__) is ValueError
+
+    def test_error_reply_mid_batch_leaves_the_connection_in_step(
+            self, snapshot_root, cluster_no_replicas):
+        _root, _oracle, queries, _points = snapshot_root
+        probe = ("range", queries[0], True, None)
+        expected, _stats = cluster_no_replicas._request_one(0, probe)
+        with pytest.raises(ClusterError, match="unknown cluster request"):
+            cluster_no_replicas._request_many(
+                [(0, ("frobnicate",)), (0, ("range", SPACE, True, None))]
+            )
+        # The full-space reply was read with the batch, so the next
+        # request gets its own answer.
+        got, _stats = cluster_no_replicas._request_one(0, probe)
+        assert np.array_equal(got, expected)
 
 
 class TestClusterAccounting:
@@ -344,9 +364,17 @@ class TestFailover:
 
     def test_no_replica_shard_loss_raises(self, snapshot_root,
                                           cluster_no_replicas):
+        _root, _oracle, queries, _points = snapshot_root
+        probe = ("range", queries[0], True, None)
+        expected = [cluster_no_replicas._request_one(pos, probe)[0]
+                    for pos in (0, 1)]
         cluster_no_replicas.kill_server(2, "primary")
         with pytest.raises(ClusterError, match="no live server"):
             cluster_no_replicas.range_query(SPACE)
+        # The surviving servers' full-space replies were read before the
+        # error surfaced: each answers the next request, not that one.
+        for pos, ids in zip((0, 1), expected):
+            assert np.array_equal(cluster_no_replicas._request_one(pos, probe)[0], ids)
 
     def test_launch_ships_full_copy_once(self, cluster):
         log = cluster.replication_log
@@ -504,3 +532,5 @@ class TestLifecycle:
                      + [r for r in router._replicas if r is not None]]
         router.close()
         assert all(not process.is_alive() for process in processes)
+        # Each server stopped on the loop's stop request, not by terminate().
+        assert [process.exitcode for process in processes] == [0] * len(processes)

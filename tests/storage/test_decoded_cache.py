@@ -140,12 +140,6 @@ class TestStoreDecodedReads:
         store.read_elements(page_id)
         assert store.stats.decodes_in(DECODE_ELEMENT) == 2
 
-    def test_read_many_matches_read(self):
-        store = PageStore()
-        ids = [element_page(store, seed=s)[0] for s in range(4)]
-        payloads = store.read_many(ids)
-        assert payloads == [store.read(i) for i in ids]
-
     def test_read_elements_many_uses_cache(self):
         store = PageStore()
         ids = [element_page(store, seed=s)[0] for s in range(3)]
