@@ -13,7 +13,7 @@ from repro.core.flat_index import BuildReport, CrawlStats, FLATIndex
 from repro.core.metadata import MetadataRecord, pack_records_into_pages
 from repro.core.neighbors import compute_neighbors, neighbor_counts
 from repro.core.partition import Partition, compute_partitions, coverage_gaps_exist
-from repro.core.seed_index import RecordBatch, SeedIndex
+from repro.core.seed_index import SeedIndex
 from repro.core.sharded import Shard, ShardedFLATIndex
 from repro.core.snapshot import (
     publish_fork_generation,
@@ -30,7 +30,6 @@ __all__ = [
     "FLATIndex",
     "MetadataRecord",
     "Partition",
-    "RecordBatch",
     "SeedIndex",
     "Shard",
     "ShardedFLATIndex",

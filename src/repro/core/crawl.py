@@ -4,11 +4,18 @@ A FLAT query seeds one metadata record, then breadth-first searches the
 neighbor graph: a record whose *page MBR* meets the query has its object
 page read, and one whose *partition MBR* meets it enqueues its neighbors
 (Sec. VI).  :func:`crawl` runs that search over ``(record, query)``
-pairs, one whole frontier per step: both guards run as vectorized
-predicates over the frontier's :class:`~repro.core.seed_index.RecordBatch`
-and the visited set is a bitmask indexed by ``record * queries + query``.
-The guards depend only on the record and the query box, so a pair is
-explored exactly when a one-query crawl would visit the record.
+pairs, one whole frontier per step, straight over the generation's
+:class:`~repro.core.seed_index.RecordTable`: one comparison of the
+frontier's bounds rows with the query keys answers both guards, the
+expanding rows' neighbors are one CSR gather, and the visited set is a
+bitmask indexed by ``record * queries + query``.  The guards depend
+only on the record and the query box, so a pair is explored exactly
+when a one-query crawl would visit the record.
+
+Each frontier reads its distinct metadata leaves in ascending page
+order, then its hit object pages in ascending ``(record, query)``
+order, the start pairs excepted (read in the order given), and filters
+all the hit pages' elements in one comparison.
 
 Callers differ only in their start pairs and in whether hit pages are
 filtered into results: ``FLATIndex.range_query`` (one query from its
@@ -21,14 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.intersect import boxes_intersect_box
-
-
-def _meets(mbrs: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Row-wise closed intersection of ``(N, 6)`` MBRs with ``(N | 1, 6)`` boxes."""
-    return np.all(
-        (mbrs[:, :3] <= boxes[:, 3:]) & (boxes[:, :3] <= mbrs[:, 3:]), axis=1
-    )
+from repro.core.seed_index import query_keys, sorted_unique
 
 
 def crawl(index, queries, rids, qids, collect=True, stats=None, probed=(),
@@ -57,55 +57,62 @@ def crawl(index, queries, rids, qids, collect=True, stats=None, probed=(),
         visited[:size] = False
     visited[rids * count + qids] = True
 
-    found = [[] for _ in range(count)]
+    qkeys = query_keys(queries)
+    found, found_qids = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     hits = [np.asarray(probed, dtype=np.int64)]
     dequeued = peak = 0
     while rids.size:
         dequeued += len(rids)
         peak = max(peak, len(rids))
-        batch = seed.fetch_records_batch(rids)
-        boxes = queries if count == 1 else queries[qids]
+        # The table's arrays are read after every fetch: a load may
+        # replace them.
+        table = seed.fetch_records_batch(rids)
+        guards = table.bounds[rids] <= (qkeys if count == 1 else qkeys[qids])
+        page_hits, expand = guards.reshape(-1, 2, 6).all(axis=2).T
 
-        page_hits = _meets(batch.page_mbrs, boxes)
-        pages = batch.object_page_ids[page_hits]
+        pages = table.object_page_ids[rids[page_hits]]
         page_qids = qids[page_hits]
         hits.append(pages * count + page_qids)
         if charged is not None:
             charged[seed.record_page[rids], qids] = True
             charged[pages, page_qids] = True
         elements = index.store.read_elements_many(pages)
-        if collect:
-            for page, qi, page_elements in zip(
-                pages.tolist(), page_qids.tolist(), elements
-            ):
-                mask = boxes_intersect_box(page_elements, queries[qi])
-                if mask.any():
-                    found[qi].append(index.object_page_element_ids[page][mask])
+        if collect and elements:
+            element_qids = np.repeat(page_qids, [len(e) for e in elements])
+            mbrs = np.concatenate(elements)
+            boxes = queries if count == 1 else queries[element_qids]
+            meets = (mbrs[:, :3] <= boxes[:, 3:]) & (boxes[:, :3] <= mbrs[:, 3:])
+            # Three column ANDs: numpy reduces rows of three more slowly.
+            mask = meets[:, 0] & meets[:, 1] & meets[:, 2]
+            ids = np.concatenate(
+                [index.object_page_element_ids[page] for page in pages.tolist()]
+            )
+            found.append(ids[mask])
+            found_qids.append(element_qids[mask])
 
-        expand = _meets(batch.partition_mbrs, boxes)
-        neighbors = batch.neighbors_of(expand)
-        if not neighbors.size:
-            break
+        rows = rids[expand]
+        lengths = table.neighbor_counts[rows]
+        # CSR row gather: offset each row's arange to its start.
+        shift = np.repeat(
+            table.neighbor_starts[rows] - np.cumsum(lengths) + lengths, lengths
+        )
+        neighbors = table.neighbor_ids[np.arange(len(shift)) + shift]
         if count > 1:
-            lengths = np.diff(batch.neighbor_offsets)[expand]
             neighbors = neighbors * count + np.repeat(qids[expand], lengths)
-        keys = np.unique(neighbors)
-        keys = keys[~visited[keys]]
-        visited[keys] = True
-        rids, qids = np.divmod(keys, count)
+        pairs = sorted_unique(neighbors[~visited[neighbors]])
+        visited[pairs] = True
+        rids, qids = np.divmod(pairs, count) if count > 1 else (pairs, pairs * 0)
 
     if stats is not None:
         stats.records_dequeued = dequeued
         stats.max_queue_length = peak
         # 8 bytes per visited pair, the scalar crawl's visited-set measure.
         stats.visited_bytes = dequeued * 8
-        stats.object_pages_read = len(np.unique(np.concatenate(hits)))
+        stats.object_pages_read = len(sorted_unique(np.concatenate(hits)))
     if not collect:
         return None
-    results = [
-        np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-        for parts in found
-    ]
+    ids, owners = np.concatenate(found), np.concatenate(found_qids)
+    order = np.lexsort((ids, owners))
     if stats is not None:
-        stats.result_count = sum(len(ids) for ids in results)
-    return results
+        stats.result_count = len(ids)
+    return np.split(ids[order], np.searchsorted(owners[order], np.arange(1, count)))

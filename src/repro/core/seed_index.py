@@ -10,19 +10,23 @@ Two roles (Sec. V-B.1/V-B.2):
   (usually buffered) metadata-page read.  Records are grouped onto
   leaves by STR tiling of their page MBRs, so each leaf covers a compact
   region and a crawl touches few distinct metadata pages.
+
+A parsed leaf's records live in the generation's :class:`RecordTable`
+as id-indexed arrays (signed guard bounds, object page ids and a CSR of
+neighbor ids): the one decoded form the seed phase and the crawl read.
 """
 
 from __future__ import annotations
 
 import copy
 import threading
-from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_union_many
-from repro.storage.pagestore import PageStore
+from repro.storage.pagestore import PageStore, PageStoreError
 from repro.storage.serial import (
     decode_metadata_page,
     decode_node_page,
@@ -38,41 +42,34 @@ from repro.rtree.rtree import pack_upper_levels
 from repro.rtree.str_bulk import str_groups
 
 
-@dataclass(frozen=True)
-class RecordBatch:
-    """A struct-of-arrays view of many metadata records at once.
+#: Sign of each :attr:`RecordTable.bounds` column: a row holds ``[lo,
+#: -hi]`` of its page MBR, then ``[lo, -hi]`` of its partition MBR.
+_SIGNS = np.array([1.0, 1, 1, -1, -1, -1] * 2)
 
-    Produced by :meth:`SeedIndex.fetch_records_batch`; the crawl kernel
-    consumes whole BFS frontiers in this form so intersection tests run
-    as single vectorized calls instead of per-record Python loops.
-    Neighbor pointers are stored in CSR form: the neighbors of row ``i``
-    are ``neighbor_ids[neighbor_offsets[i]:neighbor_offsets[i + 1]]``.
+
+def query_keys(queries: np.ndarray) -> np.ndarray:
+    """The ``(Q, 12)`` keys ``[hi, -lo, hi, -lo]`` of ``(Q, 6)`` boxes.
+
+    A table row's page MBR meets box ``q`` exactly when
+    ``bounds[row, :6] <= key[q, :6]`` in every column, and its partition
+    MBR when ``bounds[row, 6:] <= key[q, 6:]``: ``lo <= q_hi`` and
+    ``q_lo <= hi``, the second negated.  Negation is exact, so this is
+    the closed intersection test, bit for bit.
     """
+    queries = np.atleast_2d(queries)
+    half = np.concatenate([queries[:, 3:], -queries[:, :3]], axis=1)
+    return np.concatenate([half, half], axis=1)
 
-    record_ids: np.ndarray        #: (N,) record ids, in request order.
-    page_mbrs: np.ndarray         #: (N, 6) page MBRs.
-    partition_mbrs: np.ndarray    #: (N, 6) partition MBRs.
-    object_page_ids: np.ndarray   #: (N,) object page ids.
-    neighbor_offsets: np.ndarray  #: (N + 1,) CSR row offsets.
-    neighbor_ids: np.ndarray      #: (M,) concatenated neighbor record ids.
 
-    def __len__(self) -> int:
-        return len(self.record_ids)
-
-    def neighbors_of(self, mask: np.ndarray) -> np.ndarray:
-        """Concatenated neighbor ids of the rows selected by *mask*."""
-        selected = np.flatnonzero(mask)
-        if selected.size == 0:
-            return np.empty(0, dtype=np.int64)
-        starts = self.neighbor_offsets[selected]
-        lengths = self.neighbor_offsets[selected + 1] - starts
-        total = int(lengths.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64)
-        # Vectorized CSR row gather: offset each row's arange to its start.
-        row_ends = np.cumsum(lengths)
-        shift = np.repeat(starts - (row_ends - lengths), lengths)
-        return self.neighbor_ids[np.arange(total) + shift]
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a 1-d integer array, by one sort and a neighbor
+    compare: numpy 2's hashing ``np.unique`` costs several times more
+    at frontier sizes (tens to thousands of ids)."""
+    values = np.sort(values)
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 class RecordTable:
@@ -80,8 +77,14 @@ class RecordTable:
 
     The only decoded form of a metadata leaf: a crawl still reads every
     leaf it touches through the store, but a leaf is parsed only while
-    it is missing here, so each leaf is parsed once per generation and a
-    frontier gathers its rows with one fancy index.  Shared by
+    it is missing here, so each leaf is parsed once per generation.
+    Row ``rid`` of :attr:`bounds` holds ``[page_lo, -page_hi,
+    partition_lo, -partition_hi]``, so one comparison with
+    :func:`query_keys` answers both crawl guards for a whole frontier.
+    Neighbor lists are one CSR: the neighbors of ``rid`` are
+    ``neighbor_ids[neighbor_starts[rid]:][:neighbor_counts[rid]]``,
+    appended leaf by leaf; the flat array is replaced when it grows, so
+    read it after every load, never across one.  Shared by
     :meth:`SeedIndex.with_store` clones (loads lock: thread-mode workers
     crawl siblings at once); a cache, so never pickled, and dropped
     whole when the write path rewrites leaves.
@@ -98,31 +101,62 @@ class RecordTable:
         """Forget every row."""
         #: Leaf page ids whose records are loaded.
         self.leaves: set = set()
-        self.page_mbrs = self.partition_mbrs = np.empty((0, 6))
-        self.object_page_ids = self.neighbor_counts = np.empty(0, dtype=np.int64)
-        self.neighbors: list = []
+        self.bounds = np.empty((0, 12))
+        self.object_page_ids = self.neighbor_starts = np.empty(0, dtype=np.int64)
+        self.neighbor_counts = self.neighbor_ids = np.empty(0, dtype=np.int64)
+        self._neighbors_used = 0
 
     def load(self, leaf: int, record_ids: np.ndarray, records: list,
              record_count: int) -> None:
-        """Copy one decoded leaf's *records* into the rows *record_ids*."""
+        """Copy one decoded leaf's *records* into the rows *record_ids*
+        (every leaf holds at least one record)."""
+        if len(records) != len(record_ids):
+            raise PageStoreError(
+                f"metadata leaf page {leaf} holds {len(records)} records, "
+                f"but the seed index places {len(record_ids)} on it"
+            )
         with self._lock:
             if leaf in self.leaves:
                 return
             if not self.leaves:
-                self.page_mbrs = np.empty((record_count, 6), dtype=np.float64)
-                self.partition_mbrs = np.empty((record_count, 6), dtype=np.float64)
+                self.bounds = np.empty((record_count, 12))
                 self.object_page_ids = np.empty(record_count, dtype=np.int64)
-                self.neighbor_counts = np.zeros(record_count, dtype=np.int64)
-                self.neighbors = [None] * record_count
-            for rid, (page_mbr, partition_mbr, object_page_id, nbrs) in zip(
-                record_ids.tolist(), records
-            ):
-                self.page_mbrs[rid] = page_mbr
-                self.partition_mbrs[rid] = partition_mbr
-                self.object_page_ids[rid] = object_page_id
-                self.neighbors[rid] = np.asarray(nbrs, dtype=np.int64)
-                self.neighbor_counts[rid] = len(nbrs)
+                self.neighbor_starts = np.empty(record_count, dtype=np.int64)
+                self.neighbor_counts = np.empty(record_count, dtype=np.int64)
+            page_mbrs, partition_mbrs, object_page_ids, neighbors = zip(*records)
+            self.bounds[record_ids] = np.hstack([page_mbrs, partition_mbrs]) * _SIGNS
+            self.object_page_ids[record_ids] = object_page_ids
+            counts = np.fromiter(map(len, neighbors), np.int64, len(neighbors))
+            start = self._neighbors_used
+            end = start + int(counts.sum())
+            if end > len(self.neighbor_ids):
+                # Replaced, not resized in place: readers holding the old
+                # array still see every row loaded before this one.
+                grown = np.empty(max(end, 2 * len(self.neighbor_ids)), np.int64)
+                grown[:start] = self.neighbor_ids[:start]
+                self.neighbor_ids = grown
+            self.neighbor_ids[start:end] = np.fromiter(
+                chain.from_iterable(neighbors), np.int64, end - start
+            )
+            self.neighbor_starts[record_ids] = start + np.cumsum(counts) - counts
+            self.neighbor_counts[record_ids] = counts
+            self._neighbors_used = end
+            # Last: a reader that finds the leaf here reads its rows
+            # without the lock.
             self.leaves.add(leaf)
+
+    def record(self, rid: int) -> MetadataRecord:
+        """Row *rid* as a :class:`MetadataRecord` that owns its arrays."""
+        mbrs = self.bounds[rid] * _SIGNS
+        start = self.neighbor_starts[rid]
+        neighbors = self.neighbor_ids[start:start + self.neighbor_counts[rid]]
+        return MetadataRecord(
+            record_id=rid,
+            page_mbr=mbrs[:6],
+            partition_mbr=mbrs[6:],
+            object_page_id=int(self.object_page_ids[rid]),
+            neighbor_ids=tuple(neighbors.tolist()),
+        )
 
 
 class SeedIndex:
@@ -285,35 +319,24 @@ class SeedIndex:
         if records is not None:
             table.load(leaf, self.leaf_record_ids[leaf], records, self.record_count)
 
-    def fetch_records_batch(self, record_ids) -> RecordBatch:
-        """Read many metadata records as one struct-of-arrays batch.
+    def fetch_records_batch(self, record_ids) -> RecordTable:
+        """Read the metadata leaves of many records; return the record table.
 
         Every distinct leaf the ids sit on is read once through the
         store, in ascending page order, so the buffer pool and the
-        logical decode counters see exactly those reads.  The rows come
-        from the generation's :class:`RecordTable`, which parses a leaf
-        once, not once per batch or per query.
+        logical decode counters see exactly those reads.  Returns the
+        generation's :class:`RecordTable`, whose arrays are indexed by
+        record id; it parses a leaf once, not once per batch or per
+        query.  A later load may replace the table's arrays, so take
+        them from the table after this call and keep none across the
+        next one.
         """
         ids = np.atleast_1d(np.asarray(record_ids, dtype=np.int64))
         if ids.size and not (0 <= ids.min() and ids.max() < self.record_count):
             raise ValueError("record id out of range in batch")
-        for leaf in np.unique(self.record_page[ids]).tolist():
+        for leaf in sorted_unique(self.record_page[ids]).tolist():
             self._read_leaf(leaf)
-        table = self.records
-        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
-        np.cumsum(table.neighbor_counts[ids], out=offsets[1:])
-        neighbor_ids = np.concatenate(
-            [table.neighbors[rid] for rid in ids.tolist()]
-            or [np.empty(0, np.int64)]
-        )
-        return RecordBatch(
-            record_ids=ids,
-            page_mbrs=table.page_mbrs[ids],
-            partition_mbrs=table.partition_mbrs[ids],
-            object_page_ids=table.object_page_ids[ids],
-            neighbor_offsets=offsets,
-            neighbor_ids=neighbor_ids,
-        )
+        return self.records
 
     def iter_records(self):
         """Yield every record without I/O accounting (analysis/tests)."""
@@ -341,12 +364,14 @@ class SeedIndex:
         matching_element_slots)`` or ``None`` when the query is empty.
 
         Each leaf on the way is read through the store and its rows are
-        tested with one vectorized intersection over the record table;
-        candidates are probed in slot order.  Probed object pages go
+        tested with one comparison of their record-table bounds with the
+        query's key (:func:`query_keys`); candidates are probed in slot
+        order.  Probed object pages go
         through the store's decoded-page cache, so the crawl that
         follows never re-decodes a page the seed phase already parsed.
         """
         query = np.asarray(query, dtype=np.float64)
+        key = query_keys(query)[0, :6]
         probed: list = []
         self.last_probe_object_page_ids = probed
         table = self.records
@@ -356,21 +381,14 @@ class SeedIndex:
             if level == 0:
                 self._read_leaf(page_id)
                 ids = self.leaf_record_ids[page_id]
-                hits = ids[boxes_intersect_box(table.page_mbrs[ids], query)]
+                hits = ids[(table.bounds[ids, :6] <= key).all(axis=1)]
                 for rid in hits.tolist():
                     object_page_id = int(table.object_page_ids[rid])
                     probed.append(object_page_id)
                     elements = self.store.read_elements(object_page_id)
                     mask = boxes_intersect_box(elements, query)
                     if mask.any():
-                        record = MetadataRecord(
-                            record_id=rid,
-                            page_mbr=table.page_mbrs[rid].copy(),
-                            partition_mbr=table.partition_mbrs[rid].copy(),
-                            object_page_id=object_page_id,
-                            neighbor_ids=tuple(table.neighbors[rid].tolist()),
-                        )
-                        return record, np.flatnonzero(mask)
+                        return table.record(rid), np.flatnonzero(mask)
                 continue
             child_ids, child_mbrs, _leaf = decode_node_page(self.store.read(page_id))
             mask = boxes_intersect_box(child_mbrs, query)

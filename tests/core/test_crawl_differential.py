@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import FLATIndex
+from repro.core.seed_index import query_keys
 from repro.data.microcircuit import build_microcircuit
 from repro.geometry.intersect import boxes_intersect_box
 from repro.query import BenchmarkSpec, SCALED_SN_FRACTION
@@ -129,9 +130,8 @@ def assert_seed_matches_reference(flat, query):
         assert record.neighbor_ids == neighbor_ids
         assert np.array_equal(slots, want_slots)
         # The returned record owns its arrays: no view of the table.
-        assert not np.shares_memory(record.page_mbr, seed.records.page_mbrs)
-        assert not np.shares_memory(record.partition_mbr,
-                                    seed.records.partition_mbrs)
+        assert not np.shares_memory(record.page_mbr, seed.records.bounds)
+        assert not np.shares_memory(record.partition_mbr, seed.records.bounds)
 
 
 class TestSeedDifferential:
@@ -255,26 +255,84 @@ def test_differential_property(n, data_seed, query_seed):
     query = np.concatenate([lo, lo + rng.uniform(0, 40, size=3)])
     assert_crawls_identical(flat, store, query)
 
+    # The same query in a group beside its duplicate and an empty box:
+    # each answer is the scalar crawl's, and cold, the group reads what
+    # a serial cold loop over the same boxes reads.
+    group = np.stack([query, np.array([500.0, 500, 500, 501, 501, 501]), query])
+    want = flat.range_query_scalar(query)
+    before = store.stats.snapshot()
+    for box in group:
+        store.clear_cache()
+        flat.range_query(box)
+    serial_reads = store.stats.diff(before).reads
+    for cold in (True, False):
+        store.clear_cache()
+        before = store.stats.snapshot()
+        got = flat.range_query_multi(group, cold=cold)
+        assert np.array_equal(got[0], want)
+        assert np.array_equal(got[2], want)
+        assert got[1].size == 0
+        if cold:
+            assert store.stats.diff(before).reads == serial_reads
 
-class TestRecordBatchAPI:
-    def test_batch_matches_scalar_fetch(self):
+
+class TestRecordTableAPI:
+    """``fetch_records_batch`` reads the leaves and returns the record
+    table; rows are read from the table by record id."""
+
+    def test_table_rows_match_scalar_fetch(self):
         store = PageStore()
         flat = FLATIndex.build(store, random_mbrs(1500, seed=5))
         seed = flat.seed_index
         rng = np.random.default_rng(6)
         ids = rng.choice(seed.record_count, size=min(60, seed.record_count),
                          replace=False)
-        batch = seed.fetch_records_batch(ids)
-        assert np.array_equal(batch.record_ids, ids)
-        for pos, record_id in enumerate(ids):
-            record = seed.fetch_record(int(record_id))
-            assert np.array_equal(batch.page_mbrs[pos], record.page_mbr)
-            assert np.array_equal(batch.partition_mbrs[pos], record.partition_mbr)
-            assert batch.object_page_ids[pos] == record.object_page_id
-            start, end = batch.neighbor_offsets[pos], batch.neighbor_offsets[pos + 1]
-            assert tuple(batch.neighbor_ids[start:end]) == record.neighbor_ids
+        table = seed.fetch_records_batch(ids)
+        assert table is seed.records
+        for record_id in ids.tolist():
+            record = seed.fetch_record(record_id)
+            assert np.array_equal(
+                table.bounds[record_id],
+                np.concatenate([record.page_mbr[:3], -record.page_mbr[3:],
+                                record.partition_mbr[:3],
+                                -record.partition_mbr[3:]]),
+            )
+            assert table.object_page_ids[record_id] == record.object_page_id
+            start = table.neighbor_starts[record_id]
+            end = start + table.neighbor_counts[record_id]
+            assert tuple(table.neighbor_ids[start:end]) == record.neighbor_ids
+            row = table.record(record_id)
+            assert row.record_id == record.record_id
+            assert np.array_equal(row.page_mbr, record.page_mbr)
+            assert np.array_equal(row.partition_mbr, record.partition_mbr)
+            assert row.object_page_id == record.object_page_id
+            assert row.neighbor_ids == record.neighbor_ids
 
-    def test_batch_decodes_each_leaf_once(self):
+    def test_bounds_answer_both_guards(self):
+        """One comparison with the query keys equals both closed MBR
+        tests, boxes that only touch a row's MBR included."""
+        flat = FLATIndex.build(PageStore(), random_mbrs(1200, seed=14))
+        seed = flat.seed_index
+        ids = np.arange(seed.record_count)
+        table = seed.fetch_records_batch(ids)
+        records = [seed.fetch_record(rid) for rid in ids.tolist()]
+        page_mbrs = np.stack([r.page_mbr for r in records])
+        partition_mbrs = np.stack([r.partition_mbr for r in records])
+        rng = np.random.default_rng(15)
+        boxes = [np.concatenate([lo, lo + rng.uniform(0, 30, size=3)])
+                 for lo in rng.uniform(-10, 100, size=(20, 3))]
+        # Boxes whose faces lie exactly on a row's faces.
+        boxes += [np.concatenate([mbr[3:], mbr[3:] + 1]) for mbr in page_mbrs[:5]]
+        boxes += [np.concatenate([mbr[:3] - 1, mbr[:3]])
+                  for mbr in partition_mbrs[:5]]
+        keys = query_keys(np.stack(boxes))
+        for box, key in zip(boxes, keys):
+            meets = (table.bounds[ids] <= key).reshape(-1, 2, 6).all(axis=2)
+            assert np.array_equal(meets[:, 0], boxes_intersect_box(page_mbrs, box))
+            assert np.array_equal(meets[:, 1],
+                                  boxes_intersect_box(partition_mbrs, box))
+
+    def test_fetch_decodes_each_leaf_once(self):
         store = PageStore()
         flat = FLATIndex.build(store, random_mbrs(2000, seed=7))
         seed = flat.seed_index
@@ -283,36 +341,22 @@ class TestRecordBatchAPI:
         seed.fetch_records_batch(np.arange(seed.record_count))
         delta = store.stats.diff(before)
         assert delta.decodes_in(DECODE_METADATA) == flat.metadata_page_count
+        assert seed.records.leaves == set(seed.leaf_page_ids)
 
-    def test_empty_batch(self):
+    def test_empty_fetch_reads_nothing(self):
         store = PageStore()
         flat = FLATIndex.build(store, random_mbrs(100, seed=8))
-        batch = flat.seed_index.fetch_records_batch(np.empty(0, dtype=np.int64))
-        assert len(batch) == 0
-        assert batch.neighbors_of(np.empty(0, dtype=bool)).size == 0
+        before = store.stats.snapshot()
+        table = flat.seed_index.fetch_records_batch(np.empty(0, dtype=np.int64))
+        assert table is flat.seed_index.records
+        assert store.stats.diff(before).total_reads == 0
+        assert not table.leaves
 
     def test_out_of_range_batch_rejected(self):
         store = PageStore()
         flat = FLATIndex.build(store, random_mbrs(100, seed=9))
         with pytest.raises(ValueError):
             flat.seed_index.fetch_records_batch([flat.seed_index.record_count])
-
-    def test_neighbors_of_gathers_selected_rows(self):
-        store = PageStore()
-        flat = FLATIndex.build(store, random_mbrs(1200, seed=10))
-        seed = flat.seed_index
-        ids = np.arange(min(30, seed.record_count))
-        batch = seed.fetch_records_batch(ids)
-        mask = np.zeros(len(batch), dtype=bool)
-        mask[::3] = True
-        expected = np.concatenate(
-            [
-                np.asarray(seed.fetch_record(int(i)).neighbor_ids, dtype=np.int64)
-                for i in ids[mask]
-            ]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        assert np.array_equal(batch.neighbors_of(mask), expected)
 
 
 class TestResultCountRegression:

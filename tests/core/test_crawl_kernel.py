@@ -5,7 +5,8 @@ Every crawl reads its frontier rows from the seed index's
 ``with_store`` clones (same pages), starts fresh on ``fork()``, is
 dropped when the write path rewrites leaves, and is never pickled;
 the visited bitmask stays per clone, so sibling clones may crawl at
-the same time.
+the same time.  Its flat neighbor array is replaced when a load
+outgrows it, so a crawl reads it again after every frontier's fetch.
 """
 
 import pickle
@@ -13,9 +14,11 @@ import sys
 import threading
 
 import numpy as np
+import pytest
 
 from repro.core import FLATIndex
-from repro.storage import PageStore
+from repro.storage import PageStore, PageStoreError
+from repro.storage.serial import decode_metadata_page, encode_metadata_page
 
 
 def random_mbrs(n, seed=0):
@@ -71,6 +74,51 @@ def test_table_is_not_pickled():
     assert np.array_equal(copy.range_query(query), flat.range_query(query))
 
 
+def test_each_frontier_reads_the_neighbor_array_its_fetch_left():
+    """A cold crawl loads leaves frontier by frontier and the flat
+    neighbor array is replaced between two of them.  Every array the
+    table has let go is overwritten with ids no record has, so a crawl
+    that read one would fail; answers are still the scalar crawl's."""
+    flat = build()
+    seed = flat.seed_index
+    query = np.array([10.0, 10, 10, 60, 60, 60])
+    want = flat.range_query_scalar(query)
+    seed.records.clear()
+    arrays = []
+    fetch = seed.fetch_records_batch
+
+    def spy(record_ids):
+        table = fetch(record_ids)
+        for array in arrays:
+            if array is not table.neighbor_ids:
+                array.fill(np.iinfo(np.int64).max)
+        arrays.append(table.neighbor_ids)
+        return table
+
+    seed.fetch_records_batch = spy
+    assert np.array_equal(flat.range_query(query), want)
+    # Replaced after the first frontier: an array taken once per crawl
+    # would be stale in a later one.
+    assert any(array is not arrays[0] for array in arrays[1:])
+
+
+def test_a_leaf_with_a_wrong_record_count_raises_a_typed_error():
+    flat = build()
+    seed = flat.seed_index
+    leaf = next(leaf for leaf in seed.leaf_page_ids
+                if len(seed.leaf_record_ids[leaf]) > 1)
+    records = decode_metadata_page(flat.store.read_silent(leaf))
+    flat.store.rewrite(leaf, encode_metadata_page(records[:-1]))
+    seed.records.clear()
+    with pytest.raises(
+        PageStoreError,
+        match=(f"metadata leaf page {leaf} holds {len(records) - 1} records, "
+               f"but the seed index places {len(records)} on it"),
+    ):
+        seed.fetch_records_batch(seed.leaf_record_ids[leaf])
+    assert leaf not in seed.records.leaves
+
+
 def run_threads(targets, timeout=60):
     """Run one thread per target with a tiny switch interval; join all.
 
@@ -115,18 +163,14 @@ def test_sibling_clones_fill_one_cold_table_concurrently():
             barrier.wait()
             order = np.random.default_rng(round_ * 10 + pos).permutation(len(leaves))
             for leaf in order:
-                batch = clone.fetch_records_batch(leaves[leaf])
-                for row, rid in enumerate(batch.record_ids.tolist()):
-                    record = want[rid]
-                    start, end = batch.neighbor_offsets[row:row + 2]
+                table = clone.fetch_records_batch(leaves[leaf])
+                for rid in leaves[leaf].tolist():
+                    row, record = table.record(rid), want[rid]
                     if not (
-                        np.array_equal(batch.page_mbrs[row], record.page_mbr)
-                        and np.array_equal(
-                            batch.partition_mbrs[row], record.partition_mbr
-                        )
-                        and batch.object_page_ids[row] == record.object_page_id
-                        and tuple(batch.neighbor_ids[start:end])
-                        == record.neighbor_ids
+                        np.array_equal(row.page_mbr, record.page_mbr)
+                        and np.array_equal(row.partition_mbr, record.partition_mbr)
+                        and row.object_page_id == record.object_page_id
+                        and row.neighbor_ids == record.neighbor_ids
                     ):
                         bad.append((round_, pos, rid))
 

@@ -341,11 +341,11 @@ class TestLeavesPoolAsBlobs:
                 for rid, (page_mbr, partition_mbr, object_page_id, nbrs) in zip(
                     seed.leaf_record_ids[leaf].tolist(), rows
                 ):
-                    assert np.array_equal(table.page_mbrs[rid], page_mbr)
-                    assert np.array_equal(table.partition_mbrs[rid],
-                                          partition_mbr)
-                    assert table.object_page_ids[rid] == object_page_id
-                    assert table.neighbors[rid].tolist() == list(nbrs)
+                    row = table.record(rid)
+                    assert np.array_equal(row.page_mbr, page_mbr)
+                    assert np.array_equal(row.partition_mbr, partition_mbr)
+                    assert row.object_page_id == object_page_id
+                    assert row.neighbor_ids == tuple(nbrs)
         finally:
             store.close()
 
