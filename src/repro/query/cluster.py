@@ -21,8 +21,11 @@ and ``(directory, generation)`` reattach across process boundaries
   :func:`~repro.query.service.serve_requests`, owns a
   :class:`~repro.query.service.WorkerEngines` cache and a
   :class:`~repro.query.prefetch.SessionTracker`, and answers a range
-  request with :func:`~repro.query.service.serve_task` — staging a
-  session's predicted window after the answer.  A request that raises
+  request with the pool workers' task body,
+  :meth:`WorkerEngines.serve <repro.query.service.WorkerEngines.serve>`.
+  A session's predicted window is staged once the reply is sent and
+  before the connection's next request is read, so a ``status`` request
+  sees every staging failure before it.  A request that raises
   is answered with the exception object; the router raises
   :class:`ClusterError` (``shard N server error: Type: msg``) chained
   from it, and the server keeps serving.  Servers return
@@ -94,7 +97,6 @@ from repro.query.service import (
     WorkerEngines,
     read_reply,
     serve_requests,
-    serve_task,
 )
 from repro.storage.stats import IOStats
 
@@ -124,8 +126,9 @@ class ClusterError(RuntimeError):
 # pool processes run (serve_requests).  Each connection is a serving
 # worker like a QueryService pool worker — it owns one WorkerEngines
 # (stat-isolated clones of the newest generations over the single shared
-# mmap, each with its prefetcher) and one SessionTracker, and answers
-# range requests with the same serve_task body.
+# mmap, each with its prefetcher) and one SessionTracker, answers range
+# requests with the same task body (WorkerEngines.serve) and stages the
+# session's window after each reply.
 
 
 class _ShardServer:
@@ -167,26 +170,28 @@ class _ShardServer:
 
     def dispatch(self, request: tuple, engines: WorkerEngines,
                  sessions: SessionTracker):
-        """Answer one request on a connection's engines and sessions."""
+        """Answer one request on a connection's engines and sessions.
+
+        A range request's hint is left pending on *engines*; the
+        connection stages it once the reply is sent (:meth:`stage`).
+        """
         kind = request[0]
         if kind in ("range", "knn"):
             generation, index, element_ids = self.current
-            engine, prefetcher = engines.get(generation, lambda: index)
         if kind == "range":
             _kind, query, cold, session_id = request
             query = np.asarray(query, dtype=np.float64)
             hint = None if session_id is None else sessions.hint(session_id, query)
-            results, diff, prefetch, _seconds, _shards = serve_task(
-                engine, prefetcher, query[None, :], cold, hint
+            results, diff, _prefetch, _seconds, _shards = engines.serve(
+                generation, lambda: index, query[None, :], cold, hint,
+                stage_now=False,
             )
-            if prefetch["failures"]:
-                with self._failures_lock:
-                    self.prefetch_failures += prefetch["failures"]
             local = results[0]
             hits = element_ids[local] if local.size else _EMPTY_IDS
             return hits, diff
         if kind == "knn":
             _kind, point, k, cold = request
+            engine, _prefetcher = engines.get(generation, lambda: index)
             if cold:
                 engine.store.clear_cache()
             local, dists = engine.knn_query(
@@ -219,15 +224,25 @@ class _ShardServer:
             }
         raise ValueError(f"unknown cluster request {kind!r}")
 
+    def stage(self, engines: WorkerEngines) -> None:
+        """A connection's after-reply step: stage the window its last
+        answer left, counting a staging that raised.  A ``status``
+        request on the connection is read only after this ran."""
+        if engines.stage():
+            with self._failures_lock:
+                self.prefetch_failures += 1
+
     def serve_connection(self, conn, listener) -> None:
         """Serve one connection with the pool workers' loop,
-        :func:`~repro.query.service.serve_requests`; a request that
-        raises is answered with its exception, and the server lives on.
-        The loop's stop request (``None``) shuts the server down."""
+        :func:`~repro.query.service.serve_requests`, staging after each
+        reply (:meth:`stage`); a request that raises is answered with
+        its exception, and the server lives on.  The loop's stop request
+        (``None``) shuts the server down."""
         engines, sessions = self.connection_state()
         try:
             stopped = serve_requests(
-                conn, lambda request: self.dispatch(request, engines, sessions)
+                conn, lambda request: self.dispatch(request, engines, sessions),
+                lambda: self.stage(engines),
             )
         finally:
             conn.close()

@@ -34,7 +34,11 @@ buffer pool *before* the next query arrives:
 Every serving worker — a pool thread, a pool process or a shard-server
 connection — owns its prefetchers (one per index generation, see
 :class:`~repro.query.service.WorkerEngines`) and stages a hint only
-after answering the query that carried it.
+after answering the query that carried it: a pool thread before its
+task returns, a pool process or a shard-server connection once the
+answer is sent and before it reads its next request.  The staging then
+runs while the client reads the answer and submits its next query, and
+the worker's stores see the same page sequence either way.
 
 **Accounting contract.**  Prefetching only ever moves reads *earlier*
 — it never changes what a query returns or which pages it logically

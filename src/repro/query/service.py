@@ -16,10 +16,13 @@ bridges the two without giving up the accounting:
   so buffer pools, decoded-page caches, crawl scratch and
   :class:`~repro.storage.stats.IOStats` are worker-private while the
   page bytes (e.g. one read-only ``mmap``) are shared;
-* every task runs one body, :func:`serve_task`: answer the task's
-  queries on the worker's clone, diff the clone's counters, and only
-  then stage the task's prefetch hint.  The task returns its results,
-  its :class:`~repro.storage.stats.IOStats` *delta* and its prefetch
+* every task runs one body, :meth:`WorkerEngines.serve`: answer the
+  task's queries on the worker's clone and diff the clone's counters.
+  The task's prefetch hint is staged after the answer: by a pool
+  thread before its task returns, by a pool process (and a
+  shard-server connection) once its reply is sent and before it reads
+  the next request.  The task returns its results, its
+  :class:`~repro.storage.stats.IOStats` *delta* and its prefetch
   counts, and the parent merges the deltas in submission order —
   deterministic totals regardless of worker completion order;
 * a **sharded** index is served like any other engine: one task per
@@ -42,10 +45,11 @@ submitting thread as soon as a worker is free (else it waits in one
 FIFO), and one reader thread per worker takes each reply, hands the
 worker its next queued task and resolves the task's future.  The
 worker side is :func:`serve_requests`, the one request/reply loop that
-shard-server connections (:mod:`repro.query.cluster`) run too; a task
-that raises comes back as the exception object itself, so the caller
-re-raises its type, and a worker that dies breaks the pool
-(``BrokenProcessPool``).  Thread tasks and process tasks return the
+shard-server connections (:mod:`repro.query.cluster`) run too; its
+after-reply step stages the window the answer left, so the client
+turns the answer around while the worker stages.  A task that raises
+comes back as the exception object itself, so the caller re-raises its
+type, and a worker that dies breaks the pool (``BrokenProcessPool``).  Thread tasks and process tasks return the
 same tuple, so both modes aggregate through one path.
 ``batch_queries`` additionally groups in-flight queries into one
 :meth:`FLATIndex.range_query_multi
@@ -101,8 +105,17 @@ feeds each session's boxes to a
 session via ``session_id`` on :meth:`submit` / :meth:`run_session`),
 which extrapolates the next boxes; a confident prediction travels with
 the query's task as a *hint*, and the worker stages the predicted
-window into its own prefetch area after answering and before the task
-returns — in both modes.
+window into its own prefetch area after answering: a pool thread
+before its task returns (a thread's future resolves only then), a pool
+process once its answer is sent and before it reads its next task —
+off the query's blocking path, while the client turns the answer
+around.  Either way the worker's stores see the same page sequence, so
+reads, prefetch hits and staged pages repeat exactly.  A process
+worker reports a staging (its I/O, pages staged and failure) with its
+next answer; the last query of a :meth:`~QueryService.run_session`
+batch stages before its task returns, so a session's report holds
+every staging it started, and a stopped worker hands what it still
+holds to :meth:`~QueryService.close`.
 A session whose queries move between the threads or processes of a
 multi-worker pool can therefore miss the window another worker staged.
 Demand accounting stays meaningful either way: a staged page consumed
@@ -195,11 +208,18 @@ class ServiceReport:
     #: equals the reads of a prefetch-disabled run.
     prefetch_hits_by_category: dict = field(default_factory=dict)
     #: Physical page reads the *prefetcher* performed, per category —
-    #: reads moved earlier, never part of the demand totals.
+    #: reads moved earlier, never part of the demand totals.  Like
+    #: :attr:`prefetch_staged`, counted with the answer that reports
+    #: the staging: a pool thread's own answer; in process mode the
+    #: worker's next answer (a ``run_session`` batch's last query
+    #: reports its own), so a batch can include a staging an earlier
+    #: ``submit`` started.
     prefetch_reads_by_category: dict = field(default_factory=dict)
-    #: Pages staged into prefetch areas during this batch.
+    #: Pages staged into prefetch areas by the stagings this batch's
+    #: answers report.
     prefetch_staged: int = 0
-    #: Staged pages consumed by demand reads during this batch.
+    #: Staged pages consumed by demand reads during this batch, counted
+    #: with the answer whose reads consumed them.
     prefetch_consumed: int = 0
 
     @property
@@ -278,12 +298,13 @@ def _is_sharded(index) -> bool:
 # -- the worker side -----------------------------------------------------
 #
 # A pool thread, a pool process and a shard-server connection all serve
-# the same way: look up the task's generation in the worker's own
-# WorkerEngines, then run serve_task on that clone.
+# the same way: the worker's own WorkerEngines answers the task on its
+# clone of the task's generation, then stages the task's hint.
 
 
 class WorkerEngines:
-    """One serving worker's engine clones, one per index generation.
+    """One serving worker: its engine clones, one per index generation,
+    and the task body every serving worker runs.
 
     :meth:`get` returns the worker's ``(engine, prefetcher)`` for a
     generation, building both on first use from the index ``load()``
@@ -296,6 +317,15 @@ class WorkerEngines:
     :data:`KEPT_GENERATIONS` most recently used generations stay
     alive.  With *owns_indexes*, an evicted generation's own index
     store is closed as well (process workers restore theirs privately).
+
+    :meth:`serve` answers a task and leaves its prefetch hint pending;
+    :meth:`stage` stages it.  A pool thread stages before its task
+    returns.  A pool process and a shard-server connection stage once
+    the answer is sent, before they read their next request
+    (:func:`serve_requests`' after-reply step), so the client's next
+    step overlaps the staging while the worker's stores see the same
+    page sequence either way.  A staging's report waits in
+    :meth:`unreported` until the worker's next answer takes it.
     """
 
     def __init__(self, prefetch_config: PrefetchConfig | None = None,
@@ -304,6 +334,10 @@ class WorkerEngines:
         self._owns_indexes = owns_indexes
         #: generation -> (engine clone, Prefetcher or None, source index)
         self._entries: OrderedDict = OrderedDict()
+        #: ``(prefetcher, hint)`` the last answer left to stage, or ``None``.
+        self._pending = None
+        #: Prefetch I/O, pages staged and failures no answer reported yet.
+        self._unreported = {"io": IOStats(), "staged": 0, "failures": 0}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -330,73 +364,96 @@ class WorkerEngines:
                 close()
         return engine, prefetcher
 
+    def serve(self, generation: int, load, queries, cold: bool, hint=None,
+              k: int | None = None, stage_now: bool = True) -> tuple:
+        """Answer one task on the clone of *generation* (see :meth:`get`).
 
-def serve_task(engine, prefetcher, queries, cold: bool, hint=None,
-               k: int | None = None) -> tuple:
-    """Answer one task on a worker's engine clone, then stage *hint*.
+        *queries* is an ``(n, 6)`` group of range boxes — one joint
+        :meth:`~repro.core.flat_index.FLATIndex.range_query_multi` crawl
+        when ``n > 1`` — or, with *k*, one ``(1, 3)`` kNN point.  *cold*
+        drops the clone's caches before each query (the paper's cold-cache
+        regime).  *hint* is a predicted window for the generation's
+        prefetcher: the answer leaves it pending for :meth:`stage`, which
+        runs before this returns when *stage_now* is set.
 
-    *queries* is an ``(n, 6)`` group of range boxes — one joint
-    :meth:`~repro.core.flat_index.FLATIndex.range_query_multi` crawl
-    when ``n > 1`` — or, with *k*, one ``(1, 3)`` kNN point.  *cold*
-    drops the clone's caches before each query (the paper's cold-cache
-    regime).  *hint* is a predicted window the worker's *prefetcher*
-    stages once the answer is complete; a staging crawl that raises is
-    swallowed — prediction must never fail a query — and counted.
-
-    Returns ``(results, IOStats delta, prefetch info, seconds, shard
-    counts)``: one answer per query — a sorted id array, or the kNN
-    point's ``(ids, distances)`` top *k*; the demand I/O the clone's
-    store counted; ``None`` without a prefetcher, else a dict
-    of the prefetcher's I/O (``"io"``) and ``"staged"``,
-    ``"consumed"`` and ``"failures"`` counts during the task; the
-    answer's wall seconds; and ``(shards visited, shards pruned)`` from
-    a sharded clone's ``last_plan`` (zeros for a monolithic engine).
-    """
-    store = engine.store
-    if prefetcher is not None:
-        pf_counters = prefetcher.counters()
-    before = store.stats.snapshot()
-    t0 = time.perf_counter()
-    if len(queries) > 1:
-        results = engine.range_query_multi(queries, cold=cold)
-    else:
-        if cold:
-            store.clear_cache()
-        if k is None:
-            results = [engine.range_query(queries[0])]
+        Returns ``(results, IOStats delta, prefetch info, seconds, shard
+        counts)``: one answer per query — a sorted id array, or the kNN
+        point's ``(ids, distances)`` top *k*; the demand I/O the clone's
+        store counted; ``None`` without a prefetcher, else a dict of the
+        staged pages this answer ``"consumed"`` and of the prefetcher's
+        I/O (``"io"``), pages ``"staged"`` and ``"failures"`` in the
+        stagings no earlier answer reported (:meth:`unreported`); the
+        answer's wall seconds; and ``(shards visited, shards pruned)``
+        from a sharded clone's ``last_plan`` (zeros for a monolithic
+        engine).
+        """
+        engine, prefetcher = self.get(generation, load)
+        store = engine.store
+        if prefetcher is not None:
+            consumed = prefetcher.counters()["consumed"]
+        before = store.stats.snapshot()
+        t0 = time.perf_counter()
+        if len(queries) > 1:
+            results = engine.range_query_multi(queries, cold=cold)
         else:
-            results = [engine.knn_query(queries[0], k, return_distances=True)]
-    seconds = time.perf_counter() - t0
-    delta = store.stats.diff(before)
-    plan = getattr(engine, "last_plan", None)
-    shards = (0, 0) if plan is None else (len(plan.shards_selected),
-                                          plan.shards_pruned)
-    info = None
-    if prefetcher is not None:
+            if cold:
+                store.clear_cache()
+            if k is None:
+                results = [engine.range_query(queries[0])]
+            else:
+                results = [engine.knn_query(queries[0], k, return_distances=True)]
+        seconds = time.perf_counter() - t0
+        delta = store.stats.diff(before)
+        plan = getattr(engine, "last_plan", None)
+        shards = (0, 0) if plan is None else (len(plan.shards_selected),
+                                              plan.shards_pruned)
+        info = None
+        if prefetcher is not None:
+            consumed = prefetcher.counters()["consumed"] - consumed
+            if hint is not None:
+                self._pending = (prefetcher, hint)
+            if stage_now:
+                self.stage()
+            info = dict(self.unreported(), consumed=consumed)
+        return results, delta, info, seconds, shards
+
+    def stage(self) -> int:
+        """Stage the window the last answer left pending, if any.
+
+        A staging crawl that raises is swallowed — prediction must never
+        fail a query — and counted.  Returns its failures (0 or 1); its
+        prefetch I/O, pages staged and failures wait in
+        :meth:`unreported`.
+        """
+        if self._pending is None:
+            return 0
+        (prefetcher, hint), self._pending = self._pending, None
         # Only a staging crawl reads through the prefetcher's store.
-        staging = IOStats()
-        failures = 0
-        if hint is not None:
-            pf_io = prefetcher.io_stats()
-            try:
-                prefetcher.prefetch(hint)
-            except Exception:
-                failures = 1
-            staging = prefetcher.io_stats().diff(pf_io)
-        counters = prefetcher.counters()
-        info = {
-            "io": staging,
-            "staged": counters["staged"] - pf_counters["staged"],
-            "consumed": counters["consumed"] - pf_counters["consumed"],
-            "failures": failures,
-        }
-    return results, delta, info, seconds, shards
+        io, staged = prefetcher.io_stats(), prefetcher.counters()["staged"]
+        failed = 0
+        try:
+            prefetcher.prefetch(hint)
+        except Exception:
+            failed = 1
+        report = self._unreported
+        report["io"].merge(prefetcher.io_stats().diff(io))
+        report["staged"] += prefetcher.counters()["staged"] - staged
+        report["failures"] += failed
+        return failed
+
+    def unreported(self) -> dict:
+        """Take the prefetch I/O (``"io"``), pages ``"staged"`` and
+        ``"failures"`` of the stagings no answer has reported yet."""
+        report = self._unreported
+        self._unreported = {"io": IOStats(), "staged": 0, "failures": 0}
+        return report
 
 
 # A pool process and a shard-server connection run one request/reply
 # loop, serve_requests.  A reply is (True, value) or (False, exception):
 # the exception object itself, so the caller can raise its type, with
-# the worker's traceback as its __cause__.
+# the worker's traceback as its __cause__.  Once a reply is sent, the
+# loop's after-reply step stages the window the answer left.
 
 #: Connection failures that mean the peer is gone.
 CLOSED_ERRORS = (EOFError, OSError)
@@ -424,15 +481,17 @@ def read_reply(conn) -> tuple:
         return False, exc
 
 
-def serve_requests(conn, handle) -> bool:
+def serve_requests(conn, handle, after) -> bool:
     """The one worker loop: answer every request on *conn* until it ends.
 
     Each request is answered with ``(True, handle(request))``, or with
     ``(False, exc)`` when unpickling or handling it raised *exc* (the
     traceback arrives as ``exc.__cause__``); a value that does not
-    pickle is answered with its pickling error.  Returns ``True`` at a
-    ``None`` request — the stop request, which gets no reply — and
-    ``False`` once the peer is gone.
+    pickle is answered with its pickling error.  *after()* runs once
+    each reply is sent and before the next request is read: the
+    worker's after-reply step, which stages the window its answer left.
+    Returns ``True`` at a ``None`` request — the stop request, which
+    gets no reply — and ``False`` once the peer is gone.
     """
     while True:
         try:
@@ -452,6 +511,7 @@ def serve_requests(conn, handle) -> bool:
             data = pickle.dumps((False, exc))
         if not _send(conn, data):
             return False
+        after()
 
 
 # Process-pool tasks are (function, args, kwargs), the function pickled
@@ -470,12 +530,16 @@ _BROKEN = "a worker process exited unasked; the pool is not usable anymore"
 
 
 def _pool_worker(conn, payload: bytes, prefetch_config) -> None:
-    """A pool process: load generation 0, then run tasks from *conn*."""
+    """A pool process: load generation 0, then run tasks from *conn*,
+    staging each task's hint once its reply is sent.  Stopped, it sends
+    what no answer reported as one last ``(None, report)`` message."""
     global _PROCESS_ENGINES
-    _PROCESS_ENGINES = WorkerEngines(prefetch_config, owns_indexes=True)
+    engines = _PROCESS_ENGINES = WorkerEngines(prefetch_config, owns_indexes=True)
     index = pickle.loads(payload)
-    _PROCESS_ENGINES.get(0, lambda: index)
-    serve_requests(conn, lambda task: task[0](*task[1], **task[2]))
+    engines.get(0, lambda: index)
+    if serve_requests(conn, lambda task: task[0](*task[1], **task[2]),
+                      engines.stage):
+        _send(conn, pickle.dumps((None, engines.unreported())))
 
 
 def _restore_generation(generation: int, spec):
@@ -491,15 +555,17 @@ def _restore_generation(generation: int, spec):
 
 
 def _process_run_group(generation: int, spec, queries, cold: bool, hint=None,
-                       k: int | None = None) -> tuple:
-    """A pool process's task: :func:`serve_task` on its clone of *generation*.
+                       k: int | None = None, stage_now: bool = False) -> tuple:
+    """A pool process's task: :meth:`WorkerEngines.serve` on its clone of
+    *generation*.  The hint is staged after the reply is sent unless
+    *stage_now* asks for it before.
 
-    Returns ``(pid, *serve_task(...))``.
+    Returns ``(pid, *WorkerEngines.serve(...))``.
     """
-    engine, prefetcher = _PROCESS_ENGINES.get(
-        generation, lambda: _restore_generation(generation, spec)
-    )
-    return (os.getpid(), *serve_task(engine, prefetcher, queries, cold, hint, k))
+    return (os.getpid(), *_PROCESS_ENGINES.serve(
+        generation, lambda: _restore_generation(generation, spec), queries,
+        cold, hint, k, stage_now,
+    ))
 
 
 class _ProcessPool:
@@ -512,7 +578,9 @@ class _ProcessPool:
     per worker takes each reply, hands that worker the next queued
     task, then resolves the task's future.  A worker that exits
     unasked breaks the pool: its task, every queued task and every
-    later :meth:`submit` fail with ``BrokenProcessPool``.
+    later :meth:`submit` fail with ``BrokenProcessPool``.  A stopped
+    worker's last message, the staging report no answer carried, is
+    kept for :meth:`shutdown`.
     """
 
     def __init__(self, workers: int, context, payload: bytes, prefetch_config):
@@ -526,6 +594,8 @@ class _ProcessPool:
         #: Connection -> the future of the task its worker runs.
         self._running: dict = {}
         self._closing = self._broken = False
+        #: Staging reports stopped workers sent back.
+        self._unreported: list = []
         #: ``(process, reader thread, connection)`` per worker.
         self._workers = []
         for _ in range(workers):
@@ -578,6 +648,9 @@ class _ProcessPool:
                 ok, value = read_reply(conn)
             except CLOSED_ERRORS:
                 break
+            if ok is None:  # the stopped worker's last message
+                self._unreported.append(value)
+                continue
             future = self._running.pop(conn)
             # The worker's next task goes out before this one's
             # done-callbacks run.
@@ -606,13 +679,19 @@ class _ProcessPool:
         for conn in idle:
             _send(conn, _STOP)
 
-    def shutdown(self) -> None:
-        """:meth:`stop`, then wait for every worker and reader to end."""
+    def shutdown(self) -> list:
+        """:meth:`stop`, then wait for every worker and reader to end.
+
+        Returns, once, the staging reports the stopped workers sent back
+        (:meth:`WorkerEngines.unreported`).
+        """
         self.stop()
         for process, reader, conn in self._workers:
             reader.join()
             process.join()
             conn.close()
+        reports, self._unreported = self._unreported, []
+        return reports
 
 
 # -- the gather side -----------------------------------------------------
@@ -861,25 +940,29 @@ class QueryService:
             return self._generation, self._base, self._spec, self._delta
 
     def _thread_task(self, generation: int, index, queries, hint, k) -> tuple:
-        """A pool thread's task: :func:`serve_task` on its clone of *generation*."""
+        """A pool thread's task: :meth:`WorkerEngines.serve` on its clone
+        of *generation*.  A thread's future resolves only when the task
+        returns, so the hint is staged before that."""
         ident = threading.get_ident()
         engines = self._engines.get(ident)
         if engines is None:
             engines = self._engines[ident] = WorkerEngines(self._prefetch_cfg)
-        engine, prefetcher = engines.get(generation, lambda: index)
-        return (ident, *serve_task(engine, prefetcher, queries,
-                                   self.clear_cache_per_query, hint, k))
+        return (ident, *engines.serve(generation, lambda: index, queries,
+                                      self.clear_cache_per_query, hint, k))
 
-    def _task(self, current: tuple, queries, hint=None, k=None):
+    def _task(self, current: tuple, queries, hint=None, k=None,
+              stage_now: bool = False):
         """Submit one task against a captured ``(generation, base, spec,
-        delta)``; a kNN task asks the base for ``k + tombstone_count``."""
+        delta)``; a kNN task asks the base for ``k + tombstone_count``.
+        A process task stages its hint after its reply unless
+        *stage_now*."""
         generation, index, spec, delta = current
         if k is not None and delta is not None:
             k += delta.tombstone_count
         if self._mode == MODE_PROCESS:
             return self._pool.submit(
                 _process_run_group, generation, spec, queries,
-                self.clear_cache_per_query, hint, k,
+                self.clear_cache_per_query, hint, k, stage_now,
             )
         return self._pool.submit(self._thread_task, generation, index, queries,
                                  hint, k)
@@ -905,7 +988,13 @@ class QueryService:
 
     @property
     def prefetch_failures(self) -> int:
-        """Staging crawls that raised (and were swallowed), in either mode."""
+        """Staging crawls that raised (and were swallowed), in either mode.
+
+        Counted once the answer reporting the staging is in: a pool
+        thread's own answer; in process mode the worker's next answer,
+        except that a ``run_session`` batch's last query reports its
+        own and :meth:`close` adds what stopped workers still held.
+        """
         return self._prefetch_failures
 
     # -- serving --------------------------------------------------------
@@ -916,7 +1005,9 @@ class QueryService:
         With prefetching enabled, a *session_id* scopes the query to
         one analysis session: the box feeds that session's trajectory
         model, and a confident prediction rides with the task, which
-        stages it after answering — for the session's *next* query.
+        stages it after answering — for the session's *next* query.  A
+        process worker stages once this answer is sent and reports the
+        staging with its next answer (or to :meth:`close`).
         """
         self._check_open()
         query = np.asarray(query, dtype=np.float64)
@@ -953,9 +1044,12 @@ class QueryService:
         trajectory model learns from.  Each query captures the current
         generation and is one task; with prefetching enabled, the
         prediction made when query *i* is submitted is staged by the
-        worker right after it answers *i*, ready for query *i+1*.
-        Works with prefetching off too, as a sequential-latency
-        baseline.
+        worker right after it answers *i*, ready for query *i+1* — a
+        process worker once answer *i* is sent, while this thread
+        prepares *i+1*.  The last query's window is staged before its
+        task returns, so the report and :attr:`prefetch_failures` hold
+        every staging the session started.  Works with prefetching off
+        too, as a sequential-latency baseline.
 
         The report separates the session's demand I/O from prefetch
         I/O: ``reads_by_category`` + ``prefetch_hits_by_category`` per
@@ -970,11 +1064,15 @@ class QueryService:
         outcomes = []
         deltas = []
         t0 = time.perf_counter()
-        for query in queries:
+        for i, query in enumerate(queries):
             current = self._current()
             hint = self._hint(session_id, query)
             t_submit = time.perf_counter()
-            outcomes.append(self._task(current, query[None, :], hint).result())
+            # The last query stages before its task returns, so the
+            # report holds every staging the session started.
+            task = self._task(current, query[None, :], hint,
+                              stage_now=i == len(queries) - 1)
+            outcomes.append(task.result())
             report.latencies_seconds.append(time.perf_counter() - t_submit)
             deltas.append(current[3])
         report.wall_seconds = time.perf_counter() - t0
@@ -1308,7 +1406,10 @@ class QueryService:
         """
         with self._lifecycle_lock:
             self._closed = True
-            self._pool.shutdown()
+            # Stopped process workers hand back the stagings no answer
+            # reported; pool threads stage before their tasks return.
+            for report in self._pool.shutdown() or ():
+                self._absorb(IOStats(), set(), report["failures"])
             with self._commit_lock:
                 if self._owns_base:
                     self._base.store.close()
