@@ -12,7 +12,8 @@ run on a replicated fleet:
 * **rolling update** — apply an insert/delete batch shard-by-shard while
   querying; after every shard swap the answers must match the mixed
   old/new-generation oracle, and post-roll the fork oracle — with every
-  replica ship incremental (changed pages only, never a full copy).
+  replica ship incremental (each rebuilt shard's tail increment, never a
+  full copy); the roll's shipped bytes per rolled row are recorded.
 
 Exactness checks always gate the exit code.  The throughput-scaling
 check can be disabled with ``--scaling-gate 0`` for shared CI runners
@@ -173,6 +174,11 @@ def _rolling_update_drill(workdir, mbrs, space_mbr, queries, server_count,
             insert_mbrs=inserts, delete_ids=deletes, on_shard_updated=on_shard
         )
         results, _ = router.run(queries)
+        ship_bytes = sum(
+            entry["bytes_sent"] + entry["index_bytes_sent"]
+            for entry in report.shipping
+        )
+        rows = len(report.inserted_ids) + report.deleted_count
         return {
             "server_count": router.shard_count,
             "shards_rolled": len(report.shards_updated),
@@ -182,10 +188,8 @@ def _rolling_update_drill(workdir, mbrs, space_mbr, queries, server_count,
             "mid_roll_exact": mid_exact,
             "post_roll_exact": _exact(results, new_oracle, queries),
             "shipping": report.shipping,
-            "ship_bytes_sent": sum(
-                entry["bytes_sent"] + entry["index_bytes_sent"]
-                for entry in report.shipping
-            ),
+            "ship_bytes_sent": ship_bytes,
+            "ship_bytes_per_row": ship_bytes / rows if rows else 0.0,
             "incremental_ships": all(
                 not entry["full_copy"] for entry in report.shipping
             ),
@@ -323,7 +327,8 @@ def main(argv=None) -> int:
           f"{roll['roll_wall_seconds']:.3f}s, mid-roll exact="
           f"{roll['mid_roll_exact']}, post-roll exact="
           f"{roll['post_roll_exact']}, {sent} pages / "
-          f"{roll['ship_bytes_sent']:,} bytes shipped")
+          f"{roll['ship_bytes_sent']:,} bytes shipped "
+          f"({roll['ship_bytes_per_row']:,.0f} bytes per rolled row)")
     return finish(report, args.out)
 
 

@@ -86,8 +86,9 @@ class RecordTable:
     appended leaf by leaf; the flat array is replaced when it grows, so
     read it after every load, never across one.  Shared by
     :meth:`SeedIndex.with_store` clones (loads lock: thread-mode workers
-    crawl siblings at once); a cache, so never pickled, and dropped
-    whole when the write path rewrites leaves.
+    crawl siblings at once); a cache, so never pickled.  Leaves never
+    change once written: a mutation rebuilds the index, and the rebuild
+    starts a table of its own.
     """
 
     def __init__(self):
@@ -178,7 +179,7 @@ class SeedIndex:
         #: Internal levels above the metadata leaf pages.
         self.height = height
         #: Internal fanout cap the tree was built with (``None`` = full
-        #: page fanout); the write path rebuilds upper levels with it.
+        #: page fanout); a rebuild of the index keeps it.
         self.fanout = fanout
         self.leaf_page_ids = leaf_page_ids
         #: record id -> metadata leaf page id (what an on-disk neighbor

@@ -20,6 +20,14 @@ candidate.  The planner's decision for the most recent query is kept in
 :attr:`ShardedFLATIndex.last_plan` so harnesses report pruning next to
 the paper's page accounting.
 
+Updates have one path: :meth:`ShardedFLATIndex.apply_batch` (and
+``insert`` / ``delete`` over it) assigns global ids from the watermark
+and adopts :meth:`ShardedFLATIndex.merged`, which routes the batch to
+shards by centroid (widening a box an insert protrudes from, so pruning
+stays exact) and bulkloads every touched shard afresh; untouched shards
+are carried over as the same objects, which is how a cluster roll finds
+the shards it must publish.
+
 Persistence composes the monolithic machinery: ``snapshot()`` writes a
 shard manifest plus one self-describing FLAT snapshot directory per
 shard (each with its own ``pages.dat``), and ``restore()`` reopens
@@ -56,7 +64,7 @@ from repro.storage.pagestore import (
     PageStoreGroup,
     SnapshotError,
 )
-from repro.core.flat_index import CrawlStats, FLATIndex
+from repro.core.flat_index import CrawlStats, FLATIndex, merge_in_place
 from repro.core.partition import compute_partitions
 from repro.core.snapshot import restore_index, snapshot_index
 
@@ -203,43 +211,20 @@ class ShardedFLATIndex:
         )
 
     def fork(self) -> "ShardedFLATIndex":
-        """A copy-on-write clone that can be mutated independently.
+        """A clone that can be mutated independently of this index.
 
-        Every shard's inner index forks (shared unchanged pages, own
-        directories) and the planner's shard boxes are copied, so
-        updates on the fork — including shard-box widening — never
-        perturb this index or readers still crawling it.
+        It shares every shard, the planner and the routing directory; a
+        mutation (:meth:`apply_batch`) goes through :meth:`merged`,
+        which copies the planner and routing directory and replaces
+        only the shards it rebuilds, and the clone adopts the result,
+        so this index and readers still crawling it are never perturbed.
         """
-        shards = []
-        for shard in self.shards:
-            index = shard.index.fork()
-            shards.append(
-                Shard(
-                    shard_id=shard.shard_id,
-                    mbr=shard.mbr.copy(),
-                    element_ids=shard.element_ids.copy(),
-                    index=index,
-                    store=index.store,
-                )
-            )
-        clone = ShardedFLATIndex(
-            shards, self.planner.copy(), self.element_count, next_id=self._next_id
-        )
-        if self._element_shard is not None:
-            clone._element_shard = dict(self._element_shard)
+        clone = ShardedFLATIndex(list(self.shards), self.planner,
+                                 self.element_count, next_id=self._next_id)
+        clone._element_shard = self._element_shard
         return clone
 
     # -- updates ---------------------------------------------------------
-
-    def _check_mutable(self) -> None:
-        """Fail before any routing/planner state is touched when any
-        shard's store is read-only (restored sets mutate via fork)."""
-        for shard in self.shards:
-            if not shard.store.backend.writable:
-                raise PageStoreError(
-                    f"shard {shard.shard_id} store is read-only (restored "
-                    "snapshot); fork() the index and mutate the fork"
-                )
 
     def _routing_directory(self) -> dict:
         """``global element id -> shard position``, built on first use.
@@ -263,10 +248,9 @@ class ShardedFLATIndex:
         """Insert elements; returns their newly assigned global ids.
 
         Each element routes to the shard whose box contains its
-        centroid (smallest such box; the closest box for outliers).
-        When the element's MBR protrudes beyond the routed shard's box,
-        the box — and the planner's copy of it — widens first, so
-        planner pruning stays exact.  Ids are assigned in batch order,
+        centroid (smallest such box; the closest box for outliers), and
+        a box the element's MBR protrudes from widens, so planner
+        pruning stays exact.  Ids are assigned in batch order,
         monotonically increasing, which keeps every shard's
         local-to-global id map sorted and the ``(distance, id)``
         tie-break consistent between local and global views.
@@ -287,72 +271,15 @@ class ShardedFLATIndex:
     ) -> np.ndarray:
         """Apply one commit's inserts and deletes across the shard set.
 
-        The sharded mirror of :meth:`FLATIndex.apply_batch` — and a
-        cluster rolling update's entry point (a delta merge rebuilds
-        through :meth:`merged` instead): :meth:`_route` sends inserts
-        to shards by centroid (widening protruding shard boxes so
-        planner pruning stays exact) and deletes through the global
-        directory, and each touched shard absorbs its whole slice of
-        the commit through one inner ``apply_batch`` (one link-repair
-        pass and one metadata flush per shard per commit).  Same
-        contract as the monolithic version: ``delete_ids`` must name
-        live committed elements (``KeyError`` names every missing id,
-        duplicates raise ``ValueError``, validation precedes any
-        mutation), an empty batch is a cheap no-op, and
-        ``insert_ids``/``next_id`` replay already-assigned ids.
+        The sharded mirror of :meth:`FLATIndex.apply_batch
+        <repro.core.flat_index.FLATIndex.apply_batch>`, with the same
+        contract: ids come from the global watermark (or replay
+        *insert_ids*), :meth:`merged` rebuilds every touched shard, and
+        this index adopts the result — untouched shards stay the same
+        objects.
         """
-        if insert_mbrs is None:
-            insert_mbrs = np.empty((0, 6), dtype=np.float64)
-        insert_mbrs = validate_mbrs(np.atleast_2d(insert_mbrs))
-        if delete_ids is None:
-            delete_ids = np.empty(0, dtype=np.int64)
-        delete_ids = np.atleast_1d(np.asarray(delete_ids, dtype=np.int64))
-        if insert_ids is not None:
-            new_ids = np.atleast_1d(np.asarray(insert_ids, dtype=np.int64))
-            if len(new_ids) != len(insert_mbrs):
-                raise ValueError(
-                    f"insert_ids has {len(new_ids)} ids for "
-                    f"{len(insert_mbrs)} elements"
-                )
-        else:
-            new_ids = np.arange(
-                self._next_id, self._next_id + len(insert_mbrs), dtype=np.int64
-            )
-        if not len(insert_mbrs) and not len(delete_ids):
-            if next_id is not None:
-                self._next_id = max(self._next_id, int(next_id))
-            return new_ids
-        self._check_mutable()
-        per_shard_inserts, per_shard_deletes = self._route(
-            insert_mbrs, new_ids, delete_ids
-        )
-        for pos in sorted(set(per_shard_inserts) | set(per_shard_deletes)):
-            shard = self.shards[pos]
-            shard.mbr = self.planner.shard_mbrs[pos]
-            gids, local_mbrs = _slice(per_shard_inserts.get(pos))
-            # element_ids stays sorted (ids are assigned monotonically
-            # and deleted slots keep their stale values), so the local
-            # id of a live global id is its searchsorted position — and
-            # appends leave existing positions untouched, so the delete
-            # slice stays valid while the same call inserts.
-            local_deletes = np.searchsorted(
-                shard.element_ids,
-                np.asarray(per_shard_deletes.get(pos, []), dtype=np.int64),
-            )
-            local = shard.index.apply_batch(
-                insert_mbrs=local_mbrs, delete_ids=local_deletes
-            )
-            if len(gids):
-                expected = np.arange(
-                    len(shard.element_ids), len(shard.element_ids) + len(gids)
-                )
-                if not np.array_equal(local, expected):
-                    raise AssertionError("shard-local id assignment drifted")
-                shard.element_ids = np.append(shard.element_ids, gids)
-        self.element_count += len(new_ids) - len(delete_ids)
-        if next_id is not None:
-            self._next_id = max(self._next_id, int(next_id))
-        return new_ids
+        return merge_in_place(self, insert_mbrs, delete_ids, insert_ids,
+                              next_id)
 
     def _route(self, insert_mbrs: np.ndarray, new_ids: np.ndarray,
                delete_ids: np.ndarray) -> tuple:
@@ -413,8 +340,8 @@ class ShardedFLATIndex:
 
         The sharded mirror of :meth:`FLATIndex.merged
         <repro.core.flat_index.FLATIndex.merged>`.  The batch routes
-        through :meth:`_route`, the routing :meth:`apply_batch` uses,
-        on a copy of the planner and routing directory; each shard that
+        through :meth:`_route` on a copy of the planner and routing
+        directory; each shard that
         gains or loses an element is rebuilt by its index's ``merged``
         (shard-local ids kept, inserts appended to its id map), and
         every other shard is carried over as the same object.  This

@@ -1,12 +1,12 @@
 """Persist a built FLAT index to a directory and reopen it from disk.
 
-A snapshot directory holds numbered, copy-on-write *generations*:
+A snapshot directory holds numbered, append-only *generations*:
 
 * ``pages.dat`` / ``categories.bin`` / ``manifest-NNNNNN.json`` — the
   page store (see :mod:`repro.storage.filestore`): the data file is
   append-only, each generation's manifest carries the page-translation
-  table of that moment, so unchanged pages are shared byte-for-byte
-  between generations and older generations stay restorable.
+  table of that moment, and a generation only appends pages, so older
+  generations stay restorable.
 * ``index-NNNNNN.npz`` — that generation's in-RAM directories: the
   record directory (``record_page`` / ``record_slot``), the seed tree's
   leaf page ids, the object-page → element-id mapping (CSR form) and
@@ -18,9 +18,9 @@ A snapshot directory holds numbered, copy-on-write *generations*:
 ``snapshot_index`` exports an index into a fresh directory as
 generation 0; ``snapshot_generation`` publishes the current state of an
 index living on a *writable* file store as the next generation in
-place (rewritten pages were already append-redirected, so this is the
-cheap path the mutable serving stack uses); ``publish_fork_generation``
-publishes a fork of a restored generation; ``ship_index_generation``
+place (its rebuilds already appended their pages to that store);
+``publish_fork_generation`` publishes a rebuild of a restored
+generation, which lives on an overlay over it; ``ship_index_generation``
 copies one generation into a replica.  All four hand the generation's
 two index files, as bytes, to the store's one writer
 (:func:`~repro.storage.filestore.publish_generation`), which writes
@@ -60,7 +60,8 @@ from repro.storage.pagestore import OverlayPageBackend, PageStoreError, Snapshot
 
 #: Bumped on any incompatible change to the index serialization.
 #: Version 2 introduced numbered generations and the write-path fields
-#: (id watermark, page capacity, seed fanout, dead-record slots).
+#: (id watermark, page capacity, seed fanout; directories written before
+#: updates became rebuilds may hold dead-record slots).
 INDEX_FORMAT_VERSION = 2
 
 #: Fields of ``index-N.json`` and arrays of ``index-N.npz`` that a
@@ -185,30 +186,24 @@ def snapshot_generation(flat) -> int:
     return backend.commit_generation(_index_files(flat, generation))
 
 
-def publish_fork_generation(flat, expected_base: int | None = None) -> tuple:
-    """Publish a forked index as the next on-disk generation of its base.
+def publish_fork_generation(flat) -> tuple:
+    """Publish a rebuilt index as the next on-disk generation of its base.
 
-    *flat* must be a fork of a restored snapshot — an index whose store
-    is an :class:`~repro.storage.pagestore.OverlayPageBackend` over a
-    read-only mmap-backed :class:`~repro.storage.filestore.FilePageBackend`.
-    The overlay's changed pages are appended to the base directory
-    (copy-on-write: the fork's parent generation and every older one
-    stay restorable) and published with this generation's index files
-    by :func:`~repro.storage.filestore.append_overlay_generation`, the
-    manifest last.  Returns ``(directory, generation)`` — the spec a
-    reader in *any* process needs to restore exactly this committed
-    state.
+    *flat* must live on an :class:`~repro.storage.pagestore.OverlayPageBackend`
+    over a read-only mmap-backed
+    :class:`~repro.storage.filestore.FilePageBackend` — what a mutation
+    of a restored index (:meth:`~repro.core.flat_index.FLATIndex.merged`,
+    ``apply_batch``) rebuilds onto.  The overlay's pages are appended to
+    the base directory (its parent generation and every older one stay
+    restorable) and published with this generation's index files by
+    :func:`~repro.storage.filestore.append_overlay_generation`, the
+    manifest last; an overlay whose base generation is no longer the
+    directory's latest is refused there, before anything is written.
+    Returns ``(directory, generation)`` — the spec a reader in *any*
+    process needs to restore exactly this committed state.
 
-    *expected_base* pins the generation this commit believes is the
-    directory's latest: if another publisher advanced the directory in
-    the meantime, the commit is refused with
-    :class:`~repro.storage.pagestore.SnapshotError` instead of silently
-    forking the lineage (a serial publisher passes the generation of
-    its own last publish — or of its original restore, before the
-    first one).  Publishing is single-writer per directory.
-
-    This is how cross-process serving propagates update commits: the
-    committing process publishes, worker processes lazily
+    This is how cross-process serving propagates merges: the committing
+    process publishes, worker processes lazily
     :meth:`~repro.core.flat_index.FLATIndex.restore` the named
     generation on their first post-commit task.
     """
@@ -218,20 +213,13 @@ def publish_fork_generation(flat, expected_base: int | None = None) -> tuple:
         base, FilePageBackend
     ):
         raise PageStoreError(
-            "publish_fork_generation() needs a fork of a restored snapshot "
-            "(an overlay over a read-only file store); snapshot the index "
-            "to disk and fork the restored copy instead"
+            "publish_fork_generation() needs a rebuild of a restored "
+            "snapshot (an overlay over a read-only file store); snapshot "
+            "the index to disk and mutate the restored copy instead"
         )
     directory = base.directory
-    latest = latest_generation(directory)
-    if expected_base is not None and latest != expected_base:
-        raise SnapshotError(
-            f"snapshot directory {directory}: commit built on generation "
-            f"{expected_base} but the directory has advanced to {latest}; "
-            "generation publishing is single-writer per directory"
-        )
     return directory, append_overlay_generation(
-        backend, _index_files(flat, latest + 1)
+        backend, _index_files(flat, latest_generation(directory) + 1)
     )
 
 
@@ -348,8 +336,9 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
         pointer_counts = bundle["pointer_counts"]
 
     # Leaf page id -> record ids in slot order, rebuilt from the record
-    # directory (one lexsort instead of a per-leaf scan).  Records
-    # retired by merges carry a -1 leaf and are skipped.
+    # directory (one lexsort instead of a per-leaf scan).  Directories
+    # written before updates became rebuilds may hold retired records
+    # with a -1 leaf; they are skipped.
     alive = np.flatnonzero(record_page >= 0)
     order = alive[np.lexsort((record_slot[alive], record_page[alive]))]
     boundaries = np.flatnonzero(np.diff(record_page[order])) + 1

@@ -2,10 +2,10 @@
 
 Everything below one machine's worker pool already exists in this repo:
 gap-free spatial shards with an exact MBR-pruning
-:class:`~repro.query.planner.QueryPlanner` (PR 3), numbered
-copy-on-write snapshot generations published by atomic rename (PR 4),
-and ``(directory, generation)`` reattach across process boundaries
-(PR 6).  This module promotes those pieces to a serving *fleet*:
+:class:`~repro.query.planner.QueryPlanner`, numbered append-only
+snapshot generations published by atomic rename, and ``(directory,
+generation)`` reattach across process boundaries.  This module promotes
+those pieces to a serving *fleet*:
 
 * :class:`ShardServerHandle` / :func:`_serve_shard` — one **shard
   server** process per shard.  Each server restores its shard's
@@ -48,23 +48,24 @@ and ``(directory, generation)`` reattach across process boundaries
 * **Replication & failover** — a replica fleet is populated by
   *shipping* each shard's snapshot generation directory
   (:func:`~repro.core.snapshot.ship_index_generation`): ``pages.dat``
-  is append-only and generations are copy-on-write, so an up-to-date
+  is append-only and a generation only appends, so an up-to-date
   replica receives only the tail pages a new generation appended,
   never the unchanged prefix.  When a server dies mid-request the
   router marks it, replays the in-flight requests of that connection
   on the shard's replica and keeps routing there — reads are
   idempotent, so replay is safe.
 * **Rolling updates** — :meth:`ClusterRouter.apply_updates` applies an
-  insert/delete batch to a copy-on-write fork of the control replica
-  (the same fork-swap commit the single-machine service uses), then
-  walks the touched shards one at a time: publish the shard's next
-  generation in place, ship the increment to the replica, tell both
-  servers to ``reload`` (an atomic index swap inside the server), and
-  only then move to the next shard.  The fleet serves continuously;
-  a query observes, per shard, either the old or the new generation —
-  never a torn page state — and the planner adopts the fork's
-  (grow-only) widened shard boxes up front so pruning stays exact
-  throughout the roll.
+  insert/delete batch to a fork of the control replica, which rebuilds
+  every shard the batch touches
+  (:meth:`~repro.core.sharded.ShardedFLATIndex.merged`, the bulkload a
+  single-machine merge runs), then walks the rebuilt shards one at a
+  time: publish the shard's rebuild as its next generation, ship that
+  tail increment to the replica, tell both servers to ``reload`` (an
+  atomic index swap inside the server), and only then move to the next
+  shard.  The fleet serves continuously; a query observes, per shard,
+  either the old or the new generation — never a torn page state — and
+  the planner adopts the fork's (grow-only) widened shard boxes up
+  front so pruning stays exact throughout the roll.
 
 The router is single-threaded by design (one logical request stream
 per server connection); run several routers for concurrent fronts.
@@ -173,7 +174,12 @@ class _ShardServer:
         """Answer one request on a connection's engines and sessions.
 
         A range request's hint is left pending on *engines*; the
-        connection stages it once the reply is sent (:meth:`stage`).
+        connection stages it once the reply is sent (:meth:`stage`).  A
+        range reply is ``(global ids, IOStats diff, prefetch info)``,
+        the info as :meth:`WorkerEngines.serve
+        <repro.query.service.WorkerEngines.serve>` returns it: the
+        staged pages this answer consumed, and the I/O and pages staged
+        of the stagings no earlier reply on the connection reported.
         """
         kind = request[0]
         if kind in ("range", "knn"):
@@ -182,13 +188,13 @@ class _ShardServer:
             _kind, query, cold, session_id = request
             query = np.asarray(query, dtype=np.float64)
             hint = None if session_id is None else sessions.hint(session_id, query)
-            results, diff, _prefetch, _seconds, _shards = engines.serve(
+            results, diff, prefetch, _seconds, _shards = engines.serve(
                 generation, lambda: index, query[None, :], cold, hint,
                 stage_now=False,
             )
             local = results[0]
             hits = element_ids[local] if local.size else _EMPTY_IDS
-            return hits, diff
+            return hits, diff, prefetch
         if kind == "knn":
             _kind, point, k, cold = request
             engine, _prefetcher = engines.get(generation, lambda: index)
@@ -383,6 +389,14 @@ class ClusterReport:
     per_query_results: list = field(default_factory=list)
     #: Session id the batch was served under (``None`` = no prefetching).
     session_id: str | None = None
+    #: Physical page reads the servers' prefetchers performed, per
+    #: category, as :class:`~repro.query.service.ServiceReport` counts
+    #: them: a staging is reported with its connection's next answer.
+    prefetch_reads_by_category: dict = field(default_factory=dict)
+    #: Pages staged by the stagings this batch's answers report.
+    prefetch_staged: int = 0
+    #: Staged pages consumed by this batch's demand reads.
+    prefetch_consumed: int = 0
     #: Servers the router declared dead while serving this batch.
     servers_lost: int = 0
 
@@ -724,7 +738,8 @@ class ClusterRouter:
         server's whole :class:`~repro.storage.stats.IOStats` diff for
         the request; the report merges them with
         :meth:`~repro.storage.stats.IOStats.merge`, which keeps
-        prefetch hits separate from physical reads.
+        prefetch hits separate from physical reads, and folds in the
+        reply's prefetch info (staging reads, staged and consumed pages).
         """
         self._check_open()
         queries = np.asarray(queries, dtype=np.float64)
@@ -751,15 +766,20 @@ class ClusterRouter:
         replies = self._request_many(requests)
         report.wall_seconds = time.perf_counter() - t0
         results = []
+        prefetch_io = IOStats()
         for start, count, query in spans:
             parts = []
-            for ids, stats in replies[start:start + count]:
+            for ids, stats, prefetch in replies[start:start + count]:
                 parts.append(ids)
                 report.stats.merge(stats)
+                prefetch_io.merge(prefetch["io"])
+                report.prefetch_staged += prefetch["staged"]
+                report.prefetch_consumed += prefetch["consumed"]
             ids = QueryPlanner.merge_sorted_ids(parts)
             if self.delta is not None:
                 ids = self.delta.overlay(ids, query)
             results.append(ids)
+        report.prefetch_reads_by_category = dict(sorted(prefetch_io.reads.items()))
         report.query_count = len(results)
         report.per_query_results = [len(ids) for ids in results]
         report.result_elements = sum(report.per_query_results)
@@ -780,25 +800,28 @@ class ClusterRouter:
                       on_shard_updated=None) -> ClusterUpdateReport:
         """Apply an insert/delete batch as a rolling, shard-by-shard update.
 
-        The batch lands on a copy-on-write fork of the control replica
-        (routing, shard-box widening and id assignment are exactly
+        The batch lands on a fork of the control replica (routing,
+        shard-box widening and id assignment are exactly
         :meth:`ShardedFLATIndex.apply_batch
-        <repro.core.sharded.ShardedFLATIndex.apply_batch>`), then the
-        touched shards roll one at a time: the shard's next generation
-        is published in place (atomic manifest rename), the increment
-        is shipped to the shard's replica, and both servers swap to the
-        new generation via ``reload``.  Untouched shards are never
-        contacted.  The fleet serves throughout; after each shard
-        finishes, *on_shard_updated(pos, generation)* fires — the hook
-        the exactness harnesses use to query mid-roll.
+        <repro.core.sharded.ShardedFLATIndex.apply_batch>`), which
+        rebuilds every shard the batch touches on an overlay over the
+        shard's directory.  The shards the fork replaced — found by
+        object identity — then roll one at a time: the rebuild is
+        published as the shard's next generation (atomic manifest
+        rename), that increment is shipped to the shard's replica, and
+        both servers swap to the new generation via ``reload``.
+        Untouched shards are never contacted nor published.  The fleet
+        serves throughout; after each shard finishes,
+        *on_shard_updated(pos, generation)* fires — the hook the
+        exactness harnesses use to query mid-roll.
 
         The planner adopts the fork's widened shard boxes *before* any
         server swaps: boxes only grow, so pruning stays exact against
         old and new generations alike.  After the roll the root's shard
         manifest is refreshed
         (:meth:`~repro.core.sharded.ShardedFLATIndex.write_shard_manifest`)
-        and the control replica re-restores from disk, so repeated
-        update batches never stack overlay forks.
+        and the control replica re-restores from disk, so the next batch
+        rebuilds on each shard's latest generation.
         """
         from repro.core.sharded import ShardedFLATIndex
         from repro.core.snapshot import (
@@ -819,19 +842,17 @@ class ClusterRouter:
         # queries racing the roll must already see them for shards whose
         # new generation lands mid-batch.
         self.planner = fork.planner
-        touched = []
-        for pos, shard in enumerate(fork.shards):
-            backend = shard.index.store.backend
-            if backend.overrides or len(backend) != len(backend.base):
-                touched.append(pos)
+        touched = [
+            pos for pos, (old, new) in enumerate(
+                zip(self._control.shards, fork.shards)
+            ) if new is not old
+        ]
 
         generations: dict = {}
         shipping: list = []
         for pos in touched:
             shard = fork.shards[pos]
-            _directory, generation = publish_fork_generation(
-                shard.index, expected_base=self._generations[pos]
-            )
+            _directory, generation = publish_fork_generation(shard.index)
             self._generations[pos] = generation
             generations[pos] = generation
             reload = ("reload", generation, shard.element_ids)
@@ -861,8 +882,8 @@ class ClusterRouter:
                 on_shard_updated(pos, generation)
 
         # Refresh the on-disk root manifest and swap the control replica
-        # to a clean restore, so the next fork starts from plain
-        # mmap-backed stores instead of a growing overlay chain.
+        # to a clean restore of each shard's latest generation, the only
+        # base a shard's next rebuild can be published over.
         fork.write_shard_manifest(self._root)
         new_control = ShardedFLATIndex.restore(self._root)
         old_control = self._control

@@ -65,7 +65,7 @@ class QueryPlanner:
         self.shard_mbrs[shard_id] = mbr_union(self.shard_mbrs[shard_id], box)
 
     def copy(self) -> "QueryPlanner":
-        """An independent planner over copied shard boxes (for forks)."""
+        """An independent planner over copied shard boxes (for merges)."""
         return QueryPlanner(self.shard_mbrs.copy())
 
     # -- routing -------------------------------------------------------

@@ -899,11 +899,6 @@ class QueryService:
             None if self._prefetch_cfg is None
             else SessionTracker(self._prefetch_cfg)
         )
-        #: On-disk generation of the last commit this service published
-        #: (initially the served index's own generation, if file-backed)
-        #: — pins the single-writer lineage check at publish time.
-        backend = getattr(getattr(index, "store", None), "backend", None)
-        self._published_gen = getattr(backend, "generation", None)
         #: Thread mode: pool thread ident -> that thread's WorkerEngines.
         self._engines: dict = {}
         #: Lifetime totals of finished tasks: demand I/O, the workers
@@ -1265,12 +1260,10 @@ class QueryService:
                 from repro.storage.pagestore import SnapshotError
 
                 try:
-                    directory, published = publish_fork_generation(
-                        merged, expected_base=self._published_gen
-                    )
+                    directory, published = publish_fork_generation(merged)
                 except SnapshotError:
-                    # Lineage violations (another publisher advanced the
-                    # directory) surface as-is — not a setup error.
+                    # A base another publisher superseded surfaces as
+                    # is — not a setup error.
                     raise
                 except PageStoreError as exc:
                     raise RuntimeError(_NEEDS_SNAPSHOT) from exc
@@ -1302,8 +1295,6 @@ class QueryService:
                 self._delta = None
                 self._generation += 1
                 self._spec = spec
-                if spec is not None:
-                    self._published_gen = spec[1]
                 self._last_merge = time.monotonic()
             else:
                 self._delta = new_delta

@@ -202,7 +202,7 @@ class RStarTree:
             self._overflowed_levels.add(level)
             self._reinsert(node, level)
         else:
-            self._split(node, level)
+            self._split_node(node, level)
 
     def _reinsert(self, node: _Node, level: int) -> None:
         """R* forced reinsert: re-route the 30 % farthest-from-center entries."""
@@ -227,7 +227,7 @@ class RStarTree:
             else:
                 self._insert_at_level(entry, entry.mbr, target_level=level)
 
-    def _split(self, node: _Node, level: int) -> None:
+    def _split_node(self, node: _Node, level: int) -> None:
         """R* topological split: axis by min margin sum, distribution by
         min overlap (ties: min area)."""
         entry_mbrs = self._entry_mbrs(node)

@@ -120,11 +120,6 @@ class BufferPool:
         """
         return sum(len(page) for page in self._pages.values())
 
-    def discard(self, page_id) -> None:
-        """Drop one cached page if present (write-path invalidation)."""
-        if self._pages.pop(page_id, None) is not None:
-            self._resident_bytes -= self._costs.pop(page_id, 0)
-
     def clear(self) -> None:
         """Drop every cached page (the paper's cache clearing step)."""
         self._pages.clear()

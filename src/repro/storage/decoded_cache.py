@@ -17,10 +17,9 @@ counters in :class:`~repro.storage.stats.IOStats` keep describing the
 per-query protocol whatever the table already holds.
 
 Decoded objects are shared between callers and must be treated as
-read-only.  The write path invalidates single entries through
-:meth:`DecodedPageCache.discard` when a page is rewritten in place;
-:meth:`clear` drops everything, mirroring the paper's between-query
-cache clearing.
+read-only.  A page never changes once written (a mutation rebuilds onto
+new pages), so no entry goes stale; :meth:`clear` drops everything,
+mirroring the paper's between-query cache clearing.
 """
 
 from __future__ import annotations
@@ -91,11 +90,6 @@ class DecodedPageCache:
         planting its result here must not register as a hit or miss.
         """
         self._pool.put((kind, page_id), decoded)
-
-    def discard(self, page_id: int) -> None:
-        """Drop any decoded form of one page (write-path invalidation)."""
-        self._pool.discard((DECODE_METADATA, page_id))
-        self._pool.discard((DECODE_ELEMENT, page_id))
 
     def clear(self) -> None:
         """Drop every decoded page (paired with buffer-pool clearing)."""

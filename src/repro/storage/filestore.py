@@ -1,28 +1,29 @@
-"""File-backed page storage: one data file, versioned copy-on-write manifests.
+"""File-backed page storage: one data file, versioned manifests.
 
 The in-memory :class:`~repro.storage.pagestore.PageStore` is perfect
 for build-and-measure experiments but every run pays the full bulkload.
-This module is the durable half of the storage layer, now with a write
-path:
+This module is the durable half of the storage layer:
 
-* ``pages.dat`` is strictly **append-only**: every allocation *and
-  every rewrite* appends a new physical page.  A logical page id is
-  mapped to its current physical slot through a **page-translation
-  table**, so rewriting page 7 appends its new payload and repoints the
-  table entry — the old physical page is never touched (append-redirect).
+* ``pages.dat`` is strictly **append-only**: every allocation appends
+  one physical page, and a written page never changes.  A logical page
+  id is mapped to its physical slot through a **page-translation
+  table** (directories written before updates became rebuilds may
+  still map a page to a later slot).
 * A **snapshot** publishes a numbered manifest generation
   (``manifest-000000.json``, ``manifest-000001.json``, ...) holding the
-  translation table of that moment.  Generations are copy-on-write:
-  physical pages never change once written, so every older manifest
-  keeps describing a fully consistent store and unchanged pages are
-  shared byte-for-byte between generations.
-* Every generation — an export, an in-place commit, a fork publish, a
-  replica ship — is written by one :func:`publish_generation`, in one
-  order: cut ``pages.dat`` back to the bytes already committed, append
-  the new blobs and fsync it; write each small file (category sidecar,
-  index files) to a temp name, fsync it and rename it into place; fsync
-  the directory; publish the manifest the same way; fsync the directory
-  again.  The manifest is the commit point.  A process that dies
+  translation table of that moment.  A new generation only appends:
+  an update rebuilds the live set onto new pages past the previous
+  table, so every older manifest keeps describing a fully consistent
+  store, and a replica holding generation *g* needs only the bytes
+  appended since.
+* Every generation — an export, an in-place commit, a rebuild
+  publish, a replica ship — is written by one
+  :func:`publish_generation`, in one order: cut ``pages.dat`` back to
+  the bytes already committed, append the new blobs and fsync it;
+  write each small file (category sidecar, index files) to a temp
+  name, fsync it and rename it into place; fsync the directory;
+  publish the manifest the same way; fsync the directory again.  The
+  manifest is the commit point.  A process that dies
   anywhere before its rename leaves the previous generation the latest
   one, intact: the data tail past its ``data_bytes`` is garbage the
   next publish cuts off, the sidecar only ever grows, and stray index
@@ -259,14 +260,14 @@ class FilePageBackend:
     Two modes:
 
     * :meth:`create` — appends physical pages to the data file as pages
-      are allocated or rewritten (reads go through :func:`os.pread`, so
-      build-time read-back works); :meth:`commit_generation` publishes
-      the current translation table as a new numbered manifest.
+      are allocated (reads go through :func:`os.pread`, so build-time
+      read-back works); :meth:`commit_generation` publishes the current
+      translation table as a new numbered manifest.
     * :meth:`open` — maps the committed prefix of the data file
       read-only through :mod:`mmap`, for the latest generation or an
       explicitly requested older one.  Page reads are slices of the
       mapping, safely shareable between any number of stores and
-      threads; :meth:`append`/:meth:`rewrite` are rejected.
+      threads; :meth:`append` is rejected.
     """
 
     def __init__(self, directory: Path, writable: bool, categories: list,
@@ -290,9 +291,9 @@ class FilePageBackend:
         #: Set by :meth:`close`/:meth:`discard`; stores check it before
         #: their buffer pool, so no read is served after close.
         self.closed = False
-        #: Appends/rewrites not yet visible to ``os.pread``.
+        #: Appends not yet visible to ``os.pread``.
         self._unflushed_writes = False
-        #: Appends/rewrites since the last published generation.
+        #: Appends since the last published generation.
         self._dirty = False
 
     # -- constructors --------------------------------------------------
@@ -431,49 +432,17 @@ class FilePageBackend:
         self._check_open()
         if not self.writable:
             raise PageStoreError("store was opened read-only")
-        page_id = len(self._categories)
-        self._categories.append(category)
-        self._table.append(self._write_physical(payload, category))
-        return page_id
-
-    def rewrite(self, page_id: int, payload: bytes) -> None:
-        """Append-redirect: new physical page, repointed table entry."""
-        self._check_open()
-        if not self.writable:
-            raise PageStoreError("store was opened read-only")
-        self._table[page_id] = self._write_physical(
-            payload, self._categories[page_id]
-        )
-
-    def _write_physical(self, payload: bytes, category: str) -> int:
         blob = payload if self._raw_codec else self._codec.encode(
             payload, category
         )
         self._file.write(blob)
+        self._categories.append(category)
+        self._table.append(len(self._segments))
         self._segments.append((self._data_bytes, len(blob)))
         self._data_bytes += len(blob)
         self._unflushed_writes = True
         self._dirty = True
-        return len(self._segments) - 1
-
-    def fork(self):
-        """Copy-on-write clone of a *read-only* backend (RAM overlay).
-
-        The mmap-backed base keeps serving unchanged pages; appends and
-        rewrites on the fork live in the overlay.  Writable backends
-        cannot fork — their translation table may still change under
-        the overlay — so publish a generation and fork the reopened
-        store instead.
-        """
-        from repro.storage.pagestore import OverlayPageBackend
-
-        self._check_open()
-        if self.writable:
-            raise PageStoreError(
-                "cannot fork a writable file backend; publish a snapshot "
-                "generation and fork the reopened (read-only) store"
-            )
-        return OverlayPageBackend(self)
+        return len(self._categories) - 1
 
     def payload(self, page_id: int) -> bytes:
         stored = self.blob(page_id)
@@ -652,23 +621,24 @@ class FilePageBackend:
 
 
 def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
-    """Publish an overlay's changes as the next generation of its base.
+    """Publish an overlay's pages as the next generation of its base.
 
-    The overlay must sit on a read-only :class:`FilePageBackend`; its
-    override/tail pages are appended to the base directory's
+    The overlay must sit on a read-only :class:`FilePageBackend` opened
+    at the directory's latest generation.  Its pages — ids past that
+    generation's page table — are appended to the base directory's
     ``pages.dat`` (after cutting any unreachable tail a crashed
     publisher left behind) and a new generation is published with
     :func:`publish_generation`, the extra ``name -> bytes`` *files*
-    (the index's files for that generation) beside the sidecar.  The
-    write is *incremental*: a page whose payload already matches what
-    the latest generation maps is not re-appended, so successive
-    commits grow the data file only by the pages they actually
-    changed.  Every earlier generation stays restorable — committed
-    physical pages are never touched.
+    (the index's files for that generation) beside the sidecar.  Every
+    earlier generation stays restorable — committed physical pages are
+    never touched.
 
-    Publishing is single-writer: the caller must be the only publisher
-    for the directory (the serving layer serializes commits through
-    ``apply_updates``).  Returns the new generation number.
+    An overlay over a superseded generation is refused with
+    :class:`~repro.storage.pagestore.SnapshotError` before anything is
+    written: its page ids restart at its base's table length, so they
+    would reuse ids a later generation published, and the shared
+    ``categories.bin`` would change their categories.  Publishing is
+    single-writer per directory.  Returns the new generation number.
     """
     if not isinstance(overlay, OverlayPageBackend):
         raise PageStoreError(
@@ -677,13 +647,17 @@ def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
     base = overlay.base
     if not isinstance(base, FilePageBackend):
         raise PageStoreError(
-            "overlay base is not a file-backed store; only forks of "
+            "overlay base is not a file-backed store; only rebuilds of "
             "restored snapshots can publish generations in place"
         )
     directory = base.directory
     latest = latest_generation(directory)
-    if latest is None:
-        raise SnapshotError(f"no published generations in {directory}")
+    if latest != base.generation:
+        raise SnapshotError(
+            f"snapshot directory {directory}: the overlay sits on generation "
+            f"{base.generation}, which generation {latest} superseded; "
+            "restore the latest generation and rebuild on it"
+        )
     manifest = _load_manifest(directory, latest)
     codec = get_codec(manifest["codec"])
     committed = data_bytes = int(manifest["data_bytes"])
@@ -691,52 +665,16 @@ def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
         (int(offset), int(length)) for offset, length in manifest["segments"]
     ]
     table = [int(slot) for slot in manifest["page_table"]]
-    if len(table) > len(overlay):
-        raise SnapshotError(
-            f"snapshot directory {directory}: generation {latest} holds "
-            f"{len(table)} pages but the overlay only knows {len(overlay)} — "
-            "another publisher is writing this directory"
-        )
-    categories = list(overlay.iter_categories())
-    tail = overlay.tail_pages()
-    base_len = len(base)
     blobs = []
-
-    with open(directory / PAGES_FILENAME, "rb") as handle:
-
-        def changed(slot: int, payload: bytes, category: str) -> bool:
-            # Compare *logical* bytes: with a compressing codec the
-            # stored blob for an identical payload need not be
-            # byte-stable across encoder versions.
-            offset, length = segments[slot]
-            blob = os.pread(handle.fileno(), length, offset)
-            return codec.decode(blob, category) != payload
-
-        def append(payload: bytes, category: str) -> int:
-            nonlocal data_bytes
-            blobs.append(codec.encode(payload, category))
-            segments.append((data_bytes, len(blobs[-1])))
-            data_bytes += len(blobs[-1])
-            return len(segments) - 1
-
-        for page_id in sorted(overlay.overrides):
-            payload = overlay.overrides[page_id]
-            category = categories[page_id]
-            if changed(table[page_id], payload, category):
-                table[page_id] = append(payload, category)
-        for offset, (payload, category) in enumerate(tail):
-            page_id = base_len + offset
-            if page_id < len(table):
-                # Tail page already committed by an earlier generation;
-                # re-append only if rewritten since.
-                if changed(table[page_id], payload, category):
-                    table[page_id] = append(payload, category)
-            else:
-                table.append(append(payload, category))
-
+    for payload, category in overlay.tail_pages():
+        blobs.append(codec.encode(payload, category))
+        table.append(len(segments))
+        segments.append((data_bytes, len(blobs[-1])))
+        data_bytes += len(blobs[-1])
     generation = latest + 1
     sidecar, manifest = _table_files(
-        generation, codec.name, categories, table, segments, data_bytes
+        generation, codec.name, list(overlay.iter_categories()), table,
+        segments, data_bytes,
     )
     publish_generation(directory, generation, manifest, sidecar, committed,
                        blobs, files)
@@ -796,10 +734,10 @@ def ship_store_generation(source_dir, dest_dir, generation=None,
     """Replicate one store generation from *source_dir* into *dest_dir*.
 
     The shipping primitive of the distributed serving tier: because
-    ``pages.dat`` is strictly append-only and generations are
-    copy-on-write, a replica that already holds generation *g* needs
-    only the data-file **tail** past its own committed prefix to hold
-    generation *g+n* — unchanged pages are never re-sent.  A fresh
+    ``pages.dat`` is strictly append-only and a generation only appends,
+    a replica that already holds generation *g* needs only the
+    data-file **tail** past its own committed prefix to hold generation
+    *g+n* — pages of earlier generations are never re-sent.  A fresh
     (empty) destination receives the full committed prefix once; every
     later ship moves just the pages the shipped generation appended.
 
@@ -894,8 +832,7 @@ class FilePageStore(PageStore):
     :meth:`create` to build a new store on disk and :meth:`open` to map
     a published generation read-only (the latest by default);
     :meth:`PageStore.view` hands out stat-isolated stores over the same
-    mapping for concurrent readers, and :meth:`PageStore.fork` gives a
-    mutable copy-on-write overlay of a read-only store.
+    mapping for concurrent readers.
     """
 
     def __init__(

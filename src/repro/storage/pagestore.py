@@ -1,20 +1,14 @@
-"""The simulated disk: a store of fixed-size pages with a write path.
+"""The simulated disk: a store of fixed-size pages.
 
 The paper's indexes are bulkloaded (Sec. IV: "we focus on developing a
 bulkloading approach and do not consider updates"), so allocation is
-append-only and a freshly built store is never mutated while its
-figures are measured.  On top of that read-only substrate this module
-grows an *update surface*:
-
-* :meth:`PageStore.rewrite` replaces the payload of an existing page
-  (category unchanged), invalidating the store's own caches;
-* ``fork()`` produces a copy-on-write clone of a backend — unchanged
-  page payloads are shared (``bytes`` are immutable), rewrites on the
-  fork never touch the original — which is what versioned serving
-  builds its snapshot isolation on;
-* :class:`OverlayPageBackend` adds the same copy-on-write semantics
-  over a *read-only* base (e.g. an ``mmap``-backed snapshot), keeping
-  rewrites and appends in RAM while base pages stay on disk.
+append-only and a page is never changed once written.  Updates keep
+that: every mutation rebuilds the live set onto a store of its own
+(:meth:`~repro.core.flat_index.FLATIndex.merged`), and
+:class:`OverlayPageBackend` is where a rebuild of a *read-only* base
+(e.g. an ``mmap``-backed snapshot) lands — its own pages appended in
+RAM past the base's, the base's pages still served from disk — until
+it is published as the base directory's next generation.
 
 Reads are counted per page *category* unless absorbed by the attached
 buffer pool.
@@ -93,29 +87,6 @@ class MemoryPageBackend:
         self._categories.append(category)
         return page_id
 
-    def rewrite(self, page_id: int, payload: bytes) -> None:
-        """Replace one page's payload in place (category unchanged).
-
-        ``bytes`` payloads are immutable, so rebinding the slot never
-        mutates bytes a :meth:`fork` sibling may still be reading.
-        """
-        if self._codec is not None:
-            payload = self._codec.encode(payload, self._categories[page_id])
-        self._pages[page_id] = payload
-
-    def fork(self) -> "MemoryPageBackend":
-        """A copy-on-write clone sharing every current page payload.
-
-        Only the id -> payload lists are copied (O(pages) pointer
-        copies); the payloads themselves are shared immutable ``bytes``.
-        Appends and rewrites on either side are invisible to the other.
-        """
-        clone = MemoryPageBackend()
-        clone._codec = self._codec
-        clone._pages = list(self._pages)
-        clone._categories = list(self._categories)
-        return clone
-
     def payload(self, page_id: int) -> bytes:
         """The logical bytes of a page (bounds already checked by the store)."""
         stored = self.blob(page_id)
@@ -146,18 +117,16 @@ class MemoryPageBackend:
 
 
 class OverlayPageBackend:
-    """Copy-on-write page backend over a read-only base backend.
+    """Append-only page backend over a read-only base backend.
 
-    Rewrites of base pages land in an in-RAM override table and appends
-    accumulate in an in-RAM tail, while unmodified pages keep being
-    served by the base (typically a read-only ``mmap``-backed
-    :class:`~repro.storage.filestore.FilePageBackend`).  This is how a
-    restored snapshot becomes mutable without copying its pages: the
-    serving layer forks a restored index, applies updates to the
-    overlay, and commits by swapping readers to the forked store.
-
-    Forking an overlay again copies only the override/tail tables; the
-    base is shared by every generation in the chain.
+    Pages appended to the overlay accumulate in an in-RAM tail past the
+    base's pages, while the base's own pages keep being served by the
+    base (typically a read-only ``mmap``-backed
+    :class:`~repro.storage.filestore.FilePageBackend`).  This is where a
+    rebuild of a restored index lands: its pages take ids past the base
+    generation's page table, and
+    :func:`~repro.storage.filestore.append_overlay_generation` publishes
+    them as the base directory's next generation.
     """
 
     writable = True
@@ -170,8 +139,6 @@ class OverlayPageBackend:
             )
         self._base = base
         self._base_len = len(base)
-        #: base page id -> replacement payload (only rewritten pages).
-        self._overrides: dict = {}
         #: Payloads of pages appended past the base (ids >= _base_len).
         self._tail: list = []
         self._tail_categories: list = []
@@ -182,47 +149,26 @@ class OverlayPageBackend:
         self._tail_categories.append(category)
         return page_id
 
-    def rewrite(self, page_id: int, payload: bytes) -> None:
-        if page_id >= self._base_len:
-            self._tail[page_id - self._base_len] = payload
-        else:
-            self._overrides[page_id] = payload
-
-    def fork(self) -> "OverlayPageBackend":
-        """A copy-on-write clone: same base, copied override/tail tables."""
-        clone = OverlayPageBackend.__new__(OverlayPageBackend)
-        clone._base = self._base
-        clone._base_len = self._base_len
-        clone._overrides = dict(self._overrides)
-        clone._tail = list(self._tail)
-        clone._tail_categories = list(self._tail_categories)
-        return clone
-
     @property
     def closed(self) -> bool:
         """True once the base is closed: the overlay reads through it."""
         return getattr(self._base, "closed", False)
 
-    def _own(self, page_id: int):
-        """The overlay's own (uncompressed) payload of a page, or ``None``
-        for an unchanged base page."""
+    def payload(self, page_id: int) -> bytes:
         if page_id >= self._base_len:
             return self._tail[page_id - self._base_len]
-        return self._overrides.get(page_id)
-
-    def payload(self, page_id: int) -> bytes:
-        own = self._own(page_id)
-        return self._base.payload(page_id) if own is None else own
+        return self._base.payload(page_id)
 
     def blob(self, page_id: int):
         """The page as stored: the base's blob, or the overlay's own page."""
-        own = self._own(page_id)
-        return self._base.blob(page_id) if own is None else own
+        if page_id >= self._base_len:
+            return self._tail[page_id - self._base_len]
+        return self._base.blob(page_id)
 
     def stored_bytes(self, page_id: int) -> int:
         """Physical bytes of a page: overlay pages sit uncompressed in
-        RAM, unchanged pages report the base's stored size."""
-        if page_id >= self._base_len or page_id in self._overrides:
+        RAM, base pages report the base's stored size."""
+        if page_id >= self._base_len:
             return PAGE_SIZE
         stored = getattr(self._base, "stored_bytes", None)
         return PAGE_SIZE if stored is None else stored(page_id)
@@ -242,19 +188,12 @@ class OverlayPageBackend:
     # -- publishing introspection ---------------------------------------
     #
     # Generation publishing (repro.storage.filestore.append_overlay_generation)
-    # folds an overlay's changes back into its base directory; these
-    # read-only accessors expose exactly what changed.  Treat the
-    # returned containers as frozen.
+    # appends an overlay's pages to its base directory.
 
     @property
     def base(self):
-        """The read-only backend unchanged pages are served from."""
+        """The read-only backend the base's pages are served from."""
         return self._base
-
-    @property
-    def overrides(self) -> dict:
-        """Base page id -> replacement payload, rewritten pages only."""
-        return self._overrides
 
     def tail_pages(self):
         """``(payload, category)`` pairs appended past the base, in order."""
@@ -393,52 +332,6 @@ class PageStore:
         page_id = self.backend.append(payload, category)
         self.stats.record_write(category)
         return page_id
-
-    def rewrite(self, page_id: int, payload: bytes) -> None:
-        """Replace an existing page's payload (its category is kept).
-
-        The write is charged to the page's category and this store's
-        own buffer/decoded caches are invalidated for the page.  Sibling
-        :meth:`view` stores are *not* invalidated — concurrent readers
-        are expected to serve from an immutable generation and pick up
-        rewrites only at a commit point (see
-        :meth:`repro.query.service.QueryService.apply_updates`).
-        """
-        if len(payload) != PAGE_SIZE:
-            raise PageStoreError(
-                f"page payload must be exactly {PAGE_SIZE} bytes, got {len(payload)}"
-            )
-        self._check_bounds(page_id)
-        if not self.backend.writable:
-            raise PageStoreError("cannot rewrite pages on a read-only backend")
-        rewrite = getattr(self.backend, "rewrite", None)
-        if rewrite is None:
-            raise PageStoreError(
-                f"backend {type(self.backend).__name__} does not support rewrite"
-            )
-        rewrite(page_id, payload)
-        self.stats.record_write(self.backend.category(page_id))
-        if self.buffer is not None:
-            self.buffer.discard(page_id)
-        if self.decoded is not None:
-            self.decoded.discard(page_id)
-
-    def fork(self) -> "PageStore":
-        """A copy-on-write clone of this store (fresh caches and stats).
-
-        Unchanged page payloads are shared with this store; appends and
-        rewrites on the fork are invisible here and vice versa.  Memory
-        backends fork natively; a read-only file backend forks into an
-        :class:`OverlayPageBackend` that keeps modifications in RAM.
-        The returned store is always a plain :class:`PageStore`.
-        """
-        fork = getattr(self.backend, "fork", None)
-        if fork is None:
-            raise PageStoreError(
-                f"backend {type(self.backend).__name__} does not support fork; "
-                "snapshot the store and fork the restored copy instead"
-            )
-        return PageStore(backend=fork())
 
     # -- reading -------------------------------------------------------
 

@@ -2,8 +2,8 @@
 
 Every crawl reads its frontier rows from the seed index's
 :class:`~repro.core.seed_index.RecordTable`.  The table is shared by
-``with_store`` clones (same pages), starts fresh on ``fork()``, is
-dropped when the write path rewrites leaves, and is never pickled;
+``with_store`` clones and forks (same pages), a mutation rebuilds the
+index with a fresh one, and it is never pickled;
 the visited bitmask stays per clone, so sibling clones may crawl at
 the same time.  Its flat neighbor array is replaced when a load
 outgrows it, so a crawl reads it again after every frontier's fetch.
@@ -37,7 +37,7 @@ def build(n=3000, seed=1):
     return FLATIndex.build(PageStore(), random_mbrs(n, seed=seed))
 
 
-def test_clones_share_the_table_and_forks_start_fresh():
+def test_clones_and_forks_share_the_table_until_a_mutation():
     flat = build()
     flat.range_query(np.array([10.0, 10, 10, 40, 40, 40]))
     table = flat.seed_index.records
@@ -46,8 +46,11 @@ def test_clones_share_the_table_and_forks_start_fresh():
     assert clone.seed_index.records is table
     assert clone._visited_scratch is not flat._visited_scratch
     fork = flat.fork()
+    assert fork.seed_index.records is table
+    loaded = set(table.leaves)
+    fork.delete([0])
     assert fork.seed_index.records is not table
-    assert not fork.seed_index.records.leaves
+    assert set(table.leaves) == loaded
 
 
 def test_update_drops_the_table_and_answers_stay_exact():
@@ -108,7 +111,14 @@ def test_a_leaf_with_a_wrong_record_count_raises_a_typed_error():
     leaf = next(leaf for leaf in seed.leaf_page_ids
                 if len(seed.leaf_record_ids[leaf]) > 1)
     records = decode_metadata_page(flat.store.read_silent(leaf))
-    flat.store.rewrite(leaf, encode_metadata_page(records[:-1]))
+    # A copy of the store, page for page, with the leaf one record short.
+    store = PageStore()
+    for page_id in range(len(flat.store)):
+        payload = flat.store.read_silent(page_id)
+        if page_id == leaf:
+            payload = encode_metadata_page(records[:-1])
+        store.allocate(payload, flat.store.category(page_id))
+    seed = flat.with_store(store).seed_index
     seed.records.clear()
     with pytest.raises(
         PageStoreError,

@@ -7,6 +7,12 @@ order.  The pins: the merged index *is* a fresh bulkload of its live set
 answers equal brute force — monolithic, sharded (untouched shards carried
 over as the same objects) and after a merge that deletes everything —
 and ``build``'s new ``element_ids`` / ``next_id`` inputs behave.
+
+It is also the one write path: ``FLATIndex.apply_batch`` (with its
+``insert`` / ``delete`` wrappers), ``ShardedFLATIndex.apply_batch`` and a
+``ClusterRouter.apply_updates`` roll leave, page for page, what
+``merged`` builds from the same batch, and a roll publishes only the
+shards the batch touched.
 """
 
 import numpy as np
@@ -90,6 +96,28 @@ def cold_reads(index, queries) -> list:
     return reads
 
 
+def assert_same_index(got, want, queries) -> None:
+    """*got* is page for page *want*: page payloads and categories,
+    object-page directory, element count, watermark and cold reads."""
+    store, reference = got.store, want.store
+    assert len(store) == len(reference)
+    pages = range(len(reference))
+    assert [store.read_silent(p) for p in pages] == [
+        reference.read_silent(p) for p in pages
+    ]
+    assert [store.category(p) for p in pages] == [
+        reference.category(p) for p in pages
+    ]
+    assert list(got.object_page_element_ids) == list(
+        want.object_page_element_ids
+    )
+    for page, page_ids in want.object_page_element_ids.items():
+        assert np.array_equal(got.object_page_element_ids[page], page_ids)
+    assert got.element_count == want.element_count
+    assert got.next_element_id == want.next_element_id
+    assert cold_reads(got, queries) == cold_reads(want, queries)
+
+
 class TestMergedIsAFreshBulkload:
     @pytest.mark.parametrize("codec", [None, "delta64"])
     def test_pages_directories_and_cold_reads_match(self, codec):
@@ -112,25 +140,11 @@ class TestMergedIsAFreshBulkload:
             seed_fanout=6, element_ids=ids, next_id=batch[3],
         )
         assert merged.store.backend.codec == base.store.backend.codec
-        store, want = merged.store, reference.store
-        assert len(store) == len(want)
-        assert [store.read_silent(p) for p in range(len(store))] == [
-            want.read_silent(p) for p in range(len(want))
-        ]
-        assert [store.category(p) for p in range(len(store))] == [
-            want.category(p) for p in range(len(want))
-        ]
-        assert list(merged.object_page_element_ids) == list(
-            reference.object_page_element_ids
-        )
-        for page, page_ids in reference.object_page_element_ids.items():
-            assert np.array_equal(merged.object_page_element_ids[page], page_ids)
-        assert merged.element_count == reference.element_count == len(live)
-        assert merged.next_element_id == reference.next_element_id == batch[3]
+        assert_same_index(merged, reference, random_queries(40, seed=3))
+        assert merged.element_count == len(live)
+        assert merged.next_element_id == batch[3]
         assert merged.page_capacity == 24
         assert merged.seed_index.fanout == 6
-        queries = random_queries(40, seed=3)
-        assert cold_reads(merged, queries) == cold_reads(reference, queries)
         assert_exact(merged, live, seed=4)
 
     def test_base_is_left_untouched(self):
@@ -142,7 +156,6 @@ class TestMergedIsAFreshBulkload:
         base.merged(*turnover(live, base.next_element_id, 0.2, seed=6))
         assert [base.store.read_silent(p) for p in range(len(base.store))] == pages
         assert base.element_count == len(mbrs)
-        assert base._mut is None
         assert_exact(base, before, seed=7)
 
     def test_repeated_merges_match_a_delta_replay(self):
@@ -232,14 +245,13 @@ class TestBuildIds:
 
 
 class TestContainsElements:
-    def test_answers_without_the_write_path_directories(self):
+    def test_answers_follow_every_mutation(self):
         mbrs = random_mbrs(600, seed=20)
         index = FLATIndex.build(PageStore(), mbrs, page_capacity=16)
         probe = np.array([-1, 0, 599, 600, 12, 10**9])
         assert index.contains_elements(probe).tolist() == [
             False, True, True, False, True, False
         ]
-        assert index._mut is None
         index.delete([12])
         assert index.contains_elements(probe).tolist() == [
             False, True, True, False, False, False
@@ -293,7 +305,132 @@ class TestShardedMerge:
                             insert_ids=batch[0], next_id=batch[3])
         assert_exact(merged, live, seed=26)
         assert_exact(patched, live, seed=26)
+        # apply_batch adopted exactly what merged builds, shard by shard.
+        queries = random_queries(10, seed=28)
+        for pos, (got, want) in enumerate(zip(patched.shards, merged.shards)):
+            if want is index.shards[pos]:
+                assert got is index.shards[pos]
+                continue
+            assert np.array_equal(got.element_ids, want.element_ids)
+            assert np.array_equal(got.mbr, want.mbr)
+            assert_same_index(got.index, want.index, queries)
+        assert np.array_equal(patched.planner.shard_mbrs,
+                              merged.planner.shard_mbrs)
+        assert patched.element_count == merged.element_count
+        assert patched.next_element_id == merged.next_element_id == batch[3]
+        # The fork's base keeps serving its own shards.
+        assert index.element_count == 1500
         emptied = merged.merged(np.empty(0, np.int64), np.empty((0, 6)),
                                 np.fromiter(sorted(live), np.int64), batch[3])
         assert emptied.element_count == 0
         assert_exact(emptied, {}, seed=27)
+
+
+class TestOneWritePath:
+    """apply_batch, insert, delete and a cluster roll are merges."""
+
+    @pytest.mark.parametrize("codec", [None, "delta64"])
+    def test_apply_batch_is_merged_page_for_page(self, codec):
+        from repro.storage.pagestore import MemoryPageBackend
+
+        mbrs = random_mbrs(2000, seed=29)
+        base = FLATIndex.build(
+            PageStore(backend=MemoryPageBackend(codec=codec)), mbrs,
+            page_capacity=20, seed_fanout=5,
+        )
+        pages = [base.store.read_silent(p) for p in range(len(base.store))]
+        live = {i: mbrs[i] for i in range(len(mbrs))}
+        batch = turnover(live, base.next_element_id, 0.10, seed=30)
+        fork = base.fork()
+        inserted = fork.apply_batch(insert_mbrs=batch[1], delete_ids=batch[2],
+                                    insert_ids=batch[0], next_id=batch[3])
+        assert np.array_equal(inserted, batch[0])
+        assert fork.store.backend.codec == base.store.backend.codec
+        assert_same_index(fork, base.merged(*batch), random_queries(30, seed=31))
+        assert_exact(fork, live, seed=32)
+        # The fork's base, and its pages, are as they were.
+        assert [base.store.read_silent(p) for p in range(len(base.store))] == pages
+        assert base.element_count == 2000
+
+    def test_insert_and_delete_assign_ids_and_merge(self):
+        mbrs = random_mbrs(900, seed=33)
+        index = FLATIndex.build(PageStore(), mbrs, page_capacity=16)
+        queries = random_queries(20, seed=34)
+        new = random_mbrs(30, seed=35, span=130.0)
+        want = index.merged(np.arange(900, 930), new, [], 930)
+        assert np.array_equal(index.insert(new), np.arange(900, 930))
+        assert_same_index(index, want, queries)
+        want = index.merged(np.empty(0, np.int64), np.empty((0, 6)),
+                            [3, 905, 400], 930)
+        index.delete([3, 905, 400])
+        assert_same_index(index, want, queries)
+        # An empty batch rebuilds nothing but may advance the watermark.
+        store = index.store
+        assert index.apply_batch(next_id=950).size == 0
+        assert index.store is store
+        assert index.next_element_id == 950
+        assert np.array_equal(index.insert(random_mbrs(2, seed=36)), [950, 951])
+
+    def test_a_roll_publishes_fresh_bulkloads_of_touched_shards_only(
+            self, tmp_path):
+        from repro.core.snapshot import restore_index
+        from repro.query.cluster import ClusterRouter
+        from repro.storage.filestore import FilePageBackend, latest_generation
+        from repro.storage.pagestore import OverlayPageBackend
+
+        mbrs = random_mbrs(1600, seed=37)
+        index = ShardedFLATIndex.build(mbrs, shard_count=4, page_capacity=16)
+        root, replicas = tmp_path / "root", tmp_path / "replicas"
+        index.snapshot(root)
+        target = index.shards[2]
+        victims = np.sort(target.element_ids[::7][:30])
+        center = mbr_center(target.mbr[None, :])[0]
+        inserts = np.concatenate([center - 0.3, center + 0.3])[None, :].repeat(6, 0)
+        inserts[0, 3:] = target.mbr[3:] + 3.0  # widens the shard box
+        live = {i: mbrs[i] for i in range(len(mbrs))}
+        with ClusterRouter.launch(root, replica_root=replicas) as router:
+            report = router.apply_updates(insert_mbrs=inserts,
+                                          delete_ids=victims)
+            for gid in victims:
+                del live[int(gid)]
+            for gid, mbr in zip(report.inserted_ids, inserts):
+                live[int(gid)] = mbr
+            assert np.array_equal(report.inserted_ids, np.arange(1600, 1606))
+            assert report.shards_updated == [2]
+            assert report.generations == {2: 1}
+            assert [ship["shard"] for ship in report.shipping] == [2]
+            assert all(not ship["full_copy"] for ship in report.shipping)
+            ids, boxes = live_arrays(live)
+            for query in random_queries(10, seed=38):
+                assert np.array_equal(router.range_query(query),
+                                      ids[boxes_intersect_box(boxes, query)])
+        for pos in (0, 1, 3):
+            shard_dir = ShardedFLATIndex.shard_directory(root, pos)
+            assert latest_generation(shard_dir) == 0
+            assert latest_generation(
+                ShardedFLATIndex.shard_directory(replicas, pos)) == 0
+        # The rolled generation is a fresh bulkload of the shard's live
+        # set, on the page ids past generation 0 it was published at.
+        rolled = ShardedFLATIndex.restore(root)
+        shard_dir = ShardedFLATIndex.shard_directory(root, 2)
+        element_ids = rolled.shards[2].element_ids
+        members = [gid for gid in element_ids.tolist() if gid in live]
+        fresh_store = PageStore(
+            backend=OverlayPageBackend(FilePageBackend.open(shard_dir, 0))
+        )
+        fresh = FLATIndex.build(
+            fresh_store, np.stack([live[gid] for gid in members]),
+            space_mbr=target.index.covering_mbr(), page_capacity=16,
+            element_ids=np.searchsorted(element_ids, members),
+            next_id=len(element_ids),
+        )
+        queries = random_queries(10, seed=39)
+        for directory in (shard_dir,
+                          ShardedFLATIndex.shard_directory(replicas, 2)):
+            restored = restore_index(directory, generation=1)
+            try:
+                assert_same_index(restored, fresh, queries)
+            finally:
+                restored.store.close()
+        rolled.close()
+        fresh_store.backend.base.close()

@@ -2,9 +2,11 @@
 
 Updates route to shards by element centroid; an insert whose MBR falls
 outside every shard box widens the routed shard's box (and the
-planner's copy) so pruning stays exact.  The differential bar matches
-the monolithic one: after any tested interleaving, query answers are
-byte-identical to a scratch-rebuilt index over the surviving elements.
+planner's copy) so pruning stays exact.  Every touched shard is
+rebuilt (``ShardedFLATIndex.merged``) and replaces the old shard
+object.  The differential bar matches the monolithic one: after any
+tested interleaving, query answers are byte-identical to a
+scratch-rebuilt index over the surviving elements.
 """
 
 import numpy as np
@@ -48,13 +50,18 @@ class TestRouting:
     def test_insert_routes_to_containing_shard(self):
         mbrs = random_mbrs(600, seed=1)
         index = ShardedFLATIndex.build(mbrs, shard_count=4, page_capacity=16)
-        target = index.shards[2]
+        shards = list(index.shards)
+        target = shards[2]
         center = mbr_center(target.mbr[None, :])[0]
         element = np.concatenate([center - 0.05, center + 0.05])
-        before = len(target.element_ids)
         (gid,) = index.insert(element[None, :])
-        assert len(target.element_ids) == before + 1
-        assert int(target.element_ids[-1]) == int(gid)
+        # Only the routed shard is rebuilt; it replaces the old object.
+        rebuilt = index.shards[2]
+        assert rebuilt is not target
+        assert len(rebuilt.element_ids) == len(target.element_ids) + 1
+        assert int(rebuilt.element_ids[-1]) == int(gid)
+        for pos in (0, 1, 3):
+            assert index.shards[pos] is shards[pos]
 
     def test_outlier_insert_widens_shard_and_planner(self):
         mbrs = random_mbrs(600, seed=2)
@@ -182,21 +189,27 @@ class TestShardedForkAndRestore:
         finally:
             restored.close()
 
-    def test_restored_index_rejects_direct_mutation(self, tmp_path):
-        index = ShardedFLATIndex.build(random_mbrs(200, seed=41), shard_count=2)
+    def test_restored_index_mutates_onto_overlays(self, tmp_path):
+        from repro.storage.pagestore import OverlayPageBackend
+
+        mbrs = random_mbrs(200, seed=41)
+        index = ShardedFLATIndex.build(mbrs, shard_count=2)
         index.snapshot(tmp_path / "sh")
         restored = ShardedFLATIndex.restore(tmp_path / "sh")
         try:
-            from repro.storage import PageStoreError
-
-            with pytest.raises(PageStoreError, match="fork"):
-                restored.insert(random_mbrs(1, seed=42))
-            with pytest.raises(PageStoreError, match="fork"):
-                restored.delete([0])
-            # Nothing was half-applied: the fork can still delete 0.
-            fork = restored.fork()
-            fork.delete([0])
-            assert fork.element_count == 199
+            before = list(restored.shards)
+            new = random_mbrs(3, seed=42)
+            gids = restored.insert(new)
+            restored.delete([0])
+            assert restored.element_count == 202
+            rebuilt = [shard for shard, old in zip(restored.shards, before)
+                       if shard is not old]
+            assert rebuilt
+            for shard in rebuilt:
+                assert isinstance(shard.store.backend, OverlayPageBackend)
+            live = {i: mbrs[i] for i in range(1, 200)}
+            live.update(zip(gids.tolist(), new))
+            assert_exact(restored, live, query_seed=43)
         finally:
             restored.close()
 

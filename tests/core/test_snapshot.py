@@ -277,7 +277,7 @@ class TestGenerations:
             gen0.store.close()
             latest.store.close()
 
-    def test_generations_share_unchanged_pages(self, tmp_path):
+    def test_a_generation_appends_its_rebuild(self, tmp_path):
         from repro.storage.filestore import PAGES_FILENAME
 
         mbrs = random_mbrs(300, seed=8)
@@ -285,13 +285,18 @@ class TestGenerations:
         flat = FLATIndex.build(store, mbrs, page_capacity=16)
         flat.snapshot_generation()
         size_after_first = (tmp_path / "idx" / PAGES_FILENAME).stat().st_size
-        flat.delete([0])  # touches one object page + metadata
+        pages_before = len(store)
+        flat.delete([0])
+        # The rebuild was appended to the same writable store...
+        assert flat.store is store
+        rebuilt = len(store) - pages_before
+        assert rebuilt == (flat.object_page_count + flat.metadata_page_count
+                           + flat.seed_internal_page_count)
         flat.snapshot_generation()
         size_after_second = (tmp_path / "idx" / PAGES_FILENAME).stat().st_size
         store.close()
-        grown_pages = (size_after_second - size_after_first) // 4096
-        # Copy-on-write: far fewer new physical pages than the store holds.
-        assert 0 < grown_pages < len(flat.store) // 2
+        # ...so the generation's data file grew by the whole rebuild.
+        assert size_after_second - size_after_first == rebuilt * 4096
 
     def test_restore_skips_store_only_generations(self, tmp_path):
         # close() after unmanifested mutations publishes a store-only
@@ -312,18 +317,6 @@ class TestGenerations:
         finally:
             restored.store.close()
 
-    def test_fork_copies_maintenance_state(self):
-        flat = FLATIndex.build(PageStore(), random_mbrs(200, seed=16),
-                               page_capacity=16)
-        flat.delete([0, 1])  # builds the maintenance directories
-        fork = flat.fork()
-        # The fork starts from a copy instead of an O(index) rebuild...
-        assert fork._mut is not None
-        # ...and the copy is independent of the base.
-        fork.delete([2])
-        assert 2 in flat._mut.element_page
-        assert 2 not in fork._mut.element_page
-
     def test_snapshot_generation_requires_writable_file_store(self):
         flat = FLATIndex.build(PageStore(), random_mbrs(100, seed=9))
         with pytest.raises(PageStoreError, match="writable"):
@@ -336,25 +329,35 @@ class TestGenerations:
             flat.snapshot(tmp_path / "idx")
         store.close()
 
-    def test_mutated_memory_index_exports_dead_records(self, tmp_path):
-        # Merges leave retired record slots; the export/restore pair
-        # must round-trip them (restored leaf directory skips them).
+    def test_restore_skips_retired_record_slots(self, tmp_path):
+        # Directories written before updates became rebuilds may hold
+        # retired record slots (leaf and slot -1); a restore skips them.
         mbrs = random_mbrs(400, seed=11)
         flat = FLATIndex.build(PageStore(), mbrs, page_capacity=12)
-        flat.delete(np.arange(0, 350))
-        assert int(flat._mut.live.sum()) < flat.seed_index.record_count
         flat.snapshot(tmp_path / "snap")
+        path = tmp_path / "snap" / index_arrays_filename(0)
+        with np.load(path) as bundle:
+            arrays = {name: bundle[name] for name in bundle.files}
+        for name in ("record_page", "record_slot"):
+            arrays[name] = np.append(arrays[name], -1)
+        with open(path, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
         restored = FLATIndex.restore(tmp_path / "snap")
+        store = restored.store
         try:
-            query = np.array([-10.0, -10, -10, 120, 120, 120])
-            assert np.array_equal(
-                restored.range_query(query), flat.range_query(query)
-            )
-            fork = restored.fork()
-            fork.insert(random_mbrs(30, seed=12))
-            assert fork.element_count == 80
+            retired = flat.seed_index.record_count
+            assert restored.seed_index.record_count == retired + 1
+            assert all(retired not in ids for ids in
+                       restored.seed_index.leaf_record_ids.values())
+            corners = np.random.default_rng(12).uniform(-10, 100, (20, 3))
+            for query in np.hstack([corners, corners + 15.0]):
+                assert np.array_equal(
+                    restored.range_query(query), flat.range_query(query)
+                )
+            restored.insert(random_mbrs(30, seed=12))
+            assert restored.element_count == 430
         finally:
-            restored.store.close()
+            store.close()
 
 
 class TestIndexSnapshotRobustness:

@@ -145,14 +145,14 @@ class TestClusterPinnedToOracle:
             self, snapshot_root, cluster_no_replicas):
         _root, _oracle, queries, _points = snapshot_root
         probe = ("range", queries[0], True, None)
-        expected, _stats = cluster_no_replicas._request_one(0, probe)
+        expected, _stats, _prefetch = cluster_no_replicas._request_one(0, probe)
         with pytest.raises(ClusterError, match="unknown cluster request"):
             cluster_no_replicas._request_many(
                 [(0, ("frobnicate",)), (0, ("range", SPACE, True, None))]
             )
         # The full-space reply was read with the batch, so the next
         # request gets its own answer.
-        got, _stats = cluster_no_replicas._request_one(0, probe)
+        got, _stats, _prefetch = cluster_no_replicas._request_one(0, probe)
         assert np.array_equal(got, expected)
 
 
@@ -224,6 +224,27 @@ class TestTrajectorySessions:
                 == baseline.reads_by_category.get(c, 0)
             ), f"category {c} violates the accounting identity"
 
+    def test_replies_carry_the_prefetch_report(self, snapshot_root,
+                                               cluster_no_replicas):
+        """The report counts the staging's reads, staged and consumed
+        pages as ``ServiceReport`` does: a staging with its connection's
+        next answer, a consumption with the answer whose reads hit."""
+        walk = trajectory_range_queries(SPACE, 2e-5, 24, seed=13)
+        _results, baseline = cluster_no_replicas.run(walk)
+        assert baseline.prefetch_staged == baseline.prefetch_consumed == 0
+        assert baseline.prefetch_reads_by_category == {}
+        _results, report = cluster_no_replicas.run(walk, session_id="tracer")
+        assert report.prefetch_staged > 0
+        assert 0 < report.prefetch_consumed <= report.prefetch_staged
+        assert report.prefetch_consumed <= report.total_prefetch_hits
+        assert sum(report.prefetch_reads_by_category.values()) > 0
+        assert list(report.prefetch_reads_by_category) == sorted(
+            report.prefetch_reads_by_category)
+        for c in set(baseline.reads_by_category) | set(report.reads_by_category):
+            assert (report.reads_by_category.get(c, 0)
+                    + report.prefetch_hits_by_category.get(c, 0)
+                    == baseline.reads_by_category.get(c, 0))
+
     def test_single_query_accepts_session_id(self, snapshot_root,
                                              cluster_no_replicas):
         _root, oracle, queries, _points = snapshot_root
@@ -278,7 +299,8 @@ class TestConnectionGenerations:
         built = FLATIndex.build(PageStore(), random_mbrs(800, seed=3),
                                 space_mbr=SPACE)
         snapshot_index(built, tmp_path)
-        index = restored = restore_index(tmp_path)
+        index = restore_index(tmp_path)
+        opened = [index]
         server = _ShardServer(tmp_path, 0, np.arange(built.next_element_id))
         engines, sessions = server.connection_state()
         served = [server.current[1]]
@@ -288,14 +310,14 @@ class TestConnectionGenerations:
             if step:
                 fork = index.fork()
                 fork.apply_batch(insert_mbrs=random_mbrs(5, seed=step))
-                _directory, generation = publish_fork_generation(
-                    fork, expected_base=generation
-                )
-                index = fork
-                reload = ("reload", generation, np.arange(fork.next_element_id))
+                _directory, generation = publish_fork_generation(fork)
+                # The next rebuild must sit on the published generation.
+                index = restore_index(tmp_path, generation=generation)
+                opened.append(index)
+                reload = ("reload", generation, np.arange(index.next_element_id))
                 assert server.dispatch(reload, engines, sessions) == generation
                 served.append(server.current[1])
-            hits, _stats = server.dispatch(
+            hits, _stats, _prefetch = server.dispatch(
                 ("range", query, True, "walker"), engines, sessions
             )
             oracle = restore_index(tmp_path, generation=generation)
@@ -304,7 +326,7 @@ class TestConnectionGenerations:
             assert len(engines) <= KEPT_GENERATIONS
         assert generation == len(walk) - 1
         assert len(sessions) == 1
-        for each in served + [restored]:
+        for each in served + opened:
             each.store.close()
 
 
@@ -454,10 +476,11 @@ class TestRollingUpdate:
             assert [e["shard"] for e in report.shipping] == report.shards_updated
             for entry in report.shipping:
                 assert not entry["full_copy"]
-                # Strictly fewer pages than the new generation holds in
-                # total — unchanged pages never travel again.
-                total_pages = len(fork.shards[entry["shard"]].index.store)
-                assert 0 < entry["pages_sent"] < total_pages
+                # Exactly the shard's rebuild travels (the oracle's
+                # in-memory rebuild holds the same pages); the
+                # generation it extends never travels again.
+                rebuilt = len(fork.shards[entry["shard"]].index.store)
+                assert entry["pages_sent"] == rebuilt
 
     def test_repeated_rolls_and_fresh_restore(self, tmp_path):
         """Two successive rolls, then a from-scratch restore of the root.

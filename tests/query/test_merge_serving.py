@@ -120,7 +120,7 @@ def held_pages(store) -> int:
     """Pages a served store holds in RAM."""
     backend = store.backend
     if isinstance(backend, OverlayPageBackend):
-        return len(backend.tail_pages()) + len(backend.overrides)
+        return len(backend.tail_pages())
     assert isinstance(backend, MemoryPageBackend)
     return len(backend)
 

@@ -174,39 +174,25 @@ class TestSnapshotCopy:
             FilePageStore.open(tmp_path / "s")
 
 
-class TestRewriteAndGenerations:
-    def test_rewrite_is_append_redirect(self, tmp_path):
-        old, new = make_page(1), make_page(2)
-        with FilePageStore.create(tmp_path / "s") as store:
-            store.allocate(old, CATEGORY_OBJECT)
-            store.snapshot()
-            store.rewrite(0, new)
-            store.snapshot()
-        # The data file holds both physical pages; the logical page
-        # count stays 1.
-        assert (tmp_path / "s" / PAGES_FILENAME).stat().st_size == 2 * PAGE_SIZE
-        with FilePageStore.open(tmp_path / "s") as reopened:
-            assert len(reopened) == 1
-            assert reopened.read(0) == new
-            assert reopened.category(0) == CATEGORY_OBJECT
-
+class TestGenerations:
     def test_old_generations_stay_restorable(self, tmp_path):
         payloads = [make_page(i) for i in range(3)]
         with FilePageStore.create(tmp_path / "s") as store:
             store.allocate(payloads[0], CATEGORY_OBJECT)
             assert store.snapshot() == 0
-            store.rewrite(0, payloads[1])
+            store.allocate(payloads[1], CATEGORY_OBJECT)
             store.allocate(payloads[2], CATEGORY_METADATA)
             assert store.snapshot() == 1
         assert list_generations(tmp_path / "s") == [0, 1]
+        assert (tmp_path / "s" / PAGES_FILENAME).stat().st_size == 3 * PAGE_SIZE
         with FilePageStore.open(tmp_path / "s", generation=0) as gen0:
             assert len(gen0) == 1
             assert gen0.read(0) == payloads[0]
         with FilePageStore.open(tmp_path / "s") as latest:
             assert latest.backend.generation == 1
-            assert len(latest) == 2
-            assert latest.read(0) == payloads[1]
-            assert latest.read(1) == payloads[2]
+            assert len(latest) == 3
+            assert [latest.read(p) for p in range(3)] == payloads
+            assert latest.category(2) == CATEGORY_METADATA
 
     def test_close_without_changes_publishes_nothing_new(self, tmp_path):
         with FilePageStore.create(tmp_path / "s") as store:
@@ -232,72 +218,37 @@ class TestRewriteAndGenerations:
         with pytest.raises(PageStoreError, match="already holds"):
             FilePageStore.create(tmp_path / "s")
 
-    def test_rewrite_rejected_on_read_only_store(self, tmp_path):
+    def test_read_only_store_refuses_allocation(self, tmp_path):
         with FilePageStore.create(tmp_path / "s") as store:
             store.allocate(make_page(), CATEGORY_OBJECT)
         with FilePageStore.open(tmp_path / "s") as reopened:
-            with pytest.raises(PageStoreError):
-                reopened.rewrite(0, make_page(1))
-
-    def test_memory_rewrite_invalidates_caches(self):
-        store = PageStore()
-        pid = store.allocate(make_page(1), CATEGORY_OBJECT)
-        assert store.read(pid) == make_page(1)
-        store.rewrite(pid, make_page(2))
-        # The buffered stale payload is gone: the next read is physical
-        # and returns the new bytes.
-        before = store.stats.snapshot()
-        assert store.read(pid) == make_page(2)
-        assert store.stats.diff(before).total_reads == 1
-
-    def test_rewrite_validates_size_and_bounds(self):
-        store = PageStore()
-        store.allocate(make_page(), CATEGORY_OBJECT)
-        with pytest.raises(PageStoreError):
-            store.rewrite(0, b"short")
-        with pytest.raises(PageStoreError):
-            store.rewrite(5, make_page())
+            with pytest.raises(PageStoreError, match="read-only"):
+                reopened.allocate(make_page(1), CATEGORY_OBJECT)
 
 
-class TestForks:
-    def test_memory_fork_is_copy_on_write(self):
-        store = PageStore()
-        store.allocate(make_page(1), CATEGORY_OBJECT)
-        fork = store.fork()
-        fork.rewrite(0, make_page(2))
-        fork.allocate(make_page(3), CATEGORY_METADATA)
-        assert store.read_silent(0) == make_page(1)
-        assert len(store) == 1
-        assert fork.read_silent(0) == make_page(2)
-        assert len(fork) == 2
-
-    def test_read_only_file_store_forks_into_overlay(self, tmp_path):
+class TestOverlay:
+    def test_overlay_appends_past_a_read_only_base(self, tmp_path):
         with FilePageStore.create(tmp_path / "s") as store:
             store.allocate(make_page(1), CATEGORY_OBJECT)
         base = FilePageStore.open(tmp_path / "s")
         try:
-            fork = base.fork()
-            assert isinstance(fork.backend, OverlayPageBackend)
-            fork.rewrite(0, make_page(2))
-            new_pid = fork.allocate(make_page(3), CATEGORY_METADATA)
-            assert base.read_silent(0) == make_page(1)
-            assert fork.read_silent(0) == make_page(2)
-            assert fork.read_silent(new_pid) == make_page(3)
-            assert fork.category(new_pid) == CATEGORY_METADATA
-            # A second-level fork stays independent of the first.
-            fork2 = fork.fork()
-            fork2.rewrite(0, make_page(4))
-            assert fork.read_silent(0) == make_page(2)
-            assert fork2.read_silent(0) == make_page(4)
+            overlay = PageStore(backend=OverlayPageBackend(base.backend))
+            new_pid = overlay.allocate(make_page(3), CATEGORY_METADATA)
+            assert new_pid == 1
+            assert len(base) == 1
+            assert overlay.read_silent(0) == make_page(1)
+            assert overlay.read_silent(new_pid) == make_page(3)
+            assert overlay.category(new_pid) == CATEGORY_METADATA
+            assert overlay.stored_bytes(new_pid) == PAGE_SIZE
         finally:
             base.close()
 
-    def test_writable_file_store_cannot_fork(self, tmp_path):
+    def test_overlay_refuses_a_writable_base(self, tmp_path):
         store = FilePageStore.create(tmp_path / "s")
         try:
             store.allocate(make_page(), CATEGORY_OBJECT)
-            with pytest.raises(PageStoreError, match="publish a snapshot"):
-                store.fork()
+            with pytest.raises(PageStoreError, match="read-only base"):
+                OverlayPageBackend(store.backend)
         finally:
             store.close()
 

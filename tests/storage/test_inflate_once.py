@@ -30,6 +30,7 @@ from repro.storage import (
     IOStats,
     MemoryPageBackend,
     OBJECT_PAGE_CAPACITY,
+    OverlayPageBackend,
     PAGE_SIZE,
     PageStore,
     PageStoreError,
@@ -384,15 +385,15 @@ class TestClosedStoreRefusesPooledPages:
         with pytest.raises(PageStoreError, match="closed"):
             view.read_metadata(0, parse=False)
 
-    def test_fork_of_a_closed_store(self, tmp_path, pool):
+    def test_overlay_of_a_closed_store(self, tmp_path, pool):
         store = delta64_file_page_store(tmp_path / "s")
-        fork = store.fork()
-        pool(fork, 0)
+        overlay = PageStore(backend=OverlayPageBackend(store.backend))
+        pool(overlay, 0)
         store.close()
         with pytest.raises(PageStoreError, match="closed"):
-            fork.read(0)
+            overlay.read(0)
         with pytest.raises(PageStoreError, match="closed"):
-            fork.read_metadata(0, parse=False)
+            overlay.read_metadata(0, parse=False)
 
 
 class TestPhysicalBytes:

@@ -165,9 +165,7 @@ def publish_next(directory, circuit, seed=99):
     base = restore_index(directory)
     fork = base.fork()
     mutate(fork, mbrs, seed)
-    _directory, generation = publish_fork_generation(
-        fork, expected_base=base.store.generation
-    )
+    _directory, generation = publish_fork_generation(fork)
     want = state_of(fork, queries)
     base.store.close()
     return generation, want
@@ -256,7 +254,7 @@ class ForkPublish:
         mutate(self.fork, self.circuit[0], seed=5)
 
     def publish(self):
-        publish_fork_generation(self.fork, expected_base=0)
+        publish_fork_generation(self.fork)
 
     def abandon(self):
         self.base.store.close()
@@ -300,7 +298,7 @@ class MergePublish:
         )
 
     def publish(self):
-        publish_fork_generation(self.merged, expected_base=0)
+        publish_fork_generation(self.merged)
 
     def abandon(self):
         self.base.store.close()
@@ -308,9 +306,7 @@ class MergePublish:
     def republish(self, survivor):
         base = restore_index(self.directory)
         merged = base.merged(*merge_batch(base, self.circuit[0], seed=99))
-        _directory, generation = publish_fork_generation(
-            merged, expected_base=base.store.generation
-        )
+        _directory, generation = publish_fork_generation(merged)
         want = state_of(merged, self.circuit[2])
         base.store.close()
         return generation, want

@@ -1,11 +1,12 @@
 """Incremental snapshot shipping — the cluster's replication primitive.
 
-``pages.dat`` is append-only and generations are copy-on-write, so a
-replica that already holds generation *g* needs only the data-file tail
-to reach *g+n*.  These tests pin the contract: the shipped directory
-restores byte-identical to the source at every generation, repeat ships
-move only the changed pages, and diverged lineages are refused rather
-than silently merged.
+``pages.dat`` is append-only and a generation only appends (an update
+rebuilds the live set onto pages past the previous table), so a replica
+that already holds generation *g* needs only the data-file tail to reach
+*g+n*.  These tests pin the contract: the shipped directory restores
+byte-identical to the source at every generation, repeat ships move
+only the pages the new generation appended, and diverged lineages are
+refused rather than silently merged.
 """
 
 import numpy as np
@@ -85,21 +86,30 @@ class TestIncrementalShipping:
         assert report.as_dict()["pages_sent"] == report.pages_sent
         assert_stores_byte_identical(source_dir, replica, 0)
 
-    def test_overlay_generations_ship_only_changed_pages(self, source_dir,
-                                                         tmp_path):
-        """Several CoW generations; each ship moves only the new tail."""
+    def test_rebuilt_generations_ship_only_their_tail(self, source_dir,
+                                                      tmp_path):
+        """Several rebuilt generations; each ship moves only the new tail."""
         replica = tmp_path / "replica"
-        full = ship_index_generation(source_dir, replica)
+        ship_index_generation(source_dir, replica)
         for seed in (3, 5, 7):
             generation = publish_next_generation(source_dir, seed)
             report = ship_index_generation(source_dir, replica, generation)
             assert report.generation == generation
             assert not report.full_copy
             assert report.incremental
-            # The increment is a strict fraction of the store — the
+            # The increment is exactly the generation's rebuild — the
             # committed prefix never travels again.
-            assert 0 < report.pages_sent < full.pages_sent
-            assert report.bytes_sent < full.bytes_sent
+            shipped = restore_index(source_dir, generation=generation)
+            previous = restore_index(source_dir, generation=generation - 1)
+            try:
+                rebuilt = (shipped.object_page_count
+                           + shipped.metadata_page_count
+                           + shipped.seed_internal_page_count)
+                assert report.pages_sent == rebuilt
+                assert len(shipped.store) == len(previous.store) + rebuilt
+            finally:
+                shipped.store.close()
+                previous.store.close()
             assert_stores_byte_identical(source_dir, replica, generation)
         assert list_generations(replica) == list_generations(source_dir)
 
@@ -154,7 +164,7 @@ class TestShippingRefusals:
         base = restore_index(replica)
         rogue = base.fork()
         rogue.insert(random_mbrs(60, seed=23))
-        publish_fork_generation(rogue, expected_base=0)
+        publish_fork_generation(rogue)
         base.store.close()
         publish_next_generation(source_dir, 11)
         publish_next_generation(source_dir, 13)
@@ -176,7 +186,7 @@ class TestShippingRefusals:
         rogue = base.fork()
         rogue.insert(random_mbrs(60, seed=23))
         rogue.delete(np.arange(40, 70))
-        publish_fork_generation(rogue, expected_base=0)
+        publish_fork_generation(rogue)
         queries = [np.array([10.0, 10, 10, 80, 80, 80]),
                    np.array([40.0, 0, 20, 60, 100, 50])]
         want = [rogue.range_query(query) for query in queries]

@@ -5,9 +5,11 @@ Two properties carry process-mode serving:
 * a *read-only* mmap-backed backend pickles as its ``(directory,
   generation)`` spec and reattaches by remapping — page payloads never
   cross a pipe, every process shares the OS page cache;
-* ``append_overlay_generation`` publishes a fork's changes
-  copy-on-write — the data file grows only by the pages that actually
-  changed, and every earlier generation stays restorable byte-for-byte.
+* ``append_overlay_generation`` publishes a rebuild's pages — the data
+  file grows only by the pages the rebuild appended, every earlier
+  generation stays restorable byte-for-byte, and a rebuild over a
+  generation a later one superseded is refused before anything is
+  written.
 """
 
 import pickle
@@ -22,6 +24,7 @@ from repro.storage import (
     FilePageStore,
     PageStore,
     PageStoreError,
+    SnapshotError,
     list_generations,
 )
 
@@ -80,8 +83,20 @@ class TestBackendPickle:
         backend.close()
 
 
-class TestCopyOnWritePublish:
-    def test_file_grows_only_by_changed_pages(self, snapshot_dir):
+def cold_reads(directory, generation, queries) -> dict:
+    """Per-category cold reads of *queries* on one restored generation."""
+    index = restore_index(directory, generation=generation)
+    try:
+        for query in queries:
+            index.store.clear_cache()
+            index.range_query(query)
+        return dict(index.store.stats.reads)
+    finally:
+        index.store.close()
+
+
+class TestRebuildPublish:
+    def test_file_grows_by_the_rebuild_only(self, snapshot_dir):
         data_file = snapshot_dir / "pages.dat"
         size_before = data_file.stat().st_size
         restored = restore_index(snapshot_dir)
@@ -89,21 +104,50 @@ class TestCopyOnWritePublish:
 
         fork = restored.fork()
         fork.insert(random_mbrs(30, seed=5))
-        changed = len(fork.store.backend.overrides) + len(
-            fork.store.backend.tail_pages()
-        )
-        directory, generation = publish_fork_generation(fork, expected_base=0)
+        tail_count = len(fork.store.backend.tail_pages())
+        assert len(fork.store) == page_count + tail_count
+        directory, generation = publish_fork_generation(fork)
         assert (directory, generation) == (snapshot_dir, 1)
 
-        grown = data_file.stat().st_size - size_before
-        assert grown % PAGE_SIZE == 0
-        tail_count = len(fork.store.backend.tail_pages())
-        # Strict copy-on-write: at most the dirtied pages were appended
-        # (fewer, if a rewrite restored identical bytes) — never a full
-        # copy of the committed store alongside the new tail.
-        assert 0 < grown // PAGE_SIZE <= changed
-        assert grown // PAGE_SIZE < page_count + tail_count
+        # The rebuild's pages were appended, and nothing else: the
+        # committed store is never copied alongside the new tail.
+        assert data_file.stat().st_size - size_before == tail_count * PAGE_SIZE
         restored.store.close()
+
+    @pytest.mark.parametrize("codec", ["raw", "delta64"])
+    def test_publish_over_a_superseded_generation_is_refused(self, tmp_path,
+                                                             codec):
+        directory = tmp_path / codec
+        flat = FLATIndex.build(PageStore(), random_mbrs(3000, seed=11))
+        snapshot_index(flat, directory, codec=codec)
+        corners = np.random.default_rng(12).uniform(0, 90, size=(40, 3))
+        queries = np.hstack([corners, corners + 6.0])
+        g0 = restore_index(directory)
+        try:
+            a = g0.merged(np.arange(3000, 3050), random_mbrs(50, seed=13),
+                          [], 3050)
+            assert publish_fork_generation(a) == (directory, 1)
+            # b rebuilds a, but its overlay still sits on generation 0:
+            # its page ids restart where a's did.
+            b = a.merged(np.arange(3050, 3150), random_mbrs(100, seed=14),
+                         [], 3150)
+            files = {path.name: path.read_bytes()
+                     for path in directory.iterdir()}
+            gen1 = restore_index(directory, generation=1)
+            categories = list(gen1.store.backend.iter_categories())
+            gen1.store.close()
+            reads = cold_reads(directory, 1, queries)
+            with pytest.raises(SnapshotError,
+                               match="generation 0, which generation 1"):
+                publish_fork_generation(b)
+        finally:
+            g0.store.close()
+        assert {path.name: path.read_bytes()
+                for path in directory.iterdir()} == files
+        gen1 = restore_index(directory, generation=1)
+        assert list(gen1.store.backend.iter_categories()) == categories
+        gen1.store.close()
+        assert cold_reads(directory, 1, queries) == reads
 
     def test_old_generation_stays_restorable(self, snapshot_dir):
         restored = restore_index(snapshot_dir)
@@ -116,7 +160,7 @@ class TestCopyOnWritePublish:
         fork = restored.fork()
         fork.insert(random_mbrs(40, seed=7))
         fork.delete(np.arange(25))
-        publish_fork_generation(fork, expected_base=0)
+        publish_fork_generation(fork)
         fork_ids = fork.range_query(query)
         restored.store.close()
 
