@@ -19,7 +19,6 @@ from repro.core.snapshot import (
     publish_fork_generation,
     restore_index,
     ship_index_generation,
-    snapshot_generation,
     snapshot_index,
 )
 
@@ -41,6 +40,5 @@ __all__ = [
     "publish_fork_generation",
     "restore_index",
     "ship_index_generation",
-    "snapshot_generation",
     "snapshot_index",
 ]

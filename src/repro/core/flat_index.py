@@ -41,7 +41,9 @@ from repro.geometry.mbr import (
     validate_mbrs,
 )
 from repro.query.knn import expanding_radius_knn
+from repro.storage.buffer import BufferPool
 from repro.storage.constants import OBJECT_PAGE_CAPACITY
+from repro.storage.decoded_cache import DecodedPageCache
 from repro.storage.pagestore import (
     MemoryPageBackend,
     OverlayPageBackend,
@@ -322,28 +324,35 @@ class FLATIndex:
         return rebuilt
 
     def _rebuild_store(self) -> PageStore:
-        """The writable store a rebuild of this index allocates into.
+        """The empty store a rebuild of this index allocates into.
 
         A rebuild shares no page with the index it replaces.  An
         in-memory index rebuilds into a new memory backend with the same
         codec; an index on a snapshot into a fresh overlay over the
         snapshot's read-only file backend (an overlay's own pages are
-        left behind); an index on a writable file store by appending to
-        that same store, so :meth:`snapshot_generation` publishes the
-        rebuild in place.  The overlay's page ids start past that
+        left behind).  The overlay's page ids start past that
         generation's page table, so publishing the rebuild never reuses
         a logical page id of a published generation —
         ``categories.bin`` is one sidecar for every generation of a
-        directory.
+        directory.  The new store keeps this store's bounds — buffer
+        pool entries and bytes, decoded-cache entries — and its
+        :class:`IOStats` continue this store's counts.
         """
-        backend = self.store.backend
+        store = self.store
+        backend = store.backend
         if isinstance(backend, MemoryPageBackend):
-            return PageStore(backend=MemoryPageBackend(codec=backend.codec))
-        if isinstance(backend, OverlayPageBackend):
-            backend = backend.base
-        elif backend.writable:
-            return self.store
-        return PageStore(backend=OverlayPageBackend(backend))
+            backend = MemoryPageBackend(codec=backend.codec)
+        else:
+            backend = OverlayPageBackend(getattr(backend, "base", backend))
+        rebuilt = PageStore(
+            decoded=DecodedPageCache(store.decoded.capacity), backend=backend
+        )
+        pool = store.buffer
+        rebuilt.buffer = pool if pool is None else BufferPool(
+            pool.capacity, pool.byte_capacity
+        )
+        rebuilt.stats = store.stats.snapshot()
+        return rebuilt
 
     # -- persistence -------------------------------------------------------
 
@@ -355,25 +364,12 @@ class FLATIndex:
         *codec* selects the physical page codec of the exported store
         (:mod:`repro.storage.codec`) — queries against the restore are
         byte-identical either way.  Exporting writes generation 0 of a
-        fresh directory; an index living on a writable file store
-        publishes further generations in place with
-        :meth:`snapshot_generation`.
+        fresh directory; a rebuild of the restored index publishes the
+        next one with :func:`~repro.core.snapshot.publish_fork_generation`.
         """
         from repro.core.snapshot import snapshot_index
 
         return snapshot_index(self, directory, codec=codec)
-
-    def snapshot_generation(self) -> int:
-        """Publish the current state as the next snapshot generation.
-
-        Every rebuild since the last generation appended its pages to
-        the data file (:meth:`_rebuild_store`); earlier generations
-        stay restorable.  Requires an index built on a writable
-        :class:`~repro.storage.filestore.FilePageStore`.
-        """
-        from repro.core.snapshot import snapshot_generation
-
-        return snapshot_generation(self)
 
     @classmethod
     def restore(cls, directory, generation=None, buffer=None,

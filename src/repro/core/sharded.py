@@ -31,8 +31,10 @@ the shards it must publish.
 Persistence composes the monolithic machinery: ``snapshot()`` writes a
 shard manifest plus one self-describing FLAT snapshot directory per
 shard (each with its own ``pages.dat``), and ``restore()`` reopens
-every shard over a read-only mmap-backed
-:class:`~repro.storage.filestore.FilePageStore`.
+every shard as a :class:`~repro.storage.pagestore.PageStore` over a
+read-only mmap-backed :class:`~repro.storage.filestore.FilePageBackend`.
+A mutated restored shard reads through an overlay over that backend;
+:meth:`ShardedFLATIndex.close` closes every shard's backend either way.
 """
 
 from __future__ import annotations
@@ -575,7 +577,7 @@ class ShardedFLATIndex:
         )
 
     def close(self) -> None:
-        """Close every shard store that supports closing (restored sets)."""
+        """Close every shard store's file backend (restored sets)."""
         self.store.close()
 
     # -- introspection ---------------------------------------------------

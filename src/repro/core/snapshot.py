@@ -16,23 +16,22 @@ A snapshot directory holds numbered, append-only *generations*:
   timings, a format version.
 
 ``snapshot_index`` exports an index into a fresh directory as
-generation 0; ``snapshot_generation`` publishes the current state of an
-index living on a *writable* file store as the next generation in
-place (its rebuilds already appended their pages to that store);
-``publish_fork_generation`` publishes a rebuild of a restored
-generation, which lives on an overlay over it; ``ship_index_generation``
-copies one generation into a replica.  All four hand the generation's
-two index files, as bytes, to the store's one writer
+generation 0; ``publish_fork_generation`` publishes a rebuild of a
+restored generation, which lives on an overlay over it, as the next
+generation; ``ship_index_generation`` copies one generation into a
+replica.  All three hand the generation's two index files, as bytes,
+to the store's one writer
 (:func:`~repro.storage.filestore.publish_generation`), which writes
 them after the store's own checks pass and before the store manifest,
 each through a temp name, an fsync and a rename.  A crash before the
 manifest's rename leaves the previous generation the latest one,
 byte-identical; after it, the new generation is complete.
 ``restore_index`` reopens the latest generation — or any older one —
-over a read-only ``mmap``-backed
-:class:`~repro.storage.filestore.FilePageStore`; queries against the
-restored index read the same pages and return the same elements as
-against the original (pinned by tests on the Fig. 13 SN workload).
+as a :class:`~repro.storage.pagestore.PageStore` over a read-only
+``mmap``-backed :class:`~repro.storage.filestore.FilePageBackend`;
+queries against the restored index read the same pages and return the
+same elements as against the original (pinned by tests on the Fig. 13
+SN workload).
 Malformed directories surface as
 :class:`~repro.storage.pagestore.SnapshotError`.
 """
@@ -48,7 +47,6 @@ import numpy as np
 from repro.storage.codec import DEFAULT_CODEC
 from repro.storage.filestore import (
     FilePageBackend,
-    FilePageStore,
     append_overlay_generation,
     latest_generation,
     list_generations,
@@ -56,7 +54,12 @@ from repro.storage.filestore import (
     ship_store_generation,
     write_store_snapshot,
 )
-from repro.storage.pagestore import OverlayPageBackend, PageStoreError, SnapshotError
+from repro.storage.pagestore import (
+    OverlayPageBackend,
+    PageStore,
+    PageStoreError,
+    SnapshotError,
+)
 
 #: Bumped on any incompatible change to the index serialization.
 #: Version 2 introduced numbered generations and the write-path fields
@@ -158,32 +161,12 @@ def snapshot_index(flat, directory, codec=DEFAULT_CODEC) -> Path:
     restores over very differently sized ``pages.dat`` files.  The
     export is :func:`~repro.storage.filestore.write_store_snapshot`
     with the index files published beside the store, so a crash
-    mid-export leaves no generation behind.  Exporting into the index's
-    own directory is refused; :func:`snapshot_generation` publishes in
-    place.
+    mid-export leaves no generation behind.  Exporting into a directory
+    that already holds a store is refused; a rebuild of a restored
+    index publishes there with :func:`publish_fork_generation`.
     """
     return write_store_snapshot(flat.store, directory, codec=codec,
                                 files=_index_files(flat, 0))
-
-
-def snapshot_generation(flat) -> int:
-    """Publish the current state of a file-backed index as a new generation.
-
-    Requires ``flat.store`` to be a *writable*
-    :class:`~repro.storage.filestore.FilePageStore` (an index built
-    directly on disk).  Unchanged pages are shared with every earlier
-    generation; the index files and the store manifest are published
-    by the store's one writer, so a partial write never becomes
-    restorable.  Returns the generation.
-    """
-    backend = flat.store.backend
-    if not isinstance(backend, FilePageBackend) or not backend.writable:
-        raise PageStoreError(
-            "snapshot_generation() needs an index built on a writable "
-            "FilePageStore; use snapshot_index() to export other stores"
-        )
-    generation = 0 if backend.generation is None else backend.generation + 1
-    return backend.commit_generation(_index_files(flat, generation))
 
 
 def publish_fork_generation(flat) -> tuple:
@@ -275,9 +258,9 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
 
     directory = Path(directory)
     if generation is None:
-        # Latest generation carrying index files.  A plain store flush
-        # (e.g. FilePageStore.close after unmanifested mutations) may
-        # publish a store-only generation; skip those rather than fail.
+        # Latest generation carrying index files.  A store-level publish
+        # (append_overlay_generation without index files) makes a
+        # store-only generation; skip those rather than fail.
         candidates = [
             g
             for g in list_generations(directory)
@@ -352,9 +335,8 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
         for i, pid in enumerate(object_page_ids)
     }
 
-    store = FilePageStore.open(
-        directory, generation=generation, buffer=buffer, decoded=decoded
-    )
+    store = PageStore(buffer=buffer, decoded=decoded,
+                      backend=FilePageBackend.open(directory, generation))
     seed_fanout = meta.get("seed_fanout")
     seed = SeedIndex(
         store,

@@ -481,7 +481,7 @@ class ClusterRouter:
         #: Planner decision of the most recent single query.
         self.last_plan: QueryPlan | None = None
         self._generations = {
-            pos: int(shard.index.store.generation)
+            pos: int(shard.index.store.backend.generation)
             for pos, shard in enumerate(control.shards)
         }
         self._closed = False
@@ -518,7 +518,7 @@ class ClusterRouter:
         try:
             for pos, shard in enumerate(control.shards):
                 directory = ShardedFLATIndex.shard_directory(root, pos)
-                generation = int(shard.index.store.generation)
+                generation = int(shard.index.store.backend.generation)
                 primaries.append(_start_shard_server(
                     pos, "primary", directory, generation, shard.element_ids,
                     runtime_dir, authkey,

@@ -359,9 +359,8 @@ class WorkerEngines:
         self._entries[generation] = (engine, prefetcher, index)
         while len(self._entries) > KEPT_GENERATIONS:
             old = self._entries.popitem(last=False)[1][2]
-            close = getattr(old.store, "close", None)
-            if self._owns_indexes and close is not None:
-                close()
+            if self._owns_indexes:
+                old.store.close()
         return engine, prefetcher
 
     def serve(self, generation: int, load, queries, cold: bool, hint=None,

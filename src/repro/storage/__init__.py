@@ -10,10 +10,12 @@ substitute for the authors' SAS disk array:
   metadata, ...) and every read is counted per category.  Page bytes
   live behind a pluggable backend; :meth:`PageStore.view` hands out
   stat-isolated stores over the same pages for concurrent readers.
-* :class:`~repro.storage.filestore.FilePageStore` — the same store over
-  a single on-disk file, reopened read-only through ``mmap``
-  (build-once/reopen-many; the substrate of index snapshots and the
-  serving layer).
+* :class:`~repro.storage.filestore.FilePageBackend` — the pages of one
+  published generation of an on-disk store, mapped read-only through
+  ``mmap`` (build-once/reopen-many; the substrate of index snapshots and
+  the serving layer).  New pages reach a directory only through the
+  store writer in :mod:`~repro.storage.filestore`: an export, a
+  rebuild's publish, a replica ship.
 * :class:`~repro.storage.buffer.BufferPool` — an LRU page buffer that
   models the OS page cache.  The paper clears caches before every query;
   the query executor does the same via :meth:`PageStore.clear_cache`.
@@ -68,7 +70,6 @@ from repro.storage.pagestore import (
 )
 from repro.storage.filestore import (
     FilePageBackend,
-    FilePageStore,
     ShipStats,
     append_overlay_generation,
     latest_generation,
@@ -92,7 +93,6 @@ __all__ = [
     "Delta64Codec",
     "DiskModel",
     "FilePageBackend",
-    "FilePageStore",
     "IOStats",
     "MBR_BYTES",
     "MemoryPageBackend",

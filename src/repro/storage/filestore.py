@@ -16,22 +16,28 @@ This module is the durable half of the storage layer:
   table, so every older manifest keeps describing a fully consistent
   store, and a replica holding generation *g* needs only the bytes
   appended since.
-* Every generation — an export, an in-place commit, a rebuild
-  publish, a replica ship — is written by one
-  :func:`publish_generation`, in one order: cut ``pages.dat`` back to
-  the bytes already committed, append the new blobs and fsync it;
-  write each small file (category sidecar, index files) to a temp
-  name, fsync it and rename it into place; fsync the directory;
-  publish the manifest the same way; fsync the directory again.  The
-  manifest is the commit point.  A process that dies
+* Every generation — an export, a rebuild publish, a replica ship — is
+  written by one :func:`publish_generation`, in one order: cut
+  ``pages.dat`` back to the bytes already committed, append the new
+  blobs and fsync it; write each small file (category sidecar, index
+  files) to a temp name, fsync it and rename it into place; fsync the
+  directory; publish the manifest the same way; fsync the directory
+  again.  The manifest is the commit point.  A process that dies
   anywhere before its rename leaves the previous generation the latest
   one, intact: the data tail past its ``data_bytes`` is garbage the
   next publish cuts off, the sidecar only ever grows, and stray index
   files or ``*.tmp`` names belong to no manifest.
-* :meth:`FilePageBackend.open` maps the committed prefix of the data
-  file read-only with :mod:`mmap` and serves page reads as slices of
-  the mapping; it loads the **latest** generation by default and any
-  older one via ``generation=``.
+* New pages reach a directory one way: the export
+  (:func:`write_store_snapshot`, through
+  :meth:`FilePageBackend.commit_generation`) and a rebuild's publish
+  (:func:`append_overlay_generation`) both stream them through one
+  private page writer, which encodes each page with the directory's
+  codec, writes it and drops it, extending the previous generation's
+  page table.
+* :class:`FilePageBackend` is read-only: :meth:`FilePageBackend.open`
+  maps the committed prefix of the data file with :mod:`mmap` and
+  serves page reads as slices of the mapping; it loads the **latest**
+  generation by default and any older one via ``generation=``.
 
 A one-byte-per-logical-page category sidecar (``categories.bin``)
 completes the directory; logical pages never change category, so the
@@ -54,10 +60,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.storage.buffer import BufferPool
 from repro.storage.codec import DEFAULT_CODEC, StoredBlob, get_codec
 from repro.storage.constants import PAGE_SIZE
-from repro.storage.decoded_cache import DecodedPageCache
 from repro.storage.pagestore import (
     OverlayPageBackend,
     PageStore,
@@ -140,19 +144,21 @@ def publish_files(directory, files: dict) -> None:
     _fsync_directory(directory)
 
 
-def publish_generation(directory, generation: int, manifest: bytes,
-                       sidecar: bytes, data_bytes: int, blobs=(),
-                       files=None) -> None:
+def publish_generation(directory, generation: int, data_bytes: int, blobs,
+                       tables, files=None) -> None:
     """Publish one snapshot generation into *directory*.
 
     The one writer of every store directory, in one fixed order:
 
     1. cut ``pages.dat`` to *data_bytes* (the bytes already committed),
        append *blobs* and fsync it;
-    2. write the category *sidecar* and every extra ``name -> bytes``
-       entry of *files* (a generation's index files) with
-       :func:`publish_files`, which fsyncs the directory after them;
-    3. publish *manifest* as ``manifest-<generation>.json`` the same
+    2. call *tables* for the generation's ``(sidecar, manifest)`` bytes
+       — a streamed generation knows its page table only once its last
+       blob is written — and write the category sidecar and every
+       extra ``name -> bytes`` entry of *files* (a generation's index
+       files) with :func:`publish_files`, which fsyncs the directory
+       after them;
+    3. publish the manifest as ``manifest-<generation>.json`` the same
        way.
 
     The manifest rename is the commit point: until it lands, the latest
@@ -165,26 +171,67 @@ def publish_generation(directory, generation: int, manifest: bytes,
             handle.write(blob)
         handle.flush()
         os.fsync(handle.fileno())
+    sidecar, manifest = tables()
     publish_files(directory, {CATEGORIES_FILENAME: sidecar, **(files or {})})
     publish_files(directory, {manifest_filename(generation): manifest})
 
 
-def _table_files(generation: int, codec: str, categories: list, table: list,
-                 segments: list, data_bytes: int) -> tuple:
-    """Sidecar and manifest bytes of a generation built from its table."""
-    manifest = {
-        "format_version": STORE_FORMAT_VERSION,
-        "page_size": PAGE_SIZE,
-        "generation": generation,
-        "codec": codec,
-        "page_count": len(categories),
-        "physical_page_count": len(segments),
-        "data_bytes": data_bytes,
-        "page_table": list(table),
-        "segments": [list(segment) for segment in segments],
-    }
-    return (bytes(_CATEGORY_CODE[c] for c in categories),
-            (json.dumps(manifest) + "\n").encode())
+def _publish_pages(directory: Path, previous, pages, files,
+                   codec=None) -> int:
+    """Publish *pages* as the generation after *previous*; the one page writer.
+
+    *pages* yields ``(payload, category)`` pairs in page-id order.  Each
+    is encoded with the directory's codec — *previous*'s, or *codec*
+    for a fresh directory (*previous* ``None``) — handed to
+    :func:`publish_generation` and dropped before the next is encoded;
+    a ``raw`` page is its own blob.  The page table, segments and
+    category sidecar extend *previous*'s.  Returns the new generation.
+    """
+    table, segments, codes, committed = [], [], bytearray(), 0
+    if previous is not None:
+        manifest = _load_manifest(directory, previous)
+        codec = manifest["codec"]
+        table = [int(slot) for slot in manifest["page_table"]]
+        segments = [
+            (int(offset), int(length)) for offset, length in manifest["segments"]
+        ]
+        committed = int(manifest["data_bytes"])
+        codes += (directory / CATEGORIES_FILENAME).read_bytes()[
+            :int(manifest["page_count"])
+        ]
+    codec = get_codec(codec)
+    generation = 0 if previous is None else previous + 1
+    data_bytes = committed
+
+    def blobs():
+        nonlocal data_bytes
+        for payload, category in pages:
+            blob = payload if codec.name == "raw" else codec.encode(
+                payload, category
+            )
+            codes.append(_CATEGORY_CODE[category])
+            table.append(len(segments))
+            segments.append((data_bytes, len(blob)))
+            data_bytes += len(blob)
+            yield blob
+
+    def tables():
+        manifest = {
+            "format_version": STORE_FORMAT_VERSION,
+            "page_size": PAGE_SIZE,
+            "generation": generation,
+            "codec": codec.name,
+            "page_count": len(codes),
+            "physical_page_count": len(segments),
+            "data_bytes": data_bytes,
+            "page_table": table,
+            "segments": segments,
+        }
+        return bytes(codes), (json.dumps(manifest) + "\n").encode()
+
+    publish_generation(directory, generation, committed, blobs(), tables,
+                       files)
+    return generation
 
 
 def require_keys(directory, source: str, present, keys) -> None:
@@ -255,58 +302,53 @@ def _load_manifest(directory: Path, generation: int) -> dict:
 
 
 class FilePageBackend:
-    """Page payloads in a single append-only data file.
+    """Page payloads of one published generation, read-only.
 
-    Two modes:
-
-    * :meth:`create` — appends physical pages to the data file as pages
-      are allocated (reads go through :func:`os.pread`, so build-time
-      read-back works); :meth:`commit_generation` publishes the current
-      translation table as a new numbered manifest.
-    * :meth:`open` — maps the committed prefix of the data file
-      read-only through :mod:`mmap`, for the latest generation or an
-      explicitly requested older one.  Page reads are slices of the
-      mapping, safely shareable between any number of stores and
-      threads; :meth:`append` is rejected.
+    :meth:`open` maps the committed prefix of a store directory's data
+    file through :mod:`mmap`, for the latest generation or an explicitly
+    requested older one.  Page reads are slices of the mapping, safely
+    shareable between any number of stores and threads.  Pages are
+    written only by the store writer: :meth:`commit_generation` exports
+    generation 0 of a fresh directory, :func:`append_overlay_generation`
+    appends a rebuild.
     """
 
-    def __init__(self, directory: Path, writable: bool, categories: list,
-                 table: list, segments: list, data_bytes: int, generation,
-                 codec=DEFAULT_CODEC):
+    #: No page is ever allocated on a published generation.
+    writable = False
+
+    def __init__(self, directory: Path, categories: list, table: list,
+                 segments: list, generation: int, codec):
         self.directory = directory
-        self.writable = writable
-        #: Latest published generation, or ``None`` before the first commit.
+        #: The published generation this backend maps.
         self.generation = generation
         self._categories = categories
         #: Logical page id -> physical slot (index into ``_segments``).
         self._table = table
         #: Physical slot -> ``(offset, length)`` in ``pages.dat``.
         self._segments = segments
-        #: Bytes of ``pages.dat`` written so far (committed or not).
-        self._data_bytes = data_bytes
         self._codec = get_codec(codec)
         self._raw_codec = self._codec.name == "raw"
         self._file = None
         self._mmap = None
-        #: Set by :meth:`close`/:meth:`discard`; stores check it before
-        #: their buffer pool, so no read is served after close.
+        #: Set by :meth:`close`; stores check it before their buffer
+        #: pool, so no read is served after close.
         self.closed = False
-        #: Appends not yet visible to ``os.pread``.
-        self._unflushed_writes = False
-        #: Appends since the last published generation.
-        self._dirty = False
 
-    # -- constructors --------------------------------------------------
+    # -- the export and the reader -------------------------------------
 
     @classmethod
-    def create(cls, directory, codec=DEFAULT_CODEC) -> "FilePageBackend":
-        """Start a new writable on-disk store in *directory*.
+    def commit_generation(cls, directory, pages, codec=DEFAULT_CODEC,
+                          files=None) -> int:
+        """Publish *pages* as generation 0 of a fresh store in *directory*.
 
+        *pages* yields ``(payload, category)`` pairs in page-id order;
         *codec* names the physical page codec every page is stored
-        under (see :mod:`repro.storage.codec`); it is recorded in every
-        manifest the store publishes.  Refuses a directory that already
-        holds published generations: ``pages.dat`` would be truncated,
-        invalidating every manifest that references its pages.
+        under (see :mod:`repro.storage.codec`), recorded in the
+        manifest.  The extra ``name -> bytes`` *files* (an index's
+        files) are published with it, before its manifest.  Refuses a
+        directory that already holds published generations: its
+        ``pages.dat`` would be cut back, invalidating every manifest
+        that references its pages.  Returns the generation, 0.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -314,20 +356,9 @@ class FilePageBackend:
         if existing is not None:
             raise PageStoreError(
                 f"{directory} already holds a page store (generation "
-                f"{existing}); creating would truncate its pages"
+                f"{existing}); exporting into it would cut back its pages"
             )
-        backend = cls(
-            directory,
-            writable=True,
-            categories=[],
-            table=[],
-            segments=[],
-            data_bytes=0,
-            generation=None,
-            codec=codec,
-        )
-        backend._file = open(directory / PAGES_FILENAME, "wb+")
-        return backend
+        return _publish_pages(directory, None, pages, files, codec)
 
     @classmethod
     def open(cls, directory, generation=None) -> "FilePageBackend":
@@ -394,16 +425,8 @@ class FilePageBackend:
             raise SnapshotError(
                 f"snapshot directory {directory}: corrupt category sidecar"
             ) from None
-        backend = cls(
-            directory,
-            writable=False,
-            categories=categories,
-            table=table,
-            segments=segments,
-            data_bytes=data_bytes,
-            generation=generation,
-            codec=codec,
-        )
+        backend = cls(directory, categories, table, segments, generation,
+                      codec)
         data_path = directory / PAGES_FILENAME
         if not data_path.exists():
             raise SnapshotError(
@@ -428,22 +451,6 @@ class FilePageBackend:
 
     # -- backend protocol ----------------------------------------------
 
-    def append(self, payload: bytes, category: str) -> int:
-        self._check_open()
-        if not self.writable:
-            raise PageStoreError("store was opened read-only")
-        blob = payload if self._raw_codec else self._codec.encode(
-            payload, category
-        )
-        self._file.write(blob)
-        self._categories.append(category)
-        self._table.append(len(self._segments))
-        self._segments.append((self._data_bytes, len(blob)))
-        self._data_bytes += len(blob)
-        self._unflushed_writes = True
-        self._dirty = True
-        return len(self._categories) - 1
-
     def payload(self, page_id: int) -> bytes:
         stored = self.blob(page_id)
         return stored if self._raw_codec else stored.inflate()
@@ -453,13 +460,7 @@ class FilePageBackend:
         the logical bytes on a ``raw`` store (its blob is the page)."""
         self._check_open()
         offset, length = self._segments[self._table[page_id]]
-        if self._mmap is not None:
-            blob = self._mmap[offset:offset + length]
-        else:
-            if self._unflushed_writes:
-                self._file.flush()
-                self._unflushed_writes = False
-            blob = os.pread(self._file.fileno(), length, offset)
+        blob = self._mmap[offset:offset + length]
         if self._raw_codec:
             return blob
         return StoredBlob(blob, self._codec, self._categories[page_id])
@@ -473,11 +474,6 @@ class FilePageBackend:
         """Name of the codec this store's physical pages are encoded with."""
         return self._codec.name
 
-    @property
-    def data_bytes(self) -> int:
-        """Bytes of ``pages.dat`` written so far (committed or not)."""
-        return self._data_bytes
-
     def drop_os_cache(self) -> None:
         """Best-effort eviction of this store's pages from the OS cache.
 
@@ -486,7 +482,7 @@ class FilePageBackend:
         backing ``pages.dat`` and ``madvise`` zaps the mapping's
         resident pages.  A no-op where unsupported.
         """
-        if self.closed or self._file is None:
+        if self.closed:
             return
         try:
             os.posix_fadvise(
@@ -509,69 +505,8 @@ class FilePageBackend:
     def __len__(self) -> int:
         return len(self._categories)
 
-    # -- persistence ---------------------------------------------------
-
-    def commit_generation(self, files=None) -> int:
-        """Publish the current state as the next snapshot generation.
-
-        The pages are already in ``pages.dat``; :func:`publish_generation`
-        makes them durable, then publishes the sidecar, the extra
-        ``name -> bytes`` *files* (an index's files for this generation)
-        and last the manifest, so either the new generation exists
-        completely or not at all.  Returns the new generation number.
-        """
-        self._check_open()
-        if not self.writable:
-            raise PageStoreError("store was opened read-only")
-        self._file.flush()
-        self._unflushed_writes = False
-        generation = 0 if self.generation is None else self.generation + 1
-        sidecar, manifest = _table_files(
-            generation, self._codec.name, self._categories, self._table,
-            self._segments, self._data_bytes,
-        )
-        publish_generation(self.directory, generation, manifest, sidecar,
-                           self._data_bytes, files=files)
-        self.generation = generation
-        self._dirty = False
-        return generation
-
-    def flush(self) -> None:
-        """Publish a generation if anything changed since the last one."""
-        self._check_open()
-        if not self.writable:
-            return
-        if self._dirty or self.generation is None:
-            self.commit_generation()
-
     def close(self) -> None:
-        """Flush (if writable) and release the file/mapping.
-
-        The file is released even when the closing commit raises; the
-        error still propagates, and the last complete generation stays
-        the published one.
-        """
-        if self.closed:
-            return
-        try:
-            if self.writable:
-                self.flush()
-        finally:
-            self._release()
-
-    def discard(self) -> None:
-        """Release the file *without* publishing a new generation.
-
-        Called when writing a store is abandoned mid-way — and by an
-        export after its one commit: generations are only ever
-        published by :meth:`commit_generation`, so an uncommitted tail
-        of ``pages.dat`` stays unreachable instead of silently passing
-        :meth:`open`'s consistency checks.
-        """
-        if not self.closed:
-            self._release()
-
-    def _release(self) -> None:
+        """Release the mapping and the file; idempotent."""
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None
@@ -586,18 +521,13 @@ class FilePageBackend:
 
     # -- pickling --------------------------------------------------------
     #
-    # A read-only backend pickles as (directory, generation) and
-    # reattaches by reopening the mmap on unpickle.  The page bytes
-    # never travel through the pickle stream: every process maps the
-    # same committed prefix of pages.dat, so the OS page cache is
-    # shared across process-mode serving workers for free.
+    # A backend pickles as (directory, generation) and reattaches by
+    # reopening the mmap on unpickle.  The page bytes never travel
+    # through the pickle stream: every process maps the same committed
+    # prefix of pages.dat, so the OS page cache is shared across
+    # process-mode serving workers for free.
 
     def __getstate__(self) -> dict:
-        if self.writable:
-            raise PageStoreError(
-                "cannot pickle a writable file backend; publish a snapshot "
-                "generation and pickle the reopened (read-only) store"
-            )
         self._check_open()
         return {
             "directory": str(self.directory),
@@ -623,12 +553,12 @@ class FilePageBackend:
 def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
     """Publish an overlay's pages as the next generation of its base.
 
-    The overlay must sit on a read-only :class:`FilePageBackend` opened
-    at the directory's latest generation.  Its pages — ids past that
-    generation's page table — are appended to the base directory's
-    ``pages.dat`` (after cutting any unreachable tail a crashed
-    publisher left behind) and a new generation is published with
-    :func:`publish_generation`, the extra ``name -> bytes`` *files*
+    The overlay must sit on a :class:`FilePageBackend` opened at the
+    directory's latest generation.  Its pages — ids past that
+    generation's page table — are streamed by the store's page writer
+    onto the end of the base directory's ``pages.dat`` (after cutting
+    any unreachable tail a crashed publisher left behind) and published
+    with :func:`publish_generation`, the extra ``name -> bytes`` *files*
     (the index's files for that generation) beside the sidecar.  Every
     earlier generation stays restorable — committed physical pages are
     never touched.
@@ -640,15 +570,13 @@ def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
     ``categories.bin`` would change their categories.  Publishing is
     single-writer per directory.  Returns the new generation number.
     """
-    if not isinstance(overlay, OverlayPageBackend):
+    base = getattr(overlay, "base", None)
+    if not isinstance(overlay, OverlayPageBackend) or not isinstance(
+        base, FilePageBackend
+    ):
         raise PageStoreError(
-            f"expected an OverlayPageBackend, got {type(overlay).__name__}"
-        )
-    base = overlay.base
-    if not isinstance(base, FilePageBackend):
-        raise PageStoreError(
-            "overlay base is not a file-backed store; only rebuilds of "
-            "restored snapshots can publish generations in place"
+            "only a rebuild of a restored snapshot (an overlay over a file "
+            f"store) publishes a generation, got {type(overlay).__name__}"
         )
     directory = base.directory
     latest = latest_generation(directory)
@@ -658,27 +586,7 @@ def append_overlay_generation(overlay: OverlayPageBackend, files=None) -> int:
             f"{base.generation}, which generation {latest} superseded; "
             "restore the latest generation and rebuild on it"
         )
-    manifest = _load_manifest(directory, latest)
-    codec = get_codec(manifest["codec"])
-    committed = data_bytes = int(manifest["data_bytes"])
-    segments = [
-        (int(offset), int(length)) for offset, length in manifest["segments"]
-    ]
-    table = [int(slot) for slot in manifest["page_table"]]
-    blobs = []
-    for payload, category in overlay.tail_pages():
-        blobs.append(codec.encode(payload, category))
-        table.append(len(segments))
-        segments.append((data_bytes, len(blobs[-1])))
-        data_bytes += len(blobs[-1])
-    generation = latest + 1
-    sidecar, manifest = _table_files(
-        generation, codec.name, list(overlay.iter_categories()), table,
-        segments, data_bytes,
-    )
-    publish_generation(directory, generation, manifest, sidecar, committed,
-                       blobs, files)
-    return generation
+    return _publish_pages(directory, latest, overlay.tail_pages(), files)
 
 
 @dataclass
@@ -812,8 +720,9 @@ def ship_store_generation(source_dir, dest_dir, generation=None,
     sidecar = (source_dir / CATEGORIES_FILENAME).read_bytes()
     manifest_bytes = (source_dir / manifest_filename(generation)).read_bytes()
     publish_generation(
-        dest_dir, generation, manifest_bytes, sidecar, dest_data_bytes,
-        _data_range(source_data, dest_data_bytes, data_bytes), files,
+        dest_dir, generation, dest_data_bytes,
+        _data_range(source_data, dest_data_bytes, data_bytes),
+        lambda: (sidecar, manifest_bytes), files,
     )
     return ShipStats(
         generation=int(generation),
@@ -824,76 +733,6 @@ def ship_store_generation(source_dir, dest_dir, generation=None,
     )
 
 
-class FilePageStore(PageStore):
-    """A :class:`PageStore` whose pages live in an on-disk file.
-
-    Same category-tagged accounting, buffer pool and decoded-page cache
-    as the memory store — only the byte backend differs.  Use
-    :meth:`create` to build a new store on disk and :meth:`open` to map
-    a published generation read-only (the latest by default);
-    :meth:`PageStore.view` hands out stat-isolated stores over the same
-    mapping for concurrent readers.
-    """
-
-    def __init__(
-        self,
-        backend: FilePageBackend,
-        buffer: BufferPool | None = None,
-        decoded: DecodedPageCache | None = None,
-    ):
-        super().__init__(buffer=buffer, decoded=decoded, backend=backend)
-
-    @classmethod
-    def create(cls, directory, buffer=None, decoded=None,
-               codec=DEFAULT_CODEC) -> "FilePageStore":
-        return cls(FilePageBackend.create(directory, codec=codec),
-                   buffer, decoded)
-
-    @classmethod
-    def open(cls, directory, generation=None, buffer=None,
-             decoded=None) -> "FilePageStore":
-        return cls(FilePageBackend.open(directory, generation), buffer, decoded)
-
-    @property
-    def directory(self) -> Path:
-        return self.backend.directory
-
-    @property
-    def codec(self) -> str:
-        """Name of the physical page codec (from the manifest)."""
-        return self.backend.codec
-
-    @property
-    def generation(self):
-        """Latest published generation, or ``None`` before the first."""
-        return self.backend.generation
-
-    def snapshot(self) -> int:
-        """Publish the current pages as a new numbered generation."""
-        return self.backend.commit_generation()
-
-    def flush(self) -> None:
-        self.backend.flush()
-
-    def close(self) -> None:
-        self.backend.close()
-
-    def discard(self) -> None:
-        """Abandon a store being written; see :meth:`FilePageBackend.discard`."""
-        self.backend.discard()
-
-    def __enter__(self) -> "FilePageStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        # An exception mid-write must not publish a valid-looking
-        # manifest over a partial page file.
-        if exc_type is not None and self.backend.writable:
-            self.discard()
-        else:
-            self.close()
-
-
 def write_store_snapshot(store: PageStore, directory,
                          codec=DEFAULT_CODEC, files=None) -> Path:
     """Copy every page of *store* into a new on-disk store directory.
@@ -901,26 +740,26 @@ def write_store_snapshot(store: PageStore, directory,
     Pages are read silently (no I/O accounting — snapshotting is not a
     query) and land in the same page-id order, so pointers baked into
     index structures stay valid verbatim in the reopened store.  The
-    copy is published as generation 0 of the target directory, encoded
-    with *codec* — exporting under a different codec than the source is
-    how a store is re-compressed (or decompressed), since the logical
-    pages are codec-invariant.  The extra ``name -> bytes`` *files* (an
-    index's files) are published with it, before its manifest.
+    copy is published as generation 0 of the target directory by
+    :meth:`FilePageBackend.commit_generation`, one page at a time,
+    encoded with *codec* — exporting under a different codec than the
+    source is how a store is re-compressed (or decompressed), since the
+    logical pages are codec-invariant.  The extra ``name -> bytes``
+    *files* (an index's files) are published with it, before its
+    manifest.
     """
     directory = Path(directory)
     source_dir = getattr(store.backend, "directory", None)
     if source_dir is not None and Path(source_dir).resolve() == directory.resolve():
-        # Creating the target truncates pages.dat — the very file the
-        # source store is mmapping — losing the store and SIGBUS-ing
-        # the process on the next page read.
+        # Publishing into the directory the source store maps would cut
+        # back the very pages.dat it reads.
         raise PageStoreError(
             f"cannot snapshot a store into its own directory {directory}"
         )
-    target = FilePageBackend.create(directory, codec=codec)
-    try:
-        for page_id in range(len(store)):
-            target.append(store.read_silent(page_id), store.category(page_id))
-        target.commit_generation(files)
-    finally:
-        target.discard()
+    FilePageBackend.commit_generation(
+        directory,
+        ((store.read_silent(page_id), store.category(page_id))
+         for page_id in range(len(store))),
+        codec, files,
+    )
     return directory

@@ -4,11 +4,14 @@ The paper's indexes are bulkloaded (Sec. IV: "we focus on developing a
 bulkloading approach and do not consider updates"), so allocation is
 append-only and a page is never changed once written.  Updates keep
 that: every mutation rebuilds the live set onto a store of its own
-(:meth:`~repro.core.flat_index.FLATIndex.merged`), and
-:class:`OverlayPageBackend` is where a rebuild of a *read-only* base
-(e.g. an ``mmap``-backed snapshot) lands — its own pages appended in
-RAM past the base's, the base's pages still served from disk — until
-it is published as the base directory's next generation.
+(:meth:`~repro.core.flat_index.FLATIndex.merged`): a new
+:class:`MemoryPageBackend` for an in-memory index, or an
+:class:`OverlayPageBackend` over a restored snapshot's read-only
+``mmap``-backed file backend — its own pages appended in RAM past the
+base's, the base's pages still served from disk — until it is
+published as the base directory's next generation.  A store over a
+file backend is a plain :class:`PageStore`; :meth:`PageStore.close`
+releases the file, through an overlay too.
 
 Reads are counted per page *category* unless absorbed by the attached
 buffer pool.
@@ -132,11 +135,6 @@ class OverlayPageBackend:
     writable = True
 
     def __init__(self, base):
-        if getattr(base, "writable", False):
-            raise PageStoreError(
-                "an overlay needs a read-only base backend (a writable base "
-                "could change pages underneath the overlay)"
-            )
         self._base = base
         self._base_len = len(base)
         #: Payloads of pages appended past the base (ids >= _base_len).
@@ -152,7 +150,11 @@ class OverlayPageBackend:
     @property
     def closed(self) -> bool:
         """True once the base is closed: the overlay reads through it."""
-        return getattr(self._base, "closed", False)
+        return self._base.closed
+
+    def close(self) -> None:
+        """Close the base the overlay reads through."""
+        self._base.close()
 
     def payload(self, page_id: int) -> bytes:
         if page_id >= self._base_len:
@@ -231,11 +233,9 @@ class PageStoreGroup:
             store.clear_cache()
 
     def close(self) -> None:
-        """Close every member store that supports closing."""
+        """Close every member store (see :meth:`PageStore.close`)."""
         for store in self.stores:
-            close = getattr(store, "close", None)
-            if close is not None:
-                close()
+            store.close()
 
     def __len__(self) -> int:
         return sum(len(store) for store in self.stores)
@@ -311,6 +311,23 @@ class PageStore:
         pollute — each other's caches and counters.
         """
         return PageStore(buffer=buffer, decoded=decoded, backend=self.backend)
+
+    def close(self) -> None:
+        """Release the file and mapping the pages are read from, if any.
+
+        Closes a backend that has a ``close`` — a file backend, or an
+        overlay over one — and is a no-op on a memory backend.  Every
+        store over the backend (each :meth:`view`) is closed with it.
+        """
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
+
+    def __enter__(self) -> "PageStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- allocation ----------------------------------------------------
 

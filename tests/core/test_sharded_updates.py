@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ShardedFLATIndex
+from repro.storage import BufferPool, DecodedPageCache, PageStore
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_center, mbr_contains_mbr, mbr_distance_to_point
 
@@ -212,6 +213,46 @@ class TestShardedForkAndRestore:
             assert_exact(restored, live, query_seed=43)
         finally:
             restored.close()
+
+    def test_close_releases_every_shard_after_a_mutation(self, tmp_path):
+        ShardedFLATIndex.build(random_mbrs(200, seed=41), shard_count=2).snapshot(
+            tmp_path / "sh"
+        )
+        restored = ShardedFLATIndex.restore(tmp_path / "sh")
+        before = list(restored.shards)
+        bases = [shard.store.backend for shard in before]
+        restored.delete([0, 1, 2, 3])
+        assert any(shard is not old for shard, old in zip(restored.shards, before))
+        restored.close()
+        assert [base.closed for base in bases] == [True] * len(bases)
+
+    def test_a_rebuilt_shard_keeps_its_store_bounds_and_counts(self):
+        index = ShardedFLATIndex.build(
+            random_mbrs(400, seed=44), shard_count=2,
+            store_factory=lambda _shard_id: PageStore(
+                buffer=BufferPool(capacity=900, byte_capacity=262144),
+                decoded=DecodedPageCache(64),
+            ),
+        )
+        index.range_query(np.array([-10.0, -10, -10, 110, 110, 110]))
+        before = list(index.shards)
+        counts = [shard.store.stats.snapshot() for shard in before]
+        index.delete([0, 1, 2, 3])
+        rebuilt = [(shard, old, count)
+                   for shard, old, count in zip(index.shards, before, counts)
+                   if shard is not old]
+        assert rebuilt
+        for shard, old, count in rebuilt:
+            store = shard.store
+            assert store is not old.store
+            assert (store.buffer.capacity, store.buffer.byte_capacity) == (
+                900, 262144
+            )
+            assert store.decoded.capacity == 64
+            assert count.total_reads > 0
+            assert store.stats.reads == count.reads
+            assert store.stats.cache_hits == count.cache_hits
+            assert sum(store.stats.diff(count).writes.values()) == len(store)
 
     def test_mutated_snapshot_round_trip_and_watermark(self, tmp_path):
         mbrs = random_mbrs(400, seed=31)

@@ -12,13 +12,24 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import FLATIndex, restore_index, snapshot_index
+from repro.core import (
+    FLATIndex,
+    publish_fork_generation,
+    restore_index,
+    snapshot_index,
+)
 from repro.core import seed_index as seed_index_module
 from repro.core.snapshot import index_arrays_filename, index_meta_filename
 from repro.data.microcircuit import build_microcircuit
 from repro.geometry.mbr import mbr_union_many
 from repro.query import BenchmarkSpec, SCALED_SN_FRACTION, run_queries
-from repro.storage import FilePageStore, PageStore, PageStoreError, SnapshotError
+from repro.storage import (
+    FilePageBackend,
+    PageStore,
+    PageStoreError,
+    SnapshotError,
+    append_overlay_generation,
+)
 from repro.storage import pagestore as pagestore_module
 
 
@@ -73,7 +84,7 @@ class TestFig13SNEquivalence:
 
     def test_restored_store_is_mmap_backed(self, sn_round_trip):
         _, _, restored, _, _ = sn_round_trip
-        assert isinstance(restored.store, FilePageStore)
+        assert isinstance(restored.store.backend, FilePageBackend)
         assert not restored.store.backend.writable
 
 
@@ -250,22 +261,22 @@ class TestSnapshotErrors:
 
 
 class TestGenerations:
-    """Versioned snapshots of a mutable, file-backed index."""
+    """Versioned snapshots: each rebuild of a restored index publishes
+    the next generation of its directory."""
 
     def test_mutate_publish_restore_each_generation(self, tmp_path):
         mbrs = random_mbrs(300, seed=6)
-        store = FilePageStore.create(tmp_path / "idx")
-        flat = FLATIndex.build(store, mbrs, page_capacity=16)
+        flat = FLATIndex.build(PageStore(), mbrs, page_capacity=16)
         query = np.array([20.0, 20, 20, 70, 70, 70])
-        assert flat.snapshot_generation() == 0
+        flat.snapshot(tmp_path / "idx")
         expected_gen0 = flat.range_query(query)
 
-        extra = random_mbrs(80, seed=7, span=120.0)
-        flat.insert(extra)
+        flat = FLATIndex.restore(tmp_path / "idx")
+        flat.insert(random_mbrs(80, seed=7, span=120.0))
         flat.delete(np.arange(0, 100))
-        assert flat.snapshot_generation() == 1
+        assert publish_fork_generation(flat) == (tmp_path / "idx", 1)
         expected_gen1 = flat.range_query(query)
-        store.close()
+        flat.store.close()
 
         gen0 = FLATIndex.restore(tmp_path / "idx", generation=0)
         latest = FLATIndex.restore(tmp_path / "idx")
@@ -281,53 +292,51 @@ class TestGenerations:
         from repro.storage.filestore import PAGES_FILENAME
 
         mbrs = random_mbrs(300, seed=8)
-        store = FilePageStore.create(tmp_path / "idx")
-        flat = FLATIndex.build(store, mbrs, page_capacity=16)
-        flat.snapshot_generation()
+        FLATIndex.build(PageStore(), mbrs, page_capacity=16).snapshot(
+            tmp_path / "idx"
+        )
         size_after_first = (tmp_path / "idx" / PAGES_FILENAME).stat().st_size
-        pages_before = len(store)
+        flat = FLATIndex.restore(tmp_path / "idx")
+        pages_before = len(flat.store)
         flat.delete([0])
-        # The rebuild was appended to the same writable store...
-        assert flat.store is store
-        rebuilt = len(store) - pages_before
+        # The rebuild landed on an overlay past generation 0's pages...
+        rebuilt = len(flat.store) - pages_before
         assert rebuilt == (flat.object_page_count + flat.metadata_page_count
                            + flat.seed_internal_page_count)
-        flat.snapshot_generation()
+        publish_fork_generation(flat)
         size_after_second = (tmp_path / "idx" / PAGES_FILENAME).stat().st_size
-        store.close()
+        flat.store.close()
         # ...so the generation's data file grew by the whole rebuild.
         assert size_after_second - size_after_first == rebuilt * 4096
 
     def test_restore_skips_store_only_generations(self, tmp_path):
-        # close() after unmanifested mutations publishes a store-only
+        # A store-level publish without index files makes a store-only
         # generation; the default restore must fall back to the newest
         # generation that carries index files instead of failing.
         mbrs = random_mbrs(200, seed=14)
-        store = FilePageStore.create(tmp_path / "idx")
-        flat = FLATIndex.build(store, mbrs, page_capacity=16)
-        flat.snapshot_generation()  # generation 0, with index files
+        flat = FLATIndex.build(PageStore(), mbrs, page_capacity=16)
+        flat.snapshot(tmp_path / "idx")  # generation 0, with index files
         query = np.array([10.0, 10, 10, 80, 80, 80])
         expected = flat.range_query(query)
-        flat.insert(random_mbrs(20, seed=15))
-        store.close()  # publishes store generation 1, no index files
+        mutated = FLATIndex.restore(tmp_path / "idx")
+        mutated.insert(random_mbrs(20, seed=15))
+        # Store generation 1, no index files.
+        assert append_overlay_generation(mutated.store.backend) == 1
+        mutated.store.close()
         restored = FLATIndex.restore(tmp_path / "idx")
         try:
-            assert restored.store.generation == 0
+            assert restored.store.backend.generation == 0
             assert np.array_equal(restored.range_query(query), expected)
         finally:
             restored.store.close()
 
-    def test_snapshot_generation_requires_writable_file_store(self):
-        flat = FLATIndex.build(PageStore(), random_mbrs(100, seed=9))
-        with pytest.raises(PageStoreError, match="writable"):
-            flat.snapshot_generation()
-
     def test_export_into_own_directory_rejected(self, tmp_path):
-        store = FilePageStore.create(tmp_path / "idx")
-        flat = FLATIndex.build(store, random_mbrs(100, seed=10))
+        flat = FLATIndex.build(PageStore(), random_mbrs(100, seed=10))
+        flat.snapshot(tmp_path / "idx")
+        restored = FLATIndex.restore(tmp_path / "idx")
         with pytest.raises(PageStoreError, match="own directory"):
-            flat.snapshot(tmp_path / "idx")
-        store.close()
+            restored.snapshot(tmp_path / "idx")
+        restored.store.close()
 
     def test_restore_skips_retired_record_slots(self, tmp_path):
         # Directories written before updates became rebuilds may hold
@@ -391,15 +400,15 @@ class TestIndexSnapshotRobustness:
 
     @pytest.fixture
     def store_opens(self, monkeypatch):
-        """Directories ``FilePageStore.open`` was called on."""
+        """Directories ``FilePageBackend.open`` was called on."""
         opened = []
-        original = FilePageStore.open
+        original = FilePageBackend.open
 
         def spy(directory, *args, **kwargs):
             opened.append(directory)
             return original(directory, *args, **kwargs)
 
-        monkeypatch.setattr(FilePageStore, "open", spy)
+        monkeypatch.setattr(FilePageBackend, "open", spy)
         return opened
 
     @pytest.mark.parametrize("field", ["seed_root_id", "seed_height",

@@ -5,8 +5,9 @@ Every mutation rebuilds the live set (``FLATIndex.apply_batch`` adopts
 inserts and deletes — clustered storms, deletes down to a handful of
 elements, and space growth past the build's box — range, point and kNN
 queries must answer byte-identically to a FLAT index rebuilt from
-scratch on the same surviving element set, on both the memory and the
-file-backed store.
+scratch on the same surviving element set, both for an in-memory index
+and for one restored from a snapshot, whose rebuilds land on overlays
+over the read-only file backend (the path a served index takes).
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from repro.core import FLATIndex
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_distance_to_point
-from repro.storage import FilePageStore, PageStore
+from repro.storage import BufferPool, DecodedPageCache, PageStore, PageStoreError
 from repro.storage.pagestore import OverlayPageBackend
 
 PAGE_CAPACITY = 12
@@ -90,23 +91,30 @@ class Oracle:
 
 
 @pytest.fixture(params=["memory", "file"])
-def make_store(request, tmp_path):
-    counter = iter(range(1000))
+def make_index(request, tmp_path):
+    """Builds the index under test: in memory, or restored from a snapshot."""
+    restored = []
 
-    def factory():
+    def factory(mbrs):
+        flat = FLATIndex.build(PageStore(), mbrs, page_capacity=PAGE_CAPACITY)
         if request.param == "memory":
-            return PageStore()
-        return FilePageStore.create(tmp_path / f"store-{next(counter)}")
+            return flat
+        directory = tmp_path / f"snapshot-{len(restored)}"
+        flat.snapshot(directory)
+        restored.append(FLATIndex.restore(directory))
+        return restored[-1]
 
-    return factory
+    yield factory
+    for index in restored:
+        index.store.close()
 
 
 class TestDifferentialInterleavings:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_random_interleaving_matches_rebuild(self, make_store, seed):
+    def test_random_interleaving_matches_rebuild(self, make_index, seed):
         rng = np.random.default_rng(seed)
         mbrs = random_mbrs(400, seed=seed)
-        flat = FLATIndex.build(make_store(), mbrs, page_capacity=PAGE_CAPACITY)
+        flat = make_index(mbrs)
         oracle = Oracle(mbrs)
         for step in range(6):
             if rng.random() < 0.55 or len(oracle.live) < 50:
@@ -126,10 +134,10 @@ class TestDifferentialInterleavings:
                 oracle.delete(victims)
             oracle.assert_equivalent(flat, query_seed=31 * seed + step)
 
-    def test_split_storm_into_one_region(self, make_store):
+    def test_split_storm_into_one_region(self, make_index):
         # Hammer one partition until it splits repeatedly.
         mbrs = random_mbrs(150, seed=3)
-        flat = FLATIndex.build(make_store(), mbrs, page_capacity=PAGE_CAPACITY)
+        flat = make_index(mbrs)
         oracle = Oracle(mbrs)
         records_before = flat.seed_index.record_count
         rng = np.random.default_rng(4)
@@ -140,9 +148,9 @@ class TestDifferentialInterleavings:
             oracle.assert_equivalent(flat, query_seed=50 + step)
         assert flat.seed_index.record_count > records_before
 
-    def test_delete_storm_forces_merges(self, make_store):
+    def test_delete_storm_forces_merges(self, make_index):
         mbrs = random_mbrs(500, seed=5)
-        flat = FLATIndex.build(make_store(), mbrs, page_capacity=PAGE_CAPACITY)
+        flat = make_index(mbrs)
         records_before = flat.seed_index.record_count
         oracle = Oracle(mbrs)
         rng = np.random.default_rng(6)
@@ -155,11 +163,11 @@ class TestDifferentialInterleavings:
         # The survivors fill far fewer pages, hence records.
         assert flat.seed_index.record_count < records_before // 4
 
-    def test_outlier_inserts_grow_the_space(self, make_store):
+    def test_outlier_inserts_grow_the_space(self, make_index):
         # Elements far outside the build box, in opposite directions:
         # the covered space must grow so the crawl can reach both.
         mbrs = random_mbrs(200, seed=7, span=10.0)
-        flat = FLATIndex.build(make_store(), mbrs, page_capacity=PAGE_CAPACITY)
+        flat = make_index(mbrs)
         oracle = Oracle(mbrs)
         far = np.array(
             [
@@ -174,9 +182,9 @@ class TestDifferentialInterleavings:
         got = flat.range_query(np.array([-400.0, -400, -400, 400, 400, 400]))
         assert len(got) == len(oracle.live)
 
-    def test_wipe_and_reinsert(self, make_store):
+    def test_wipe_and_reinsert(self, make_index):
         mbrs = random_mbrs(120, seed=8)
-        flat = FLATIndex.build(make_store(), mbrs, page_capacity=PAGE_CAPACITY)
+        flat = make_index(mbrs)
         flat.delete(np.arange(len(mbrs)))
         assert flat.element_count == 0
         everything = np.array([-50.0, -50, -50, 200, 200, 200])
@@ -261,6 +269,70 @@ class TestUpdateApi:
             grown.assert_equivalent(fork, query_seed=5)
         finally:
             store.close()
+
+
+class TestRebuildStore:
+    """A rebuild's store keeps the replaced store's bounds and counts,
+    and closing it releases a restored index's file."""
+
+    @staticmethod
+    def bounded():
+        return {"buffer": BufferPool(capacity=900, byte_capacity=262144),
+                "decoded": DecodedPageCache(64)}
+
+    @staticmethod
+    def insert_after_queries(flat):
+        """Serve a few queries, then insert; the replaced store and its
+        counts before the insert."""
+        for query in random_queries(3, seed=8):
+            flat.range_query(query)
+        replaced, before = flat.store, flat.store.stats.snapshot()
+        assert before.total_reads > 0
+        flat.insert(random_mbrs(10, seed=9))
+        return replaced, before
+
+    @staticmethod
+    def assert_carried_over(store, replaced, before, rebuilt_pages):
+        assert store is not replaced and store.buffer is not replaced.buffer
+        assert store.buffer.capacity == 900
+        assert store.buffer.byte_capacity == 262144
+        assert store.decoded.capacity == 64
+        assert store.stats.reads == before.reads
+        assert store.stats.cache_hits == before.cache_hits
+        assert store.stats.decode_misses == before.decode_misses
+        assert sum(store.stats.diff(before).writes.values()) == rebuilt_pages
+
+    def test_memory_rebuild_keeps_bounds_and_counts(self):
+        flat = FLATIndex.build(PageStore(**self.bounded()),
+                               random_mbrs(300, seed=7),
+                               page_capacity=PAGE_CAPACITY)
+        replaced, before = self.insert_after_queries(flat)
+        self.assert_carried_over(flat.store, replaced, before, len(flat.store))
+
+    def test_restored_rebuild_keeps_bounds_and_counts(self, tmp_path):
+        FLATIndex.build(PageStore(), random_mbrs(300, seed=7),
+                        page_capacity=PAGE_CAPACITY).snapshot(tmp_path / "snap")
+        flat = FLATIndex.restore(tmp_path / "snap", **self.bounded())
+        try:
+            replaced, before = self.insert_after_queries(flat)
+            self.assert_carried_over(flat.store, replaced, before,
+                                     len(flat.store) - len(replaced))
+        finally:
+            flat.store.close()
+
+    def test_closing_a_mutated_restored_index_releases_its_file(self, tmp_path):
+        FLATIndex.build(PageStore(), random_mbrs(80, seed=1)).snapshot(
+            tmp_path / "snap"
+        )
+        restored = FLATIndex.restore(tmp_path / "snap")
+        backend = restored.store.backend
+        mapping = backend._mmap
+        restored.delete([0])
+        assert restored.store.backend.base is backend
+        restored.store.close()
+        assert backend.closed and mapping.closed
+        with pytest.raises(PageStoreError, match="closed"):
+            restored.range_query(np.array([0.0, 0, 0, 100, 100, 100]))
 
 
 class TestForkIsolation:

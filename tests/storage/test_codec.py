@@ -26,7 +26,7 @@ from repro.storage import (
     CATEGORY_RTREE_LEAF,
     CATEGORY_SEED_INTERNAL,
     DEFAULT_CODEC,
-    FilePageStore,
+    FilePageBackend,
     MemoryPageBackend,
     NODE_FANOUT,
     OBJECT_PAGE_CAPACITY,
@@ -74,6 +74,11 @@ def grid_mbrs(n, seed=0, spread=100.0):
     hi = lo + rng.uniform(0, 5.0, size=(n, 3))
     mbrs = np.concatenate([lo, hi], axis=1)
     return np.round(mbrs / GRID) * GRID
+
+
+def open_store(directory, **kwargs):
+    """A store over the latest published generation of *directory*."""
+    return PageStore(backend=FilePageBackend.open(directory), **kwargs)
 
 
 def assert_roundtrip(payload, category):
@@ -348,33 +353,25 @@ class TestFileStoreCodecs:
     @pytest.mark.parametrize("codec", ["raw", "delta64"])
     def test_create_commit_reopen_byte_identical(self, tmp_path, codec):
         pages = self.pages()
-        with FilePageStore.create(tmp_path / "s", codec=codec) as store:
-            assert store.codec == codec
-            for payload, category in pages:
-                store.allocate(payload, category)
-        with FilePageStore.open(tmp_path / "s") as reopened:
-            assert reopened.codec == codec
+        FilePageBackend.commit_generation(tmp_path / "s", pages, codec)
+        with open_store(tmp_path / "s") as reopened:
+            assert reopened.backend.codec == codec
             for pid, (payload, category) in enumerate(pages):
                 assert reopened.read(pid) == payload
                 assert reopened.category(pid) == category
 
     def test_delta64_data_file_smaller(self, tmp_path):
         pages = self.pages(30)
-        with FilePageStore.create(tmp_path / "raw", codec="raw") as store:
-            for payload, category in pages:
-                store.allocate(payload, category)
-        with FilePageStore.create(tmp_path / "d64", codec="delta64") as store:
-            for payload, category in pages:
-                store.allocate(payload, category)
+        FilePageBackend.commit_generation(tmp_path / "raw", pages, "raw")
+        FilePageBackend.commit_generation(tmp_path / "d64", pages, "delta64")
         raw_size = (tmp_path / "raw" / "pages.dat").stat().st_size
         d64_size = (tmp_path / "d64" / "pages.dat").stat().st_size
         assert raw_size == len(pages) * PAGE_SIZE
         assert d64_size * 2 <= raw_size
 
     def test_manifest_is_v3_with_codec_and_segments(self, tmp_path):
-        with FilePageStore.create(tmp_path / "s", codec="delta64") as store:
-            for payload, category in self.pages(4):
-                store.allocate(payload, category)
+        FilePageBackend.commit_generation(tmp_path / "s", self.pages(4),
+                                          "delta64")
         manifest = json.loads(
             (tmp_path / "s" / manifest_filename(0)).read_text()
         )
@@ -388,29 +385,29 @@ class TestFileStoreCodecs:
     def test_v2_manifest_opens_as_raw(self, tmp_path):
         """Pre-codec directories (format v2) restore without migration."""
         pages = self.pages(6)
-        with FilePageStore.create(tmp_path / "s", codec="raw") as store:
-            for payload, category in pages:
-                store.allocate(payload, category)
+        FilePageBackend.commit_generation(tmp_path / "s", pages, "raw")
         path = tmp_path / "s" / manifest_filename(0)
         manifest = json.loads(path.read_text())
         manifest["format_version"] = 2
         for key in ("codec", "segments", "data_bytes"):
             del manifest[key]
         path.write_text(json.dumps(manifest) + "\n")
-        with FilePageStore.open(tmp_path / "s") as reopened:
-            assert reopened.codec == "raw"
+        with open_store(tmp_path / "s") as reopened:
+            assert reopened.backend.codec == "raw"
             for pid, (payload, category) in enumerate(pages):
                 assert reopened.read(pid) == payload
 
     def test_unknown_codec_in_manifest_rejected(self, tmp_path):
-        with FilePageStore.create(tmp_path / "s", codec="delta64") as store:
-            store.allocate(encode_element_page(grid_mbrs(2)), CATEGORY_OBJECT)
+        FilePageBackend.commit_generation(
+            tmp_path / "s",
+            [(encode_element_page(grid_mbrs(2)), CATEGORY_OBJECT)], "delta64",
+        )
         path = tmp_path / "s" / manifest_filename(0)
         manifest = json.loads(path.read_text())
         manifest["codec"] = "lzma-paged"
         path.write_text(json.dumps(manifest) + "\n")
         with pytest.raises(SnapshotError, match="lzma-paged"):
-            FilePageStore.open(tmp_path / "s")
+            open_store(tmp_path / "s")
 
     def test_delta64_store_pickles_as_spec(self, tmp_path):
         """The codec rides the worker spec: a pickled read-only store
@@ -418,25 +415,24 @@ class TestFileStoreCodecs:
         import pickle
 
         pages = self.pages(6)
-        with FilePageStore.create(tmp_path / "s", codec="delta64") as store:
-            for payload, category in pages:
-                store.allocate(payload, category)
-        with FilePageStore.open(tmp_path / "s") as reopened:
+        FilePageBackend.commit_generation(tmp_path / "s", pages, "delta64")
+        with open_store(tmp_path / "s") as reopened:
             clone = pickle.loads(pickle.dumps(reopened))
             try:
-                assert clone.codec == "delta64"
+                assert clone.backend.codec == "delta64"
                 for pid, (payload, _category) in enumerate(pages):
                     assert clone.read(pid) == payload
             finally:
                 clone.close()
 
     def test_stored_bytes_and_drop_os_cache(self, tmp_path):
-        with FilePageStore.create(tmp_path / "s", codec="delta64") as store:
-            store.allocate(
-                encode_element_page(grid_mbrs(OBJECT_PAGE_CAPACITY)),
-                CATEGORY_OBJECT,
-            )
-        with FilePageStore.open(tmp_path / "s") as reopened:
+        FilePageBackend.commit_generation(
+            tmp_path / "s",
+            [(encode_element_page(grid_mbrs(OBJECT_PAGE_CAPACITY)),
+              CATEGORY_OBJECT)],
+            "delta64",
+        )
+        with open_store(tmp_path / "s") as reopened:
             assert reopened.backend.stored_bytes(0) < PAGE_SIZE
             reopened.backend.drop_os_cache()  # must not raise
             assert reopened.read(0)[:8] != b""
@@ -465,13 +461,13 @@ class TestByteBudgetedBuffer:
         assert len(thin) == 30
 
     def test_store_read_charges_stored_bytes(self, tmp_path):
-        with FilePageStore.create(tmp_path / "s", codec="delta64") as store:
-            for i in range(8):
-                store.allocate(
-                    encode_element_page(grid_mbrs(OBJECT_PAGE_CAPACITY, i)),
-                    CATEGORY_OBJECT,
-                )
-        reopened = FilePageStore.open(
+        FilePageBackend.commit_generation(
+            tmp_path / "s",
+            [(encode_element_page(grid_mbrs(OBJECT_PAGE_CAPACITY, i)),
+              CATEGORY_OBJECT) for i in range(8)],
+            "delta64",
+        )
+        reopened = open_store(
             tmp_path / "s", buffer=BufferPool(byte_capacity=4 * PAGE_SIZE)
         )
         try:

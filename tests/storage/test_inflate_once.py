@@ -26,7 +26,7 @@ from repro.storage import (
     CATEGORY_OBJECT,
     CATEGORY_SEED_INTERNAL,
     DECODE_METADATA,
-    FilePageStore,
+    FilePageBackend,
     IOStats,
     MemoryPageBackend,
     OBJECT_PAGE_CAPACITY,
@@ -101,13 +101,13 @@ def exports(flat, tmp_path_factory):
 
 
 def delta64_file_page_store(directory, pages=6, **kwargs):
-    with FilePageStore.create(directory, codec="delta64") as store:
-        for i in range(pages):
-            store.allocate(
-                encode_element_page(grid_mbrs(OBJECT_PAGE_CAPACITY, seed=i)),
-                CATEGORY_OBJECT,
-            )
-    return FilePageStore.open(directory, **kwargs)
+    FilePageBackend.commit_generation(
+        directory,
+        [(encode_element_page(grid_mbrs(OBJECT_PAGE_CAPACITY, seed=i)),
+          CATEGORY_OBJECT) for i in range(pages)],
+        "delta64",
+    )
+    return PageStore(backend=FilePageBackend.open(directory), **kwargs)
 
 
 def hotspot_pass(index, queries, before_query=None):

@@ -13,7 +13,7 @@ from repro.storage import (
     CATEGORY_METADATA,
     CATEGORY_OBJECT,
     CATEGORY_SEED_INTERNAL,
-    FilePageStore,
+    FilePageBackend,
     PAGE_SIZE,
     PageStore,
     PageStoreError,
@@ -88,9 +88,10 @@ class TestFanOut:
             assert len(store.buffer) == 0
 
     def test_close_reaches_closable_members(self, tmp_path):
-        file_store = FilePageStore.create(tmp_path / "s")
-        file_store.allocate(make_page(9), CATEGORY_OBJECT)
-        memory_store = PageStore()  # has no close(); must be tolerated
+        FilePageBackend.commit_generation(tmp_path / "s",
+                                          [(make_page(9), CATEGORY_OBJECT)])
+        file_store = PageStore(backend=FilePageBackend.open(tmp_path / "s"))
+        memory_store = PageStore()  # nothing to release; must be tolerated
         facade = PageStoreGroup([file_store, memory_store])
         facade.close()
         with pytest.raises(PageStoreError):

@@ -4,13 +4,14 @@ Process-crash model: bytes a write handed to the kernel survive, the
 process that wrote them does not.  The harness interposes on the store
 writer's calls — file writes made through :mod:`repro.storage.filestore`,
 ``os.fsync`` and ``os.replace`` — and raises at the k-th call, for every
-k; a write that crashes lands its first half (a torn write).  After each
-crash of an export, an in-place commit, a fork publish, a merge's
-publish (a rebuilt index on a fresh overlay) and a replica ship, the
-directory's latest generation is the old one or the new one,
-byte-identical in pages, categories and SN answers, and a second publish
-succeeds.  Power loss, where unfsynced bytes vanish too, is not
-modelled here.
+k; a write that crashes lands its first half (a torn write).  That sees
+every write of every publisher because no other module of the package
+writes, fsyncs or renames a file (``tests/storage/test_one_writer.py``).
+After each crash of an export, a fork publish, a merge's publish (a
+rebuilt index on a fresh overlay) and a replica ship, the directory's
+latest generation is the old one or the new one, byte-identical in
+pages, categories and SN answers, and a second publish succeeds.  Power
+loss, where unfsynced bytes vanish too, is not modelled here.
 """
 
 import builtins
@@ -33,7 +34,7 @@ from repro.core import (
 )
 from repro.data.microcircuit import build_microcircuit
 from repro.query import BenchmarkSpec, SCALED_SN_FRACTION
-from repro.storage import FilePageStore, PageStore, SnapshotError, latest_generation
+from repro.storage import PageStore, SnapshotError, latest_generation
 from repro.storage import filestore
 
 _MANIFEST = re.compile(r"manifest-\d{6}\.json")
@@ -198,38 +199,6 @@ class Export:
         return publish_next(self.directory, self.circuit)
 
 
-class InPlace:
-    """``snapshot_generation`` of an index built on a writable file store."""
-
-    def __init__(self, circuit, templates):
-        self.circuit = circuit
-        self.old, self.new = 0, 1
-        self.prepare(templates / "in-place")
-        self.generations = {0: self.gen0, 1: state_of(self.flat, circuit[2])}
-        self.abandon()
-
-    def prepare(self, directory):
-        mbrs, space, queries = self.circuit
-        self.directory = directory
-        self.store = FilePageStore.create(directory)
-        self.flat = FLATIndex.build(self.store, mbrs, space_mbr=space,
-                                    page_capacity=16)
-        self.flat.snapshot_generation()
-        self.gen0 = state_of(self.flat, queries)
-        mutate(self.flat, mbrs, seed=5)
-
-    def publish(self):
-        self.flat.snapshot_generation()
-
-    def abandon(self):
-        self.store.discard()
-
-    def republish(self, survivor):
-        # The writable store died with its process; a restarted one
-        # publishes by forking what survived.
-        return publish_next(self.directory, self.circuit)
-
-
 class ForkPublish:
     """``publish_fork_generation`` of a fork of a restored generation."""
 
@@ -345,8 +314,8 @@ class Ship:
         return survivor + 1, self.generations[survivor + 1]
 
 
-PUBLISHERS = {"export": Export, "in-place": InPlace, "fork": ForkPublish,
-              "merge": MergePublish, "ship": Ship}
+PUBLISHERS = {"export": Export, "fork": ForkPublish, "merge": MergePublish,
+              "ship": Ship}
 
 
 @pytest.fixture(scope="module", params=sorted(PUBLISHERS))
@@ -481,38 +450,3 @@ class TestShardRoot:
             trial = self.crashed_copy(directory, sharded, k, monkeypatch)
             with pytest.raises(SnapshotError, match="checksum"):
                 ShardedFLATIndex.restore(trial)
-
-
-class _FirstFsyncCrash(Interposer):
-    """Records like :class:`Interposer`; crashes at the first ``fsync``."""
-
-    def point(self, op, name):
-        self.calls.append((op, name))
-        if op == "fsync" and sum(call[0] == "fsync" for call in self.calls) == 1:
-            raise Crash(f"{op} {name}")
-
-
-class TestCloseCrash:
-    def test_a_crashed_closing_commit_still_releases_the_store(
-        self, circuit, tmp_path, monkeypatch
-    ):
-        """A ``with FilePageStore.create(d)`` block whose exit commit dies
-        at its first fsync: the error propagates, the file is released,
-        and the previous generation is still the published one."""
-        mbrs, space, queries = circuit
-        directory = tmp_path / "store"
-        with monkeypatch.context() as patch:
-            with pytest.raises(Crash, match="fsync"):
-                with FilePageStore.create(directory) as store:
-                    flat = FLATIndex.build(store, mbrs, space_mbr=space,
-                                           page_capacity=16)
-                    assert flat.snapshot_generation() == 0
-                    want = state_of(flat, queries)
-                    mutate(flat, mbrs, seed=5)
-                    backend = store.backend
-                    handle = backend._file
-                    _FirstFsyncCrash().install(patch)
-        assert backend.closed
-        assert handle.closed
-        assert latest_generation(directory) == 0
-        assert restored_state(directory, None, queries) == want
