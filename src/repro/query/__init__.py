@@ -24,7 +24,6 @@ from repro.query.executor import (
     run_knn_queries,
     run_point_queries,
     run_queries,
-    run_queries_grouped,
 )
 from repro.query.knn import expanding_radius_knn
 from repro.query.planner import QueryPlan, QueryPlanner
@@ -82,7 +81,6 @@ __all__ = [
     "run_knn_queries",
     "run_point_queries",
     "run_queries",
-    "run_queries_grouped",
     "sn_benchmark",
     "trajectory_range_queries",
 ]

@@ -8,29 +8,23 @@ generation)`` reattach across process boundaries.  This module promotes
 those pieces to a serving *fleet*:
 
 * :class:`ShardServerHandle` / :func:`_serve_shard` — one **shard
-  server** process per shard.  Each server restores its shard's
-  :class:`~repro.core.flat_index.FLATIndex` from the shard's snapshot
-  directory at a pinned generation (a read-only mmap — co-located
-  servers share page bytes through the OS page cache) and answers
-  range / point / kNN requests over a
-  :mod:`multiprocessing.connection` listener (length-prefixed pickle
-  frames on an ``AF_UNIX`` socket, authkey-authenticated).  Each
-  connection is one serving worker, exactly like a
-  :class:`~repro.query.service.QueryService` pool worker: it runs the
-  pool processes' request/reply loop,
-  :func:`~repro.query.service.serve_requests`, owns a
-  :class:`~repro.query.service.WorkerEngines` cache and a
-  :class:`~repro.query.prefetch.SessionTracker`, and answers a range
-  request with the pool workers' task body,
-  :meth:`WorkerEngines.serve <repro.query.service.WorkerEngines.serve>`.
-  A session's predicted window is staged once the reply is sent and
-  before the connection's next request is read, so a ``status`` request
-  sees every staging failure before it.  A request that raises
-  is answered with the exception object; the router raises
-  :class:`ClusterError` (``shard N server error: Type: msg``) chained
-  from it, and the server keeps serving.  Servers return
-  **global** element ids: the shard's local→global id map travels to
-  the server at launch and with every reload.
+  server** process per shard, a pool worker that listens on a socket:
+  every connection accepted on its :mod:`multiprocessing.connection`
+  listener (length-prefixed pickle frames on an ``AF_UNIX`` socket,
+  authkey-authenticated) runs the
+  :class:`~repro.query.service.QueryService` pool processes' task loop,
+  :func:`~repro.query.service.serve_requests`, on a
+  :class:`~repro.query.service.WorkerEngines` of its own, and answers
+  the same ``_process_run_group`` task a pool process does.  The server
+  holds no index, id map or session model: a task names the generation
+  it wants and the ``(directory, generation)`` spec it is restored from
+  on first use (a read-only mmap — co-located servers share page bytes
+  through the OS page cache).  It answers with **shard-local** element
+  ids; a session's window is staged once the reply is sent and before
+  the connection's next task is read.  A task that raises is answered
+  with the exception object; the router raises :class:`ClusterError`
+  (``shard N server error: Type: msg``) chained from it, and the
+  server keeps serving.
 * :class:`ClusterRouter` — the query tier's front door.  It keeps a
   *control replica* of the whole sharded index (a read-only
   :meth:`~repro.core.sharded.ShardedFLATIndex.restore` of the same
@@ -42,7 +36,12 @@ those pieces to a serving *fleet*:
   :class:`~repro.core.delta.DeltaIndex` attached to the router is
   applied there and nowhere else: servers only ever answer from a
   committed generation, as :class:`~repro.query.service.QueryService`
-  workers do.
+  workers do.  The router maps each shard's local ids to global ids
+  with the id map of the generation it serves, keeps one trajectory
+  model per session (:class:`~repro.query.prefetch.SessionTracker`,
+  over every box the session sends) and sends a due window as the
+  hint of the session query's tasks, as ``QueryService`` does; it
+  counts each shard's staging failures from the answers.
   Batches pipeline: up to a window of requests stay in flight per
   server, so aggregate throughput scales with the server count.
 * **Replication & failover** — a replica fleet is populated by
@@ -60,9 +59,10 @@ those pieces to a serving *fleet*:
   (:meth:`~repro.core.sharded.ShardedFLATIndex.merged`, the bulkload a
   single-machine merge runs), then walks the rebuilt shards one at a
   time: publish the shard's rebuild as its next generation, ship that
-  tail increment to the replica, tell both servers to ``reload`` (an
-  atomic index swap inside the server), and only then move to the next
-  shard.  The fleet serves continuously; a query observes, per shard,
+  tail increment to the replica, then switch the shard's ``(generation,
+  id map)`` pair in one assignment — the next task names the new
+  generation, and each server restores it from its own directory.  The
+  fleet serves continuously; a query observes, per shard,
   either the old or the new generation — never a torn page state — and
   the planner adopts the fork's (grow-only) widened shard boxes up
   front so pruning stays exact throughout the roll.
@@ -96,6 +96,8 @@ from repro.query.prefetch import PrefetchConfig, SessionTracker
 from repro.query.service import (
     CLOSED_ERRORS,
     WorkerEngines,
+    _process_run_group,
+    _worker_status,
     read_reply,
     serve_requests,
 )
@@ -111,8 +113,6 @@ from repro.storage.stats import IOStats
 #: send-side stall against a server that cannot flush replies).
 PIPELINE_WINDOW = 32
 
-_EMPTY_IDS = np.empty(0, dtype=np.int64)
-
 
 class ClusterError(RuntimeError):
     """A cluster operation failed: a shard lost every server, a server
@@ -121,151 +121,37 @@ class ClusterError(RuntimeError):
 
 # -- server side ---------------------------------------------------------
 #
-# One process per shard server.  The process restores the shard index
-# from its snapshot directory, then serves request/reply streams: one
-# handler thread per accepted connection, running the loop QueryService
-# pool processes run (serve_requests).  Each connection is a serving
-# worker like a QueryService pool worker — it owns one WorkerEngines
-# (stat-isolated clones of the newest generations over the single shared
-# mmap, each with its prefetcher) and one SessionTracker, answers range
-# requests with the same task body (WorkerEngines.serve) and stages the
-# session's window after each reply.
+# A shard server is a pool worker that listens on a socket: each
+# accepted connection runs the QueryService pool processes' task loop
+# (serve_requests) on a WorkerEngines of its own, answering the
+# router's _process_run_group and _worker_status tasks.  The server
+# holds no index, id map or session model: a task names the generation
+# it wants and the (directory, generation) spec to restore it from.
 
 
-class _ShardServer:
-    """In-process state of one shard server."""
-
-    def __init__(self, shard_dir, generation: int, element_ids):
-        from repro.core.snapshot import restore_index
-
-        self.shard_dir = Path(shard_dir)
-        self._swap_lock = threading.Lock()
-        self.prefetch_config = PrefetchConfig()
-        #: Staging crawls that raised, over every connection (reported
-        #: by ``status``; a failed prediction never fails its query).
-        self.prefetch_failures = 0
-        self._failures_lock = threading.Lock()
-        index = restore_index(self.shard_dir, generation=generation)
-        #: ``(generation, index, local->global id map)`` — swapped
-        #: atomically by ``reload``; handlers read it once per request.
-        #: A connection's next request after a reload clones the new
-        #: index while requests already executing finish on the old
-        #: clone — the server-side fork-swap.
-        self.current = (
-            int(generation),
-            index,
-            np.asarray(element_ids, dtype=np.int64),
+def _serve_connection(conn, listener) -> None:
+    """One connection's thread: the pool workers' task loop over a
+    generation cache of its own.  The loop's stop request (``None``)
+    shuts the server down."""
+    try:
+        stopped = serve_requests(
+            conn, WorkerEngines(PrefetchConfig(), owns_indexes=True)
         )
-
-    def connection_state(self) -> tuple:
-        """A new connection's ``(WorkerEngines, SessionTracker)``.
-
-        Sessions live on the connection: a router funnels all its
-        sessions through its single connection to each server, and each
-        connection is served by exactly one handler thread.
-        """
-        return (WorkerEngines(self.prefetch_config),
-                SessionTracker(self.prefetch_config))
-
-    # -- request dispatch ----------------------------------------------
-
-    def dispatch(self, request: tuple, engines: WorkerEngines,
-                 sessions: SessionTracker):
-        """Answer one request on a connection's engines and sessions.
-
-        A range request's hint is left pending on *engines*; the
-        connection stages it once the reply is sent (:meth:`stage`).  A
-        range reply is ``(global ids, IOStats diff, prefetch info)``,
-        the info as :meth:`WorkerEngines.serve
-        <repro.query.service.WorkerEngines.serve>` returns it: the
-        staged pages this answer consumed, and the I/O and pages staged
-        of the stagings no earlier reply on the connection reported.
-        """
-        kind = request[0]
-        if kind in ("range", "knn"):
-            generation, index, element_ids = self.current
-        if kind == "range":
-            _kind, query, cold, session_id = request
-            query = np.asarray(query, dtype=np.float64)
-            hint = None if session_id is None else sessions.hint(session_id, query)
-            results, diff, prefetch, _seconds, _shards = engines.serve(
-                generation, lambda: index, query[None, :], cold, hint,
-                stage_now=False,
-            )
-            local = results[0]
-            hits = element_ids[local] if local.size else _EMPTY_IDS
-            return hits, diff, prefetch
-        if kind == "knn":
-            _kind, point, k, cold = request
-            engine, _prefetcher = engines.get(generation, lambda: index)
-            if cold:
-                engine.store.clear_cache()
-            local, dists = engine.knn_query(
-                np.asarray(point, dtype=np.float64), int(k),
-                return_distances=True,
-            )
-            hits = element_ids[local] if local.size else _EMPTY_IDS
-            return hits, dists
-        if kind == "reload":
-            from repro.core.snapshot import restore_index
-
-            _kind, generation, element_ids = request
-            generation = int(generation)
-            with self._swap_lock:
-                if generation != self.current[0]:
-                    index = restore_index(self.shard_dir, generation=generation)
-                    self.current = (
-                        generation,
-                        index,
-                        np.asarray(element_ids, dtype=np.int64),
-                    )
-            return generation
-        if kind == "status":
-            generation, index, element_ids = self.current
-            return {
-                "generation": generation,
-                "element_count": int(index.element_count),
-                "pid": os.getpid(),
-                "prefetch_failures": self.prefetch_failures,
-            }
-        raise ValueError(f"unknown cluster request {kind!r}")
-
-    def stage(self, engines: WorkerEngines) -> None:
-        """A connection's after-reply step: stage the window its last
-        answer left, counting a staging that raised.  A ``status``
-        request on the connection is read only after this ran."""
-        if engines.stage():
-            with self._failures_lock:
-                self.prefetch_failures += 1
-
-    def serve_connection(self, conn, listener) -> None:
-        """Serve one connection with the pool workers' loop,
-        :func:`~repro.query.service.serve_requests`, staging after each
-        reply (:meth:`stage`); a request that raises is answered with
-        its exception, and the server lives on.  The loop's stop request
-        (``None``) shuts the server down."""
-        engines, sessions = self.connection_state()
-        try:
-            stopped = serve_requests(
-                conn, lambda request: self.dispatch(request, engines, sessions),
-                lambda: self.stage(engines),
-            )
-        finally:
-            conn.close()
-        if stopped:
-            listener.close()
-            # The main thread is parked in ``listener.accept()``, which a
-            # cross-thread close does not reliably wake on Linux — exit
-            # the process here instead.
-            os._exit(0)
+    finally:
+        conn.close()
+    if stopped:
+        listener.close()
+        # The main thread is parked in ``listener.accept()``, which a
+        # cross-thread close does not reliably wake on Linux — exit
+        # the process here instead.
+        os._exit(0)
 
 
-def _serve_shard(shard_dir, generation, element_ids, address, authkey,
-                 ready) -> None:
-    """Entry point of a shard-server process."""
-    server = _ShardServer(shard_dir, generation, element_ids)
+def _serve_shard(address, authkey, ready) -> None:
+    """Entry point of a shard-server process: listen, then serve each
+    accepted connection on a thread of its own."""
     listener = Listener(address, family="AF_UNIX", authkey=authkey)
-    ready.send(("ready", os.getpid()))
+    ready.send(os.getpid())
     ready.close()
     while True:
         try:
@@ -273,9 +159,7 @@ def _serve_shard(shard_dir, generation, element_ids, address, authkey,
         except OSError:
             break  # listener closed by a stop request
         threading.Thread(
-            target=server.serve_connection,
-            args=(conn, listener),
-            daemon=True,
+            target=_serve_connection, args=(conn, listener), daemon=True,
         ).start()
 
 
@@ -317,11 +201,6 @@ class ShardServerHandle:
     def recv(self):
         return read_reply(self._connection())
 
-    def request(self, message):
-        """One synchronous request/reply exchange (no pipelining)."""
-        self.send(message)
-        return self.recv()
-
     def close_connection(self) -> None:
         if self._conn is not None:
             try:
@@ -341,8 +220,8 @@ class ShardServerHandle:
         self.process.join(timeout=10)
 
 
-def _start_shard_server(shard_id: int, role: str, directory, generation: int,
-                        element_ids, runtime_dir, authkey: bytes,
+def _start_shard_server(shard_id: int, role: str, directory, runtime_dir,
+                        authkey: bytes,
                         start_timeout: float = 60.0) -> ShardServerHandle:
     """Launch one shard-server process and wait until it listens."""
     # Socket paths must stay under the AF_UNIX limit (~107 bytes), so
@@ -350,22 +229,27 @@ def _start_shard_server(shard_id: int, role: str, directory, generation: int,
     address = str(Path(runtime_dir) / f"{role[0]}{shard_id}.sock")
     parent_end, child_end = multiprocessing.Pipe(duplex=False)
     process = multiprocessing.Process(
-        target=_serve_shard,
-        args=(str(directory), int(generation), element_ids, address, authkey,
-              child_end),
-        name=f"shard-server-{shard_id}-{role}",
-        daemon=True,
+        target=_serve_shard, args=(address, authkey, child_end),
+        name=f"shard-server-{shard_id}-{role}", daemon=True,
     )
     process.start()
     child_end.close()
-    if not parent_end.poll(start_timeout):
-        process.terminate()
+    try:
+        if not parent_end.poll(start_timeout):
+            process.terminate()
+            raise ClusterError(
+                f"shard server {shard_id} ({role}) did not come up within "
+                f"{start_timeout}s"
+            )
+        parent_end.recv()
+    except EOFError:
+        process.join(start_timeout)
         raise ClusterError(
-            f"shard server {shard_id} ({role}) did not come up within "
-            f"{start_timeout}s"
-        )
-    parent_end.recv()
-    parent_end.close()
+            f"shard server {shard_id} ({role}) exited with code "
+            f"{process.exitcode} before it listened"
+        ) from None
+    finally:
+        parent_end.close()
     return ShardServerHandle(shard_id, role, directory, address, authkey,
                              process)
 
@@ -456,16 +340,16 @@ class ClusterRouter:
     one logical request stream per server connection.
     """
 
-    def __init__(self, root, control, primaries: list,
-                 replicas: list, runtime_dir,
+    def __init__(self, root, control, runtime_dir,
                  clear_cache_per_query: bool = True,
                  _owns_runtime_dir: bool = False):
         self._root = Path(root)
         self._control = control
-        self._primaries = primaries
+        #: Primary handles, one per shard, filled by :meth:`launch`.
+        self._primaries: list = []
         #: Replica handles, positionally aligned with primaries (``None``
         #: entries for shards without a replica).
-        self._replicas = replicas
+        self._replicas: list = []
         self._runtime_dir = Path(runtime_dir)
         self._owns_runtime_dir = _owns_runtime_dir
         self.clear_cache_per_query = clear_cache_per_query
@@ -480,10 +364,18 @@ class ClusterRouter:
         self.servers_lost = 0
         #: Planner decision of the most recent single query.
         self.last_plan: QueryPlan | None = None
-        self._generations = {
-            pos: int(shard.index.store.backend.generation)
+        #: Shard position -> ``(generation served, its local->global id
+        #: map)``; a roll replaces a shard's pair in one assignment.
+        self._served = {
+            pos: (int(shard.index.store.backend.generation),
+                  np.asarray(shard.element_ids, dtype=np.int64))
             for pos, shard in enumerate(control.shards)
         }
+        #: One trajectory model per session, over every box the session
+        #: sends; a due window rides with the session query's tasks.
+        self._sessions = SessionTracker(PrefetchConfig())
+        #: Staging crawls that raised, per shard, as the answers report them.
+        self._prefetch_failures = [0] * control.shard_count
         self._closed = False
 
     # -- construction ---------------------------------------------------
@@ -499,8 +391,9 @@ class ClusterRouter:
         (:func:`~repro.core.snapshot.ship_index_generation` — a full
         copy on the fresh directories, incremental ever after) and a
         replica server is started per shard; the router fails over to
-        replicas automatically.  *runtime_dir* holds the socket files
-        (kept short for ``AF_UNIX``; a private temp directory by
+        replicas automatically.  Every server restores its shard's
+        generation before this returns.  *runtime_dir* holds the socket
+        files (kept short for ``AF_UNIX``; a private temp directory by
         default).
         """
         from repro.core.sharded import ShardedFLATIndex
@@ -511,40 +404,42 @@ class ClusterRouter:
         owns_runtime = runtime_dir is None
         if owns_runtime:
             runtime_dir = tempfile.mkdtemp(prefix="flatclu-")
-        authkey = os.urandom(16)
-        primaries: list = []
-        replicas: list = []
-        shipping: list = []
-        try:
-            for pos, shard in enumerate(control.shards):
-                directory = ShardedFLATIndex.shard_directory(root, pos)
-                generation = int(shard.index.store.backend.generation)
-                primaries.append(_start_shard_server(
-                    pos, "primary", directory, generation, shard.element_ids,
-                    runtime_dir, authkey,
-                ))
-                if replica_root is None:
-                    replicas.append(None)
-                    continue
-                replica_dir = ShardedFLATIndex.shard_directory(
-                    replica_root, pos
-                )
-                shipping.append(ship_index_generation(
-                    directory, replica_dir, generation
-                ).as_dict())
-                replicas.append(_start_shard_server(
-                    pos, "replica", replica_dir, generation,
-                    shard.element_ids, runtime_dir, authkey,
-                ))
-        except BaseException:
-            for handle in primaries + [h for h in replicas if h is not None]:
-                handle.process.terminate()
-            control.close()
-            raise
-        router = cls(root, control, primaries, replicas, runtime_dir,
-                     clear_cache_per_query, _owns_runtime_dir=owns_runtime)
+        router = cls(root, control, runtime_dir, clear_cache_per_query,
+                     _owns_runtime_dir=owns_runtime)
         #: Launch-time replica shipping accounting (one entry per shard).
-        router.replication_log = shipping
+        router.replication_log = []
+        authkey = os.urandom(16)
+        try:
+            for pos in range(control.shard_count):
+                directory = ShardedFLATIndex.shard_directory(root, pos)
+                router._primaries.append(_start_shard_server(
+                    pos, "primary", directory, runtime_dir, authkey,
+                ))
+                replica = None
+                if replica_root is not None:
+                    replica_dir = ShardedFLATIndex.shard_directory(
+                        replica_root, pos
+                    )
+                    router.replication_log.append(ship_index_generation(
+                        directory, replica_dir, router._served[pos][0]
+                    ).as_dict())
+                    replica = _start_shard_server(
+                        pos, "replica", replica_dir, runtime_dir, authkey,
+                    )
+                router._replicas.append(replica)
+            # Warm-up: every server restores its generation now, all at
+            # once, not on the first query.  Every reply is read before
+            # an error reply raises, so each server reads its stop
+            # request, not a reset connection.
+            handles = [(pos, handle) for pos in range(router.shard_count)
+                       for handle in router._endpoints(pos)]
+            for pos, handle in handles:
+                handle.send(router._task(handle, pos, _worker_status, ()))
+            for pos, reply in [(pos, h.recv()) for pos, h in handles]:
+                router._unwrap(reply, pos)
+        except BaseException:
+            router.close()
+            raise
         return router
 
     # -- endpoints ------------------------------------------------------
@@ -567,7 +462,7 @@ class ClusterRouter:
 
     def shard_generations(self) -> dict:
         """Shard position -> generation the fleet currently serves."""
-        return dict(self._generations)
+        return {pos: served[0] for pos, served in self._served.items()}
 
     def _endpoints(self, pos: int) -> list:
         handles = [self._primaries[pos]]
@@ -592,6 +487,14 @@ class ClusterRouter:
         handle.close_connection()
         self.servers_lost += 1
 
+    def _task(self, handle: ShardServerHandle, pos: int, fn, args) -> tuple:
+        """The task ``fn(generation, spec, *args)`` for shard *pos* on
+        *handle*: the generation the shard serves, restored from
+        *handle*'s own directory."""
+        generation = self._served[pos][0]
+        spec = (str(handle.directory), generation)
+        return fn, (generation, spec, *args), {}
+
     @staticmethod
     def _unwrap(reply, pos: int):
         ok, payload = reply
@@ -601,29 +504,20 @@ class ClusterRouter:
             ) from payload
         return payload
 
-    def _request_one(self, pos: int, message):
-        """One request with automatic failover to the shard's replica."""
-        while True:
-            handle = self._endpoint(pos)
-            try:
-                reply = handle.request(message)
-            except CLOSED_ERRORS:
-                self._mark_dead(handle)
-                continue
-            return self._unwrap(reply, pos)
-
     def _request_many(self, requests: list) -> list:
-        """Serve ``(shard_pos, message)`` requests, pipelined per server.
+        """Run ``(shard_pos, fn, args)`` tasks, pipelined per server.
 
-        Requests to one connection are answered strictly in order, so
-        per-handle FIFOs pair replies with requests.  A connection that
-        dies mid-stream pushes its unanswered requests back onto the
-        work queue; they re-resolve to the shard's next live endpoint
-        (reads are idempotent, so a request the dead server may have
-        already executed is safely re-run).  An error reply, or a shard
-        left with no live server, raises only once every request sent
-        has its reply read, so no connection is left holding the answer
-        to a request its next caller did not send.
+        Each goes out as :meth:`_task` builds it for the endpoint it is
+        sent to.  Requests to one connection are answered strictly in
+        order, so per-handle FIFOs pair replies with requests.  A
+        connection that dies mid-stream pushes its unanswered requests
+        back onto the work queue; they re-resolve to the shard's next
+        live endpoint, naming that endpoint's directory (reads are
+        idempotent, so a request the dead server may have already
+        executed is safely re-run).  An error reply, or a shard left
+        with no live server, raises only once every request sent has
+        its reply read, so no connection is left holding the answer to
+        a request its next caller did not send.
         """
         replies = [None] * len(requests)
         pending: dict = {}
@@ -634,11 +528,10 @@ class ClusterRouter:
                 reply = handle.recv()
             except CLOSED_ERRORS:
                 self._mark_dead(handle)
-                work.extendleft(reversed([(i, (pos, msg))
-                                          for i, pos, msg in queue]))
+                work.extendleft(reversed(queue))
                 queue.clear()
                 return
-            i, pos, _msg = queue.popleft()
+            i, (pos, _fn, _args) = queue.popleft()
             replies[i] = (reply, pos)
 
         try:
@@ -648,20 +541,21 @@ class ClusterRouter:
                         if queue:
                             drain_one(handle, queue)
                     continue
-                i, (pos, message) = work.popleft()
+                item = work.popleft()
+                pos, fn, args = item[1]
                 handle = self._endpoint(pos)
                 queue = pending.setdefault(handle, deque())
                 if len(queue) >= PIPELINE_WINDOW:
                     drain_one(handle, queue)
-                    work.appendleft((i, (pos, message)))
+                    work.appendleft(item)
                     continue
                 try:
-                    handle.send(message)
+                    handle.send(self._task(handle, pos, fn, args))
                 except CLOSED_ERRORS:
                     self._mark_dead(handle)
-                    work.appendleft((i, (pos, message)))
+                    work.appendleft(item)
                     continue
-                queue.append((i, pos, message))
+                queue.append(item)
         finally:
             # A batch cut short by a lost shard still reads the replies
             # it is owed.
@@ -670,15 +564,32 @@ class ClusterRouter:
                     drain_one(handle, queue)
         return [self._unwrap(reply, pos) for reply, pos in replies]
 
+    def _gather(self, requests: list) -> list:
+        """:meth:`_request_many` over ``_process_run_group`` tasks; one
+        ``(global ids or (ids, distances), IOStats diff, prefetch info)``
+        per request, its staging failures counted for its shard."""
+        gathered = []
+        for (pos, _fn, _args), reply in zip(requests,
+                                              self._request_many(requests)):
+            _pid, (answer,), stats, prefetch, _seconds, _shards = reply
+            element_ids = self._served[pos][1]
+            if isinstance(answer, tuple):
+                answer = (element_ids[answer[0]], answer[1])
+            else:
+                answer = element_ids[answer]
+            self._prefetch_failures[pos] += prefetch["failures"]
+            gathered.append((answer, stats, prefetch))
+        return gathered
+
     # -- querying -------------------------------------------------------
 
     def range_query(self, query: np.ndarray,
                     session_id: str | None = None) -> np.ndarray:
         """Scatter the box to the selected servers, gather sorted ids.
 
-        With a *session_id*, every touched server also feeds the box to
-        its per-session trajectory model and warms its buffer pool for
-        the predicted next box — results are byte-identical either way.
+        With a *session_id*, the box also feeds the session's trajectory
+        model, and every touched server warms its buffer pool for a due
+        predicted window — results are byte-identical either way.
         """
         results, _report = self.run(
             np.asarray(query, dtype=np.float64)[None, :], session_id
@@ -708,7 +619,10 @@ class ClusterRouter:
         delta = self.delta
 
         def visit(pos: int, shard_k: int) -> tuple:
-            return self._request_one(pos, ("knn", point, shard_k, cold))
+            ((answer, _stats, _prefetch),) = self._gather(
+                [(pos, _process_run_group, (point[None, :], cold, None, shard_k))]
+            )
+            return answer
 
         base_k = k if delta is None else k + delta.tombstone_count
         best_ids, best_dists, self.last_plan = self.planner.knn_walk(
@@ -732,9 +646,11 @@ class ClusterRouter:
         throughput scales with the fleet size.  Results come back in
         request order, merged per query at the gather point.
 
-        A *session_id* is forwarded with every request: each server
-        then runs its own trajectory model over the boxes it sees and
-        prefetches for the predicted next one.  Each reply carries the
+        With a *session_id*, each box feeds the session's trajectory
+        model at the router, and a due window rides as the hint of that
+        query's requests: each server stages it once its reply is sent
+        and reports the staging with its next answer on the connection.
+        Each reply carries the
         server's whole :class:`~repro.storage.stats.IOStats` diff for
         the request; the report merges them with
         :meth:`~repro.storage.stats.IOStats.merge`, which keeps
@@ -758,12 +674,14 @@ class ClusterRouter:
             spans.append((len(requests), len(selected), query))
             report.shard_requests += len(selected)
             report.shards_pruned += self.shard_count - len(selected)
+            hint = (None if session_id is None
+                    else self._sessions.hint(session_id, query))
             requests.extend(
-                (int(pos), ("range", query, cold, session_id))
+                (int(pos), _process_run_group, (query[None, :], cold, hint))
                 for pos in selected
             )
         t0 = time.perf_counter()
-        replies = self._request_many(requests)
+        replies = self._gather(requests)
         report.wall_seconds = time.perf_counter() - t0
         results = []
         prefetch_io = IOStats()
@@ -787,12 +705,24 @@ class ClusterRouter:
         return results, report
 
     def status(self) -> list:
-        """One status dict per shard, from its currently serving server."""
+        """One status dict per shard, from its currently serving server:
+        the generation the shard serves, its element count, the server's
+        pid and the shard's staging failures so far."""
         self._check_open()
-        return [
-            dict(self._request_one(pos, ("status",)), shard=pos)
-            for pos in range(self.shard_count)
-        ]
+        replies = self._request_many(
+            [(pos, _worker_status, ()) for pos in range(self.shard_count)]
+        )
+        status = []
+        for pos, (pid, element_count, unreported) in enumerate(replies):
+            self._prefetch_failures[pos] += unreported["failures"]
+            status.append({
+                "shard": pos,
+                "generation": self._served[pos][0],
+                "element_count": element_count,
+                "pid": pid,
+                "prefetch_failures": self._prefetch_failures[pos],
+            })
+        return status
 
     # -- rolling updates ------------------------------------------------
 
@@ -809,14 +739,16 @@ class ClusterRouter:
         object identity — then roll one at a time: the rebuild is
         published as the shard's next generation (atomic manifest
         rename), that increment is shipped to the shard's replica, and
-        both servers swap to the new generation via ``reload``.
-        Untouched shards are never contacted nor published.  The fleet
+        the shard's ``(generation, id map)`` pair switches in one
+        assignment; each server restores the new generation from its own
+        directory when a task first names it.  Untouched shards are
+        never published.  The fleet
         serves throughout; after each shard finishes,
         *on_shard_updated(pos, generation)* fires — the hook the
         exactness harnesses use to query mid-roll.
 
         The planner adopts the fork's widened shard boxes *before* any
-        server swaps: boxes only grow, so pruning stays exact against
+        shard switches: boxes only grow, so pruning stays exact against
         old and new generations alike.  After the roll the root's shard
         manifest is refreshed
         (:meth:`~repro.core.sharded.ShardedFLATIndex.write_shard_manifest`)
@@ -853,31 +785,21 @@ class ClusterRouter:
         for pos in touched:
             shard = fork.shards[pos]
             _directory, generation = publish_fork_generation(shard.index)
-            self._generations[pos] = generation
             generations[pos] = generation
-            reload = ("reload", generation, shard.element_ids)
-            primary = self._primaries[pos]
-            if primary.alive:
-                try:
-                    self._unwrap(primary.request(reload), pos)
-                except CLOSED_ERRORS:
-                    self._mark_dead(primary)
             replica = self._replicas[pos]
             if replica is not None:
                 shipping.append(dict(
                     ship_index_generation(
-                        primary.directory, replica.directory, generation
+                        self._primaries[pos].directory, replica.directory,
+                        generation,
                     ).as_dict(),
                     shard=pos,
                 ))
-                if replica.alive:
-                    try:
-                        self._unwrap(replica.request(reload), pos)
-                    except CLOSED_ERRORS:
-                        self._mark_dead(replica)
-            # A shard whose every server died mid-roll can no longer
-            # serve — surface it now rather than on the next query.
-            self._endpoint(pos)
+            # Published and shipped: the shard's next task names the new
+            # generation, and each server restores it on first use.
+            self._served[pos] = (
+                generation, np.asarray(shard.element_ids, dtype=np.int64)
+            )
             if on_shard_updated is not None:
                 on_shard_updated(pos, generation)
 

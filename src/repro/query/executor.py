@@ -17,11 +17,6 @@ Three entry points share one accounting loop:
   specialized path an engine has.
 * :func:`run_knn_queries` — ``(N, 3)`` points through ``knn_query``.
 
-:func:`run_queries_grouped` is the batched sibling of
-:func:`run_queries`: groups of queries flow through one
-``range_query_multi`` joint crawl per group, with per-query cold
-page-read accounting preserved by the kernel itself.
-
 The harness is planner-aware: engines that expose ``last_plan`` (the
 sharded index) get their per-query shard routing collected into
 :attr:`QueryRunResult.per_query_shards`, so shard pruning is reported
@@ -183,61 +178,6 @@ def run_queries(
     return _run_batch(
         index, index.range_query, store, queries, index_name, clear_cache_between
     )
-
-
-def run_queries_grouped(
-    index,
-    store: PageStore,
-    queries: np.ndarray,
-    group_size: int,
-    index_name: str = "",
-    clear_cache_between: bool = True,
-) -> QueryRunResult:
-    """Range harness over the multi-query joint crawl, one group at a time.
-
-    Groups of up to *group_size* queries are served by a single
-    :meth:`~repro.core.flat_index.FLATIndex.range_query_multi` BFS.  In
-    the cold regime the kernel's differential accounting keeps the
-    per-query page-read totals byte-identical to :func:`run_queries`,
-    while each touched page is physically decoded once per group — so
-    ``per_query_reads`` (a per-*task* diff here, not per-query) is left
-    empty, and decode counters legitimately shrink as *group_size*
-    grows.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != 6:
-        raise ValueError(f"expected (N, 6) query boxes, got {queries.shape}")
-    if not isinstance(group_size, int) or group_size < 1:
-        raise ValueError(f"group_size must be a positive int, got {group_size!r}")
-    result = QueryRunResult(index_name=index_name or type(index).__name__)
-    for first in range(0, len(queries), group_size):
-        group = queries[first:first + group_size]
-        before = store.stats.snapshot()
-        t0 = time.perf_counter()
-        hits = index.range_query_multi(group, cold=clear_cache_between)
-        result.cpu_seconds += time.perf_counter() - t0
-        delta = store.stats.diff(before)
-
-        result.query_count += len(group)
-        for ids in hits:
-            result.result_elements += len(ids)
-            result.per_query_results.append(len(ids))
-        for category, reads in delta.reads.items():
-            result.reads_by_category[category] = (
-                result.reads_by_category.get(category, 0) + reads
-            )
-        for kind, decodes in delta.decode_misses.items():
-            result.decodes_by_kind[kind] = (
-                result.decodes_by_kind.get(kind, 0) + decodes
-            )
-        for kind, hit_count in delta.decode_hits.items():
-            result.decode_hits_by_kind[kind] = (
-                result.decode_hits_by_kind.get(kind, 0) + hit_count
-            )
-        crawl = getattr(index, "last_crawl_stats", None)
-        if crawl is not None:
-            result.bookkeeping_bytes.append(crawl.bookkeeping_bytes)
-    return result
 
 
 def run_point_queries(

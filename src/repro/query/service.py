@@ -44,13 +44,17 @@ by one duplex ``multiprocessing`` Pipe: a task is sent from the
 submitting thread as soon as a worker is free (else it waits in one
 FIFO), and one reader thread per worker takes each reply, hands the
 worker its next queued task and resolves the task's future.  The
-worker side is :func:`serve_requests`, the one request/reply loop that
-shard-server connections (:mod:`repro.query.cluster`) run too; its
-after-reply step stages the window the answer left, so the client
-turns the answer around while the worker stages.  A task that raises
-comes back as the exception object itself, so the caller re-raises its
-type, and a worker that dies breaks the pool (``BrokenProcessPool``).  Thread tasks and process tasks return the
-same tuple, so both modes aggregate through one path.
+worker side is :func:`serve_requests`, the one task loop that every
+shard-server connection (:mod:`repro.query.cluster`) runs too: a pool
+process and a connection answer the same :func:`_process_run_group`
+task on the serving thread's :class:`WorkerEngines`, restore a
+generation they do not hold from the ``(directory, generation)`` spec
+the task carries, and stage the window the answer left once the reply
+is sent, so the client turns the answer around while the worker
+stages.  A task that raises comes back as the exception object itself,
+so the caller re-raises its type, and a worker that dies breaks the
+pool (``BrokenProcessPool``).  Thread tasks and process tasks return
+the same tuple, so both modes aggregate through one path.
 ``batch_queries`` additionally groups in-flight queries into one
 :meth:`FLATIndex.range_query_multi
 <repro.core.flat_index.FLATIndex.range_query_multi>` joint crawl per
@@ -109,8 +113,11 @@ window into its own prefetch area after answering: a pool thread
 before its task returns (a thread's future resolves only then), a pool
 process once its answer is sent and before it reads its next task —
 off the query's blocking path, while the client turns the answer
-around.  Either way the worker's stores see the same page sequence, so
-reads, prefetch hits and staged pages repeat exactly.  A process
+around.  The session models stay at the front, where every query of a
+session passes: here, and in :class:`~repro.query.cluster.ClusterRouter`
+for a shard-server fleet.  Either way the worker's stores see the same
+page sequence, so reads, prefetch hits and staged pages repeat
+exactly.  A process
 worker reports a staging (its I/O, pages staged and failure) with its
 next answer; the last query of a :meth:`~QueryService.run_session`
 batch stages before its task returns, so a session's report holds
@@ -299,7 +306,8 @@ def _is_sharded(index) -> bool:
 #
 # A pool thread, a pool process and a shard-server connection all serve
 # the same way: the worker's own WorkerEngines answers the task on its
-# clone of the task's generation, then stages the task's hint.
+# clone of the task's generation, then stages the task's hint.  A pool
+# process and a shard-server connection run the same task loop too.
 
 
 class WorkerEngines:
@@ -316,7 +324,8 @@ class WorkerEngines:
     snapshot-isolation guarantee — and only the
     :data:`KEPT_GENERATIONS` most recently used generations stay
     alive.  With *owns_indexes*, an evicted generation's own index
-    store is closed as well (process workers restore theirs privately).
+    store is closed as well (pool processes and shard-server connections
+    restore theirs privately).
 
     :meth:`serve` answers a task and leaves its prefetch hint pending;
     :meth:`stage` stages it.  A pool thread stages before its task
@@ -448,14 +457,22 @@ class WorkerEngines:
         return report
 
 
-# A pool process and a shard-server connection run one request/reply
-# loop, serve_requests.  A reply is (True, value) or (False, exception):
-# the exception object itself, so the caller can raise its type, with
-# the worker's traceback as its __cause__.  Once a reply is sent, the
-# loop's after-reply step stages the window the answer left.
+# A pool process and a shard-server connection run one loop,
+# serve_requests, over (fn, args, kwargs) tasks, the function pickled by
+# reference.  A reply is (True, value) or (False, exception): the
+# exception object itself, so the caller can raise its type, with the
+# worker's traceback as its __cause__.  Once a reply is sent, the loop
+# stages the window the answer left.  Generation 0 arrives pickled with
+# a pool worker's start; every other generation (and every generation a
+# shard server serves) is restored lazily from the (directory,
+# generation) spec its task carries.
 
 #: Connection failures that mean the peer is gone.
 CLOSED_ERRORS = (EOFError, OSError)
+
+#: The serving thread's :class:`WorkerEngines`: a pool process's main
+#: thread, or one shard-server connection's thread.
+_WORKER = threading.local()
 
 
 def _send(conn, data) -> bool:
@@ -480,28 +497,32 @@ def read_reply(conn) -> tuple:
         return False, exc
 
 
-def serve_requests(conn, handle, after) -> bool:
-    """The one worker loop: answer every request on *conn* until it ends.
+def serve_requests(conn, engines: WorkerEngines) -> bool:
+    """The one worker loop: run every task on *conn* until it ends.
 
-    Each request is answered with ``(True, handle(request))``, or with
-    ``(False, exc)`` when unpickling or handling it raised *exc* (the
+    A task ``(fn, args, kwargs)`` runs with *engines* as the serving
+    thread's generation cache (what :func:`_process_run_group` serves
+    from) and is answered with ``(True, fn(*args, **kwargs))``, or with
+    ``(False, exc)`` when unpickling or running it raised *exc* (the
     traceback arrives as ``exc.__cause__``); a value that does not
-    pickle is answered with its pickling error.  *after()* runs once
-    each reply is sent and before the next request is read: the
-    worker's after-reply step, which stages the window its answer left.
-    Returns ``True`` at a ``None`` request — the stop request, which
-    gets no reply — and ``False`` once the peer is gone.
+    pickle is answered with its pickling error.  Once each reply is
+    sent, and before the next task is read, :meth:`WorkerEngines.stage`
+    stages the window the answer left.  Returns ``True`` at a ``None``
+    task — the stop request, which gets no reply — and ``False`` once
+    the peer is gone.
     """
+    _WORKER.engines = engines
     while True:
         try:
             data = conn.recv_bytes()
         except CLOSED_ERRORS:
             return False
         try:
-            request = pickle.loads(data)
-            if request is None:
+            task = pickle.loads(data)
+            if task is None:
                 return True
-            reply = (True, handle(request))
+            fn, args, kwargs = task
+            reply = (True, fn(*args, **kwargs))
         except Exception as exc:  # answered; the worker serves on
             reply = (False, ExceptionWithTraceback(exc, exc.__traceback__))
         try:
@@ -510,16 +531,8 @@ def serve_requests(conn, handle, after) -> bool:
             data = pickle.dumps((False, exc))
         if not _send(conn, data):
             return False
-        after()
+        engines.stage()
 
-
-# Process-pool tasks are (function, args, kwargs), the function pickled
-# by reference.  Generation 0 arrives pickled with the worker's start;
-# later generations are restored lazily from the (directory, generation)
-# spec a post-merge task carries.
-
-#: This worker process's generation cache (set when the worker starts).
-_PROCESS_ENGINES: WorkerEngines | None = None
 
 #: The request that stops a pool worker.
 _STOP = pickle.dumps(None)
@@ -529,15 +542,13 @@ _BROKEN = "a worker process exited unasked; the pool is not usable anymore"
 
 
 def _pool_worker(conn, payload: bytes, prefetch_config) -> None:
-    """A pool process: load generation 0, then run tasks from *conn*,
-    staging each task's hint once its reply is sent.  Stopped, it sends
-    what no answer reported as one last ``(None, report)`` message."""
-    global _PROCESS_ENGINES
-    engines = _PROCESS_ENGINES = WorkerEngines(prefetch_config, owns_indexes=True)
+    """A pool process: load generation 0, then run tasks from *conn*.
+    Stopped, it sends what no answer reported as one last ``(None,
+    report)`` message."""
+    engines = WorkerEngines(prefetch_config, owns_indexes=True)
     index = pickle.loads(payload)
     engines.get(0, lambda: index)
-    if serve_requests(conn, lambda task: task[0](*task[1], **task[2]),
-                      engines.stage):
+    if serve_requests(conn, engines):
         _send(conn, pickle.dumps((None, engines.unreported())))
 
 
@@ -555,16 +566,28 @@ def _restore_generation(generation: int, spec):
 
 def _process_run_group(generation: int, spec, queries, cold: bool, hint=None,
                        k: int | None = None, stage_now: bool = False) -> tuple:
-    """A pool process's task: :meth:`WorkerEngines.serve` on its clone of
-    *generation*.  The hint is staged after the reply is sent unless
+    """A worker process's task: :meth:`WorkerEngines.serve` on the
+    serving thread's clone of *generation*, restored from *spec* on
+    first use.  The hint is staged after the reply is sent unless
     *stage_now* asks for it before.
 
     Returns ``(pid, *WorkerEngines.serve(...))``.
     """
-    return (os.getpid(), *_PROCESS_ENGINES.serve(
+    return (os.getpid(), *_WORKER.engines.serve(
         generation, lambda: _restore_generation(generation, spec), queries,
         cold, hint, k, stage_now,
     ))
+
+
+def _worker_status(generation: int, spec) -> tuple:
+    """A status task: ``(pid, element count of generation, stagings no
+    answer reported yet)``, restoring *generation* from *spec* if the
+    worker does not hold it."""
+    engines = _WORKER.engines
+    engine, _prefetcher = engines.get(
+        generation, lambda: _restore_generation(generation, spec)
+    )
+    return os.getpid(), int(engine.element_count), engines.unreported()
 
 
 class _ProcessPool:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import FLATIndex, restore_index, snapshot_index
-from repro.query import run_queries, run_queries_grouped
+from repro.query import run_queries
 from repro.query.workload import random_range_queries
 from repro.storage import PageStore
 
@@ -124,18 +124,29 @@ class TestFileStore:
         restored.store.close()
 
 
-class TestGroupedHarness:
-    @pytest.mark.parametrize("group_size", [1, 7, 1000])
-    def test_matches_serial_harness(self, setup, group_size):
-        flat, store, queries, _serial = setup
-        serial_run = run_queries(flat, store, queries, "serial")
-        grouped = run_queries_grouped(flat, store, queries, group_size, "grouped")
-        assert grouped.query_count == serial_run.query_count
-        assert grouped.per_query_results == serial_run.per_query_results
-        assert grouped.result_elements == serial_run.result_elements
-        assert grouped.reads_by_category == serial_run.reads_by_category
+def chunked(flat, store, queries, group_size):
+    """Per-query ids and the stat diff of cold ``range_query_multi``
+    calls over *group_size*-query chunks, as the service's batch path
+    makes them."""
+    before = store.stats.snapshot()
+    hits = []
+    for first in range(0, len(queries), group_size):
+        hits.extend(flat.range_query_multi(queries[first:first + group_size]))
+    return hits, store.stats.diff(before)
 
-    def test_grouping_cuts_decodes_on_overlapping_queries(self, setup):
+
+class TestChunkedGroups:
+    @pytest.mark.parametrize("group_size", [1, 7, 1000])
+    def test_chunks_charge_the_serial_cold_loop(self, setup, group_size):
+        flat, store, queries, serial = setup
+        want = cold_reads(flat, store, queries)
+        hits, diff = chunked(flat, store, queries, group_size)
+        assert len(hits) == len(serial)
+        for got, ids in zip(hits, serial):
+            assert np.array_equal(got, ids)
+        assert dict(diff.reads) == want
+
+    def test_a_dense_group_decodes_less_than_the_serial_loop(self, setup):
         # The whole point of the joint crawl: pages touched by several
         # queries of one group decode once.  A denser workload (queries
         # overlap heavily) makes the amortization visible; reads still
@@ -143,11 +154,6 @@ class TestGroupedHarness:
         flat, store, _queries, _serial = setup
         dense = random_range_queries(SPACE, 0.01, 30, seed=4)
         serial_run = run_queries(flat, store, dense, "serial")
-        grouped = run_queries_grouped(flat, store, dense, 30, "grouped")
-        assert grouped.reads_by_category == serial_run.reads_by_category
-        assert grouped.total_page_decodes < serial_run.total_page_decodes
-
-    def test_rejects_bad_group_size(self, setup):
-        flat, store, queries, _serial = setup
-        with pytest.raises(ValueError, match="group_size"):
-            run_queries_grouped(flat, store, queries, 0)
+        _hits, diff = chunked(flat, store, dense, 30)
+        assert dict(diff.reads) == serial_run.reads_by_category
+        assert diff.total_decodes < serial_run.total_page_decodes

@@ -61,22 +61,14 @@ def cluster_root(tmp_path_factory):
     return root, trajectory_range_queries(SPACE, 2e-5, 24, seed=13)
 
 
-def hinted_queries(walk, routes=None) -> list:
-    """Positions of the walk's queries that carry a prefetch hint, as a
-    fresh tracker per worker sees them; *routes(box)* lists the workers
-    a box reaches (one worker by default)."""
-    trackers: dict = {}
-    hinted = []
-    for i, box in enumerate(walk):
-        # Every worker the box reaches observes it, hinted or not.
-        hints = [
-            trackers.setdefault(int(worker), SessionTracker(PrefetchConfig()))
-            .hint("walker", box)
-            for worker in (routes(box) if routes else [0])
-        ]
-        if any(hint is not None for hint in hints):
-            hinted.append(i)
-    return hinted
+def hinted_queries(walk) -> list:
+    """Positions of the walk's queries that carry a prefetch hint: one
+    session model at the front, as ``QueryService`` and
+    ``ClusterRouter`` keep it, whose due window rides with every task
+    of the query."""
+    tracker = SessionTracker(PrefetchConfig())
+    return [i for i, box in enumerate(walk)
+            if tracker.hint("walker", box) is not None]
 
 
 def held_until(release):
@@ -142,7 +134,7 @@ class TestAnswerLeavesBeforeStaging:
             if name == "free":
                 release.set()
             with ClusterRouter.launch(root) as router:
-                first = hinted_queries(walk, router.planner.shards_for_box)[0]
+                first = hinted_queries(walk)[0]
                 for box in walk[:first]:
                     router.run(box[None, :], session_id="walker")
                 answered = []

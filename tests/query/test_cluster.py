@@ -9,20 +9,39 @@ the fleets small (3 shards) so the suite stays fast.
 """
 
 import multiprocessing
+import pickle
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core import DeltaIndex, ShardedFLATIndex
-from repro.query import ClusterError, ClusterRouter, Prefetcher
+from repro.core import DeltaIndex, ShardedFLATIndex, restore_index
+from repro.query import (
+    MODE_PROCESS,
+    ClusterError,
+    ClusterRouter,
+    Prefetcher,
+    QueryService,
+)
+from repro.query import cluster as cluster_module
+from repro.query import service as service_module
+from repro.query.service import _process_run_group
 from repro.query.workload import (
     random_points,
     random_range_queries,
     trajectory_range_queries,
 )
+from repro.storage.stats import IOStats
 
 SPACE = np.array([0.0, 0.0, 0.0, 100.0, 100.0, 100.0])
 SHARDS = 3
+#: A kNN task for k = 0 on shard 0: the server raises answering it.
+KNN_K0 = (0, _process_run_group, (np.zeros((1, 3)), True, None, 0))
+
+
+def range_task(pos, box):
+    """The router's cold range task for one box on shard *pos*."""
+    return pos, _process_run_group, (np.asarray(box)[None, :], True)
 
 
 def random_mbrs(n, seed=0):
@@ -124,35 +143,40 @@ class TestClusterPinnedToOracle:
                                                 cluster_no_replicas):
         _root, oracle, queries, _points = snapshot_root
         with pytest.raises(ClusterError, match="server error"):
-            cluster_no_replicas._request_one(0, ("knn", np.zeros(3), 0, True))
+            cluster_no_replicas._request_many([KNN_K0])
         # The server survived the bad request and keeps serving.
         assert np.array_equal(
             cluster_no_replicas.range_query(queries[0]),
             oracle.range_query(queries[0]),
         )
 
-    def test_unknown_request_rejected(self, cluster_no_replicas):
-        with pytest.raises(ClusterError, match="unknown cluster request") as raised:
-            cluster_no_replicas._request_one(0, ("frobnicate",))
+    def test_unknown_request_rejected(self, snapshot_root,
+                                      cluster_no_replicas):
+        _root, oracle, queries, _points = snapshot_root
+        handle = cluster_no_replicas._endpoint(0)
+        handle.send(("frobnicate",))  # not an (fn, args, kwargs) task
+        with pytest.raises(ClusterError) as raised:
+            cluster_no_replicas._unwrap(handle.recv(), 0)
         # The server returns the exception object; the router keeps the
         # "Type: msg" text and chains the original.
-        assert str(raised.value) == (
-            "shard 0 server error: ValueError: unknown cluster request 'frobnicate'"
+        cause = raised.value.__cause__
+        assert type(cause) is ValueError
+        assert str(raised.value) == f"shard 0 server error: ValueError: {cause}"
+        assert np.array_equal(
+            cluster_no_replicas.range_query(queries[0]),
+            oracle.range_query(queries[0]),
         )
-        assert type(raised.value.__cause__) is ValueError
 
     def test_error_reply_mid_batch_leaves_the_connection_in_step(
             self, snapshot_root, cluster_no_replicas):
         _root, _oracle, queries, _points = snapshot_root
-        probe = ("range", queries[0], True, None)
-        expected, _stats, _prefetch = cluster_no_replicas._request_one(0, probe)
-        with pytest.raises(ClusterError, match="unknown cluster request"):
-            cluster_no_replicas._request_many(
-                [(0, ("frobnicate",)), (0, ("range", SPACE, True, None))]
-            )
+        probe = range_task(0, queries[0])
+        ((expected, _stats, _prefetch),) = cluster_no_replicas._gather([probe])
+        with pytest.raises(ClusterError, match="server error"):
+            cluster_no_replicas._request_many([KNN_K0, range_task(0, SPACE)])
         # The full-space reply was read with the batch, so the next
         # request gets its own answer.
-        got, _stats, _prefetch = cluster_no_replicas._request_one(0, probe)
+        ((got, _stats, _prefetch),) = cluster_no_replicas._gather([probe])
         assert np.array_equal(got, expected)
 
 
@@ -279,11 +303,14 @@ class TestTrajectorySessions:
 
 class TestConnectionGenerations:
     def test_connection_keeps_at_most_kept_generations(self, tmp_path):
-        """A connection driven through many reloads retires old clones.
+        """A connection whose tasks name ever newer generations retires
+        old clones and closes their stores.
 
-        Each reload is followed by a session range query, so every
+        One worker loop over one ``WorkerEngines(owns_indexes=True)``,
+        as a shard-server connection runs it, serves a session's range
+        tasks; each names the next published generation, so every
         generation gets an engine clone and a prefetcher on the
-        connection; only the KEPT_GENERATIONS most recently used may
+        connection, and only the KEPT_GENERATIONS most recently used may
         stay alive.
         """
         from repro.core import (
@@ -292,18 +319,25 @@ class TestConnectionGenerations:
             restore_index,
             snapshot_index,
         )
-        from repro.query.cluster import _ShardServer
-        from repro.query.service import KEPT_GENERATIONS
+        from repro.query import PrefetchConfig, SessionTracker
+        from repro.query.service import (
+            KEPT_GENERATIONS,
+            WorkerEngines,
+            read_reply,
+            serve_requests,
+        )
         from repro.storage import PageStore
 
         built = FLATIndex.build(PageStore(), random_mbrs(800, seed=3),
                                 space_mbr=SPACE)
         snapshot_index(built, tmp_path)
         index = restore_index(tmp_path)
-        opened = [index]
-        server = _ShardServer(tmp_path, 0, np.arange(built.next_element_id))
-        engines, sessions = server.connection_state()
-        served = [server.current[1]]
+        engines = WorkerEngines(PrefetchConfig(), owns_indexes=True)
+        client, server = multiprocessing.Pipe()
+        loop = threading.Thread(target=serve_requests, args=(server, engines))
+        loop.start()
+        sessions = SessionTracker(PrefetchConfig())
+        restored = {}
         walk = trajectory_range_queries(SPACE, 2e-5, 7, seed=13)
         generation = 0
         for step, query in enumerate(walk):
@@ -312,22 +346,31 @@ class TestConnectionGenerations:
                 fork.apply_batch(insert_mbrs=random_mbrs(5, seed=step))
                 _directory, generation = publish_fork_generation(fork)
                 # The next rebuild must sit on the published generation.
+                index.store.close()
                 index = restore_index(tmp_path, generation=generation)
-                opened.append(index)
-                reload = ("reload", generation, np.arange(index.next_element_id))
-                assert server.dispatch(reload, engines, sessions) == generation
-                served.append(server.current[1])
-            hits, _stats, _prefetch = server.dispatch(
-                ("range", query, True, "walker"), engines, sessions
-            )
-            oracle = restore_index(tmp_path, generation=generation)
-            assert np.array_equal(hits, oracle.range_query(query))
-            oracle.store.close()
+            task = (_process_run_group, (
+                generation, (str(tmp_path), generation), query[None, :], True,
+                sessions.hint("walker", query),
+            ), {})
+            client.send_bytes(pickle.dumps(task))
+            ok, (_pid, (hits,), _stats, _prefetch, _s, _shards) = read_reply(client)
+            assert ok
+            assert np.array_equal(hits, index.range_query(query))
             assert len(engines) <= KEPT_GENERATIONS
+            restored[generation] = engines._entries[generation][2]
+        client.send_bytes(pickle.dumps(None))
+        loop.join(60)
+        assert not loop.is_alive()
         assert generation == len(walk) - 1
-        assert len(sessions) == 1
-        for each in served + opened:
-            each.store.close()
+        kept = set(engines._entries)
+        assert len(kept) == KEPT_GENERATIONS
+        for each, old in restored.items():
+            # An evicted generation's store is closed with it.
+            assert old.store.backend.closed == (each not in kept)
+            old.store.close()
+        index.store.close()
+        client.close()
+        server.close()
 
 
 class TestDeltaOverlayAtGather:
@@ -387,16 +430,17 @@ class TestFailover:
     def test_no_replica_shard_loss_raises(self, snapshot_root,
                                           cluster_no_replicas):
         _root, _oracle, queries, _points = snapshot_root
-        probe = ("range", queries[0], True, None)
-        expected = [cluster_no_replicas._request_one(pos, probe)[0]
-                    for pos in (0, 1)]
+        probes = [range_task(pos, queries[0]) for pos in (0, 1)]
+        expected = [ids for ids, _stats, _prefetch
+                    in cluster_no_replicas._gather(probes)]
         cluster_no_replicas.kill_server(2, "primary")
         with pytest.raises(ClusterError, match="no live server"):
             cluster_no_replicas.range_query(SPACE)
         # The surviving servers' full-space replies were read before the
         # error surfaced: each answers the next request, not that one.
-        for pos, ids in zip((0, 1), expected):
-            assert np.array_equal(cluster_no_replicas._request_one(pos, probe)[0], ids)
+        for probe, ids in zip(probes, expected):
+            ((got, _stats, _prefetch),) = cluster_no_replicas._gather([probe])
+            assert np.array_equal(got, ids)
 
     def test_launch_ships_full_copy_once(self, cluster):
         log = cluster.replication_log
@@ -538,7 +582,111 @@ class TestRollingUpdate:
                 assert np.array_equal(got, fork.range_query(query))
 
 
+    def test_replica_serves_the_rolled_generation_from_its_own_directory(
+            self, tmp_path):
+        """Roll with replicas, kill every rolled primary, then query: each
+        replica restores the new generation from its own directory.
+
+        The dead primaries' directories are moved away first, so a task
+        that named a primary's directory would fail to restore."""
+        oracle, cluster = self._private_cluster(tmp_path, seed=17)
+        queries = np.vstack([random_range_queries(SPACE, 0.001, 12, seed=19),
+                             SPACE])
+        with cluster:
+            inserts, deletes = self._batch(oracle, seed=19)
+            fork = oracle.fork()
+            fork.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+            report = cluster.apply_updates(insert_mbrs=inserts,
+                                           delete_ids=deletes)
+            assert report.shards_updated
+            for pos in report.shards_updated:
+                cluster.kill_server(pos, "primary")
+                directory = cluster._primaries[pos].directory
+                directory.rename(directory.with_name(directory.name + "-gone"))
+            results, batch = cluster.run(queries)
+            for got, query in zip(results, queries):
+                assert np.array_equal(got, fork.range_query(query))
+            assert batch.servers_lost == len(report.shards_updated)
+            status = cluster.status()
+            for pos in report.shards_updated:
+                assert status[pos]["pid"] == cluster._replicas[pos].process.pid
+                assert status[pos]["generation"] == report.generations[pos]
+                assert status[pos]["element_count"] == (
+                    fork.shards[pos].index.element_count
+                )
+
+
+class TestOneShardParity:
+    def test_a_one_shard_cluster_serves_a_session_as_a_one_worker_pool(
+            self, tmp_path):
+        """The same walk through ``ClusterRouter.run`` over a one-shard
+        root and through a one-worker process ``QueryService`` over that
+        shard's directory accounts identically: one session model at the
+        front, the same task, the same staging rule.
+
+        ``run_session``'s last query reports its own staging; a server
+        reports a staging with the connection's next answer, so the
+        cluster side adds the report of one more (session-free) task.
+        """
+        built = ShardedFLATIndex.build(random_mbrs(20000, seed=6), 1,
+                                       space_mbr=SPACE)
+        root = tmp_path / "root"
+        built.snapshot(root)
+        walk = trajectory_range_queries(SPACE, 2e-5, 32, seed=13)
+        with ClusterRouter.launch(root) as router:
+            results, cluster = router.run(walk, session_id="walker")
+            ((_ids, _stats, last),) = router._gather([range_task(0, walk[-1])])
+        index = restore_index(ShardedFLATIndex.shard_directory(root, 0))
+        try:
+            with QueryService(index, workers=1, mode=MODE_PROCESS,
+                              prefetch=True) as service:
+                pool = service.run_session(walk, "walker")
+        finally:
+            index.store.close()
+        assert [len(ids) for ids in results] == pool.per_query_results
+        assert pool.total_prefetch_hits > 0
+        assert cluster.reads_by_category == pool.reads_by_category
+        assert cluster.prefetch_hits_by_category == pool.prefetch_hits_by_category
+        staging = IOStats()
+        staging.reads.update(cluster.prefetch_reads_by_category)
+        staging.merge(last["io"])
+        assert staging.reads == pool.prefetch_reads_by_category
+        assert cluster.prefetch_staged + last["staged"] == pool.prefetch_staged
+        assert cluster.prefetch_consumed == pool.prefetch_consumed
+
+
 class TestLifecycle:
+    def test_server_dying_before_it_listens_raises_cluster_error(
+            self, snapshot_root, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("servers inherit the patched listener only by fork")
+        root, _oracle, _queries, _points = snapshot_root
+
+        def refuse(*args, **kwargs):
+            raise OSError("cannot listen")
+
+        monkeypatch.setattr(cluster_module, "Listener", refuse)
+        with pytest.raises(ClusterError, match=r"shard server 0 \(primary\) "
+                           r"exited with code 1 before it listened"):
+            ClusterRouter.launch(root)
+
+    def test_failed_warm_up_stops_every_server(self, snapshot_root, tmp_path,
+                                               monkeypatch):
+        """Every server restores its generation before ``launch``
+        returns; a restore that fails there stops the whole fleet."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("servers inherit the patched restore only by fork")
+        root, _oracle, _queries, _points = snapshot_root
+
+        def broken(generation, spec):
+            raise RuntimeError(f"cannot restore {spec}")
+
+        monkeypatch.setattr(service_module, "_restore_generation", broken)
+        running = set(multiprocessing.active_children())
+        with pytest.raises(ClusterError, match="RuntimeError: cannot restore"):
+            ClusterRouter.launch(root, replica_root=tmp_path / "replicas")
+        assert set(multiprocessing.active_children()) == running
+
     def test_closed_cluster_rejects_queries(self, snapshot_root):
         root, _oracle, queries, _points = snapshot_root
         router = ClusterRouter.launch(root)
