@@ -524,6 +524,19 @@ class ShardedFLATIndex:
         })
         return directory
 
+    @staticmethod
+    def read_meta(directory) -> dict:
+        """The root manifest (``shards.json``) of a sharded snapshot."""
+        meta_path = Path(directory) / SHARD_META_FILENAME
+        if not meta_path.exists():
+            raise PageStoreError(f"no sharded-index snapshot in {directory}")
+        meta = json.loads(meta_path.read_text())
+        if meta.get("format_version") != SHARDED_FORMAT_VERSION:
+            raise PageStoreError(
+                f"unsupported sharded snapshot format {meta.get('format_version')!r}"
+            )
+        return meta
+
     @classmethod
     def restore(cls, directory) -> "ShardedFLATIndex":
         """Reopen a sharded snapshot, every shard over a read-only mmap.
@@ -534,14 +547,7 @@ class ShardedFLATIndex:
         root, a restore here reproduces the fleet's committed state.
         """
         directory = Path(directory)
-        meta_path = directory / SHARD_META_FILENAME
-        if not meta_path.exists():
-            raise PageStoreError(f"no sharded-index snapshot in {directory}")
-        meta = json.loads(meta_path.read_text())
-        if meta.get("format_version") != SHARDED_FORMAT_VERSION:
-            raise PageStoreError(
-                f"unsupported sharded snapshot format {meta.get('format_version')!r}"
-            )
+        meta = cls.read_meta(directory)
         bundle = (directory / SHARD_ARRAYS_FILENAME).read_bytes()
         expected = meta.get("bundle_crc32")  # absent in older roots
         if expected is not None and zlib.crc32(bundle) != expected:

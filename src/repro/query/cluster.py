@@ -7,22 +7,20 @@ snapshot generations published by atomic rename, and ``(directory,
 generation)`` reattach across process boundaries.  This module promotes
 those pieces to a serving *fleet*:
 
-* :class:`ShardServerHandle` / :func:`_serve_shard` — one **shard
-  server** process per shard, a pool worker that listens on a socket:
-  every connection accepted on its :mod:`multiprocessing.connection`
-  listener (length-prefixed pickle frames on an ``AF_UNIX`` socket,
-  authkey-authenticated) runs the
-  :class:`~repro.query.service.QueryService` pool processes' task loop,
-  :func:`~repro.query.service.serve_requests`, on a
-  :class:`~repro.query.service.WorkerEngines` of its own, and answers
-  the same ``_process_run_group`` task a pool process does.  The server
-  holds no index, id map or session model: a task names the generation
-  it wants and the ``(directory, generation)`` spec it is restored from
-  on first use (a read-only mmap — co-located servers share page bytes
+* :class:`ShardServerHandle` — one **shard server** process per shard
+  and role, a :class:`~repro.query.service.QueryService` pool worker on
+  a Pipe: the pool's own start function,
+  :func:`~repro.query.service._start_worker`, starts it with no
+  generation 0, and it runs the pool processes' task loop,
+  :func:`~repro.query.service.serve_requests`, answering the same
+  ``_process_run_group`` task a pool process does.  The server holds
+  no index, id map or session model: a task names the generation it
+  wants and the ``(directory, generation)`` spec it is restored from on
+  first use (a read-only mmap — co-located servers share page bytes
   through the OS page cache).  It answers with **shard-local** element
   ids; a session's window is staged once the reply is sent and before
-  the connection's next task is read.  A task that raises is answered
-  with the exception object; the router raises :class:`ClusterError`
+  the server's next task is read.  A task that raises is answered with
+  the exception object; the router raises :class:`ClusterError`
   (``shard N server error: Type: msg``) chained from it, and the
   server keeps serving.
 * :class:`ClusterRouter` — the query tier's front door.  It keeps a
@@ -50,8 +48,8 @@ those pieces to a serving *fleet*:
   is append-only and a generation only appends, so an up-to-date
   replica receives only the tail pages a new generation appended,
   never the unchanged prefix.  When a server dies mid-request the
-  router marks it, replays the in-flight requests of that connection
-  on the shard's replica and keeps routing there — reads are
+  router marks it, replays the in-flight requests of that server on
+  the shard's replica and keeps routing there — reads are
   idempotent, so replay is safe.
 * **Rolling updates** — :meth:`ClusterRouter.apply_updates` applies an
   insert/delete batch to a fork of the control replica, which rebuilds
@@ -67,9 +65,9 @@ those pieces to a serving *fleet*:
   the planner adopts the fork's (grow-only) widened shard boxes up
   front so pruning stays exact throughout the roll.
 
-The router is single-threaded by design (one logical request stream
-per server connection); run several routers for concurrent fronts.
-Correctness is pinned in ``tests/query/test_cluster.py`` and
+The router is single-threaded by design: one logical request stream
+per server, over the Pipe it started the server with.  Correctness is
+pinned in ``tests/query/test_cluster.py`` and
 ``benchmarks/bench_cluster.py``: every response — mid-roll, after a
 server kill — is byte-identical to the monolithic
 :class:`~repro.core.sharded.ShardedFLATIndex` oracle; with a delta
@@ -79,13 +77,9 @@ attached, to the oracle's answers corrected by the same delta.
 from __future__ import annotations
 
 import multiprocessing
-import os
-import tempfile
-import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import Client, Listener
 from pathlib import Path
 
 import numpy as np
@@ -95,11 +89,10 @@ from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.prefetch import PrefetchConfig, SessionTracker
 from repro.query.service import (
     CLOSED_ERRORS,
-    WorkerEngines,
     _process_run_group,
+    _start_worker,
     _worker_status,
     read_reply,
-    serve_requests,
 )
 from repro.storage.stats import IOStats
 
@@ -107,60 +100,19 @@ from repro.storage.stats import IOStats
 # repro.query at module level, so a top-level import here would close an
 # import cycle through the two packages' __init__ modules.
 
-#: Requests kept in flight per server connection during a batch.  The
-#: protocol is strictly request/reply-in-order per connection, so the
-#: window bounds the reply bytes parked in socket buffers (avoiding a
-#: send-side stall against a server that cannot flush replies).
+#: Requests kept in flight per server during a batch.  The protocol is
+#: strictly request/reply-in-order per Pipe, so the window bounds the
+#: reply bytes parked in socket buffers (avoiding a send-side stall
+#: against a server that cannot flush replies).
 PIPELINE_WINDOW = 32
+
+#: Seconds :meth:`ClusterRouter.launch` waits for a server's first reply.
+START_TIMEOUT = 60.0
 
 
 class ClusterError(RuntimeError):
     """A cluster operation failed: a shard lost every server, a server
     reported an exception, or the fleet could not be launched."""
-
-
-# -- server side ---------------------------------------------------------
-#
-# A shard server is a pool worker that listens on a socket: each
-# accepted connection runs the QueryService pool processes' task loop
-# (serve_requests) on a WorkerEngines of its own, answering the
-# router's _process_run_group and _worker_status tasks.  The server
-# holds no index, id map or session model: a task names the generation
-# it wants and the (directory, generation) spec to restore it from.
-
-
-def _serve_connection(conn, listener) -> None:
-    """One connection's thread: the pool workers' task loop over a
-    generation cache of its own.  The loop's stop request (``None``)
-    shuts the server down."""
-    try:
-        stopped = serve_requests(
-            conn, WorkerEngines(PrefetchConfig(), owns_indexes=True)
-        )
-    finally:
-        conn.close()
-    if stopped:
-        listener.close()
-        # The main thread is parked in ``listener.accept()``, which a
-        # cross-thread close does not reliably wake on Linux — exit
-        # the process here instead.
-        os._exit(0)
-
-
-def _serve_shard(address, authkey, ready) -> None:
-    """Entry point of a shard-server process: listen, then serve each
-    accepted connection on a thread of its own."""
-    listener = Listener(address, family="AF_UNIX", authkey=authkey)
-    ready.send(os.getpid())
-    ready.close()
-    while True:
-        try:
-            conn = listener.accept()
-        except OSError:
-            break  # listener closed by a stop request
-        threading.Thread(
-            target=_serve_connection, args=(conn, listener), daemon=True,
-        ).start()
 
 
 # -- router side ---------------------------------------------------------
@@ -169,45 +121,31 @@ def _serve_shard(address, authkey, ready) -> None:
 class ShardServerHandle:
     """The router's endpoint for one shard-server process.
 
-    Wraps the process handle, the socket address and a lazily opened
-    :func:`multiprocessing.connection.Client`.  ``alive`` is the
-    *router's belief*: it flips to ``False`` only when a request
-    actually fails, so killing a process externally is discovered the
-    way a real fleet discovers it — by a dead connection.
+    The server is a :class:`~repro.query.service.QueryService` pool
+    worker: :func:`~repro.query.service._start_worker` starts it with no
+    generation 0 and hands back ``process`` and ``conn``, the router's
+    end of its duplex Pipe.  ``alive`` is the *router's belief*: it
+    flips to ``False`` only when a request actually fails, so killing a
+    process externally is discovered the way a real fleet discovers it —
+    by a dead connection.
     """
 
-    def __init__(self, shard_id: int, role: str, directory, address: str,
-                 authkey: bytes, process):
+    def __init__(self, shard_id: int, role: str, directory):
         self.shard_id = shard_id
         #: ``"primary"`` or ``"replica"``.
         self.role = role
         #: The snapshot directory this server restores generations from.
         self.directory = Path(directory)
-        self.address = address
-        self.authkey = authkey
-        self.process = process
+        self.process, self.conn = _start_worker(
+            multiprocessing.get_context(), None, PrefetchConfig()
+        )
         self.alive = True
-        self._conn = None
-
-    def _connection(self):
-        if self._conn is None:
-            self._conn = Client(self.address, family="AF_UNIX",
-                                authkey=self.authkey)
-        return self._conn
 
     def send(self, message) -> None:
-        self._connection().send(message)
+        self.conn.send(message)
 
     def recv(self):
-        return read_reply(self._connection())
-
-    def close_connection(self) -> None:
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
+        return read_reply(self.conn)
 
     def kill(self) -> None:
         """Hard-kill the server process (failure injection for tests).
@@ -218,40 +156,6 @@ class ShardServerHandle:
         """
         self.process.terminate()
         self.process.join(timeout=10)
-
-
-def _start_shard_server(shard_id: int, role: str, directory, runtime_dir,
-                        authkey: bytes,
-                        start_timeout: float = 60.0) -> ShardServerHandle:
-    """Launch one shard-server process and wait until it listens."""
-    # Socket paths must stay under the AF_UNIX limit (~107 bytes), so
-    # the runtime directory is kept short and names are terse.
-    address = str(Path(runtime_dir) / f"{role[0]}{shard_id}.sock")
-    parent_end, child_end = multiprocessing.Pipe(duplex=False)
-    process = multiprocessing.Process(
-        target=_serve_shard, args=(address, authkey, child_end),
-        name=f"shard-server-{shard_id}-{role}", daemon=True,
-    )
-    process.start()
-    child_end.close()
-    try:
-        if not parent_end.poll(start_timeout):
-            process.terminate()
-            raise ClusterError(
-                f"shard server {shard_id} ({role}) did not come up within "
-                f"{start_timeout}s"
-            )
-        parent_end.recv()
-    except EOFError:
-        process.join(start_timeout)
-        raise ClusterError(
-            f"shard server {shard_id} ({role}) exited with code "
-            f"{process.exitcode} before it listened"
-        ) from None
-    finally:
-        parent_end.close()
-    return ShardServerHandle(shard_id, role, directory, address, authkey,
-                             process)
 
 
 @dataclass
@@ -275,7 +179,7 @@ class ClusterReport:
     session_id: str | None = None
     #: Physical page reads the servers' prefetchers performed, per
     #: category, as :class:`~repro.query.service.ServiceReport` counts
-    #: them: a staging is reported with its connection's next answer.
+    #: them: a staging is reported with its server's next answer.
     prefetch_reads_by_category: dict = field(default_factory=dict)
     #: Pages staged by the stagings this batch's answers report.
     prefetch_staged: int = 0
@@ -334,26 +238,25 @@ class ClusterUpdateReport:
 class ClusterRouter:
     """Scatter–gather front door of a shard-server fleet.
 
-    Built with :meth:`launch`, which restores the control replica,
-    starts one primary server per shard and (optionally) replicates
-    every shard into a second fleet.  Not thread-safe: a router owns
-    one logical request stream per server connection.
+    Built with :meth:`launch`, which starts one primary server per
+    shard and (optionally) one replica per shard, restores the control
+    replica and replicates every shard into the replicas' directories.
+    Not thread-safe: a router owns one logical request stream per
+    server.
     """
 
-    def __init__(self, root, control, runtime_dir,
-                 clear_cache_per_query: bool = True,
-                 _owns_runtime_dir: bool = False):
+    def __init__(self, root, clear_cache_per_query: bool = True):
         self._root = Path(root)
-        self._control = control
         #: Primary handles, one per shard, filled by :meth:`launch`.
         self._primaries: list = []
         #: Replica handles, positionally aligned with primaries (``None``
         #: entries for shards without a replica).
         self._replicas: list = []
-        self._runtime_dir = Path(runtime_dir)
-        self._owns_runtime_dir = _owns_runtime_dir
+        #: The control replica (see :meth:`_adopt`); :meth:`launch`
+        #: restores it once every server has started.
+        self._control = None
         self.clear_cache_per_query = clear_cache_per_query
-        self.planner: QueryPlanner = control.planner
+        self.planner: QueryPlanner | None = None
         #: Optional :class:`~repro.core.delta.DeltaIndex` (global ids)
         #: applied to every answer at the gather point: ranges through
         #: :meth:`~repro.core.delta.DeltaIndex.overlay`, kNN through
@@ -366,81 +269,108 @@ class ClusterRouter:
         self.last_plan: QueryPlan | None = None
         #: Shard position -> ``(generation served, its local->global id
         #: map)``; a roll replaces a shard's pair in one assignment.
-        self._served = {
-            pos: (int(shard.index.store.backend.generation),
-                  np.asarray(shard.element_ids, dtype=np.int64))
-            for pos, shard in enumerate(control.shards)
-        }
+        self._served: dict = {}
         #: One trajectory model per session, over every box the session
         #: sends; a due window rides with the session query's tasks.
         self._sessions = SessionTracker(PrefetchConfig())
         #: Staging crawls that raised, per shard, as the answers report them.
-        self._prefetch_failures = [0] * control.shard_count
+        self._prefetch_failures = Counter()
         self._closed = False
 
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def launch(cls, root, replica_root=None, runtime_dir=None,
+    def launch(cls, root, replica_root=None,
                clear_cache_per_query: bool = True) -> "ClusterRouter":
         """Bring up a cluster over a sharded snapshot *root*.
 
         One primary server per shard serves the shard's latest
         generation.  With *replica_root*, every shard's generation
-        directory is first shipped there
+        directory is shipped there
         (:func:`~repro.core.snapshot.ship_index_generation` — a full
         copy on the fresh directories, incremental ever after) and a
         replica server is started per shard; the router fails over to
-        replicas automatically.  Every server restores its shard's
-        generation before this returns.  *runtime_dir* holds the socket
-        files (kept short for ``AF_UNIX``; a private temp directory by
-        default).
+        replicas automatically.
+
+        Every server, primary and replica, starts first: a server
+        restores lazily, so it needs only the shard count from the
+        root's manifest, and no server inherits a file of the control
+        replica, which is restored next.  The replicas are shipped
+        after that, then every server restores its shard's generation
+        (a status task) before this returns.  A server that exits before
+        it answers raises :class:`ClusterError` (``shard server N (role)
+        exited with code C before it answered``), and so does one silent
+        for :data:`START_TIMEOUT` seconds; every other reply owed is read
+        first, and a launch that fails stops every server it started.
         """
         from repro.core.sharded import ShardedFLATIndex
         from repro.core.snapshot import ship_index_generation
 
         root = Path(root)
-        control = ShardedFLATIndex.restore(root)
-        owns_runtime = runtime_dir is None
-        if owns_runtime:
-            runtime_dir = tempfile.mkdtemp(prefix="flatclu-")
-        router = cls(root, control, runtime_dir, clear_cache_per_query,
-                     _owns_runtime_dir=owns_runtime)
+        shard_directory = ShardedFLATIndex.shard_directory
+        router = cls(root, clear_cache_per_query)
         #: Launch-time replica shipping accounting (one entry per shard).
         router.replication_log = []
-        authkey = os.urandom(16)
         try:
-            for pos in range(control.shard_count):
-                directory = ShardedFLATIndex.shard_directory(root, pos)
-                router._primaries.append(_start_shard_server(
-                    pos, "primary", directory, runtime_dir, authkey,
+            for pos in range(ShardedFLATIndex.read_meta(root)["shard_count"]):
+                router._primaries.append(
+                    ShardServerHandle(pos, "primary", shard_directory(root, pos))
+                )
+                router._replicas.append(None if replica_root is None else (
+                    ShardServerHandle(pos, "replica",
+                                      shard_directory(replica_root, pos))
                 ))
-                replica = None
-                if replica_root is not None:
-                    replica_dir = ShardedFLATIndex.shard_directory(
-                        replica_root, pos
-                    )
+            router._adopt(ShardedFLATIndex.restore(root))
+            for primary, replica in zip(router._primaries, router._replicas):
+                if replica is not None:
                     router.replication_log.append(ship_index_generation(
-                        directory, replica_dir, router._served[pos][0]
+                        primary.directory, replica.directory,
+                        router._served[primary.shard_id][0],
                     ).as_dict())
-                    replica = _start_shard_server(
-                        pos, "replica", replica_dir, runtime_dir, authkey,
-                    )
-                router._replicas.append(replica)
-            # Warm-up: every server restores its generation now, all at
-            # once, not on the first query.  Every reply is read before
-            # an error reply raises, so each server reads its stop
-            # request, not a reset connection.
-            handles = [(pos, handle) for pos in range(router.shard_count)
-                       for handle in router._endpoints(pos)]
-            for pos, handle in handles:
-                handle.send(router._task(handle, pos, _worker_status, ()))
-            for pos, reply in [(pos, h.recv()) for pos, h in handles]:
-                router._unwrap(reply, pos)
+            router._warm_up()
         except BaseException:
             router.close()
             raise
         return router
+
+    def _adopt(self, control) -> None:
+        """Route with the restored shard set *control*: its planner and,
+        per shard, the generation it restored and that one's id map."""
+        self._control = control
+        self.planner = control.planner
+        self._served = {
+            pos: (int(shard.index.store.backend.generation),
+                  np.asarray(shard.element_ids, dtype=np.int64))
+            for pos, shard in enumerate(control.shards)
+        }
+
+    def _warm_up(self) -> None:
+        """Every server restores its generation now, all at once, not on
+        the first query.  Every reply is read before an error raises, so
+        each server reads its stop request, not a reset connection."""
+        handles = [(pos, handle) for pos in range(self.shard_count)
+                   for handle in self._endpoints(pos)]
+        for pos, handle in handles:
+            try:
+                handle.send(self._task(handle, pos, _worker_status, ()))
+            except CLOSED_ERRORS:
+                pass  # the server is gone; its read below says so
+        replies, lost = [], []
+        for pos, handle in handles:
+            try:
+                if handle.conn.poll(START_TIMEOUT):
+                    replies.append((handle.recv(), pos))
+                    continue
+                problem = f"did not answer within {START_TIMEOUT:g} s"
+            except CLOSED_ERRORS:
+                handle.process.join(START_TIMEOUT)
+                problem = (f"exited with code {handle.process.exitcode} "
+                           "before it answered")
+            lost.append(f"shard server {pos} ({handle.role}) {problem}")
+        if lost:
+            raise ClusterError(lost[0])
+        for reply, pos in replies:
+            self._unwrap(reply, pos)
 
     # -- endpoints ------------------------------------------------------
 
@@ -484,7 +414,6 @@ class ClusterRouter:
         if not handle.alive:
             return
         handle.alive = False
-        handle.close_connection()
         self.servers_lost += 1
 
     def _task(self, handle: ShardServerHandle, pos: int, fn, args) -> tuple:
@@ -807,16 +736,14 @@ class ClusterRouter:
         # to a clean restore of each shard's latest generation, the only
         # base a shard's next rebuild can be published over.
         fork.write_shard_manifest(self._root)
-        new_control = ShardedFLATIndex.restore(self._root)
         old_control = self._control
-        self._control = new_control
-        self.planner = new_control.planner
+        self._adopt(ShardedFLATIndex.restore(self._root))
         old_control.close()
 
         return ClusterUpdateReport(
             inserted_ids=inserted,
             deleted_count=deleted,
-            element_count=new_control.element_count,
+            element_count=self._control.element_count,
             shards_updated=touched,
             generations=generations,
             shipping=shipping,
@@ -854,23 +781,14 @@ class ClusterRouter:
                     handle.send(None)  # the stop request: no reply
                 except Exception:
                     pass
-            handle.close_connection()
+            handle.conn.close()
         for handle in handles:
             handle.process.join(timeout=10)
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=10)
-        self._control.close()
-        if self._owns_runtime_dir:
-            for entry in self._runtime_dir.glob("*.sock"):
-                try:
-                    entry.unlink()
-                except OSError:
-                    pass
-            try:
-                self._runtime_dir.rmdir()
-            except OSError:
-                pass
+        if self._control is not None:
+            self._control.close()
 
     def __enter__(self) -> "ClusterRouter":
         return self

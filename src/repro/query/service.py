@@ -19,9 +19,9 @@ bridges the two without giving up the accounting:
 * every task runs one body, :meth:`WorkerEngines.serve`: answer the
   task's queries on the worker's clone and diff the clone's counters.
   The task's prefetch hint is staged after the answer: by a pool
-  thread before its task returns, by a pool process (and a
-  shard-server connection) once its reply is sent and before it reads
-  the next request.  The task returns its results, its
+  thread before its task returns, by a pool process (and a shard
+  server) once its reply is sent and before it reads the next
+  request.  The task returns its results, its
   :class:`~repro.storage.stats.IOStats` *delta* and its prefetch
   counts, and the parent merges the deltas in submission order —
   deterministic totals regardless of worker completion order;
@@ -43,17 +43,17 @@ the same OS page cache).  Each worker process is joined to the service
 by one duplex ``multiprocessing`` Pipe: a task is sent from the
 submitting thread as soon as a worker is free (else it waits in one
 FIFO), and one reader thread per worker takes each reply, hands the
-worker its next queued task and resolves the task's future.  The
-worker side is :func:`serve_requests`, the one task loop that every
-shard-server connection (:mod:`repro.query.cluster`) runs too: a pool
-process and a connection answer the same :func:`_process_run_group`
-task on the serving thread's :class:`WorkerEngines`, restore a
-generation they do not hold from the ``(directory, generation)`` spec
-the task carries, and stage the window the answer left once the reply
-is sent, so the client turns the answer around while the worker
-stages.  A task that raises comes back as the exception object itself,
-so the caller re-raises its type, and a worker that dies breaks the
-pool (``BrokenProcessPool``).  Thread tasks and process tasks return
+worker its next queued task and resolves the task's future.  Every
+shard server (:mod:`repro.query.cluster`) is the same worker process,
+started by the same :func:`_start_worker` with no generation 0: both
+run :func:`serve_requests`, answer the same :func:`_process_run_group`
+task on the process's :class:`WorkerEngines`, restore a generation
+they do not hold from the ``(directory, generation)`` spec the task
+carries, and stage the window the answer left once the reply is sent,
+so the client turns the answer around while the worker stages.  A task
+that raises comes back as the exception object itself, so the caller
+re-raises its type, and a worker that dies breaks the pool
+(``BrokenProcessPool``).  Thread tasks and process tasks return
 the same tuple, so both modes aggregate through one path.
 ``batch_queries`` additionally groups in-flight queries into one
 :meth:`FLATIndex.range_query_multi
@@ -304,10 +304,10 @@ def _is_sharded(index) -> bool:
 
 # -- the worker side -----------------------------------------------------
 #
-# A pool thread, a pool process and a shard-server connection all serve
-# the same way: the worker's own WorkerEngines answers the task on its
-# clone of the task's generation, then stages the task's hint.  A pool
-# process and a shard-server connection run the same task loop too.
+# A pool thread, a pool process and a shard server all serve the same
+# way: the worker's own WorkerEngines answers the task on its clone of
+# the task's generation, then stages the task's hint.  A pool process
+# and a shard server are the same worker process.
 
 
 class WorkerEngines:
@@ -324,13 +324,13 @@ class WorkerEngines:
     snapshot-isolation guarantee — and only the
     :data:`KEPT_GENERATIONS` most recently used generations stay
     alive.  With *owns_indexes*, an evicted generation's own index
-    store is closed as well (pool processes and shard-server connections
-    restore theirs privately).
+    store is closed as well (pool processes and shard servers restore
+    theirs privately).
 
     :meth:`serve` answers a task and leaves its prefetch hint pending;
     :meth:`stage` stages it.  A pool thread stages before its task
-    returns.  A pool process and a shard-server connection stage once
-    the answer is sent, before they read their next request
+    returns.  A pool process and a shard server stage once the answer
+    is sent, before they read their next request
     (:func:`serve_requests`' after-reply step), so the client's next
     step overlaps the staging while the worker's stores see the same
     page sequence either way.  A staging's report waits in
@@ -457,22 +457,22 @@ class WorkerEngines:
         return report
 
 
-# A pool process and a shard-server connection run one loop,
-# serve_requests, over (fn, args, kwargs) tasks, the function pickled by
-# reference.  A reply is (True, value) or (False, exception): the
-# exception object itself, so the caller can raise its type, with the
-# worker's traceback as its __cause__.  Once a reply is sent, the loop
-# stages the window the answer left.  Generation 0 arrives pickled with
-# a pool worker's start; every other generation (and every generation a
-# shard server serves) is restored lazily from the (directory,
-# generation) spec its task carries.
+# A pool process and a shard server are one kind of worker process,
+# started by _start_worker and joined to its client by a duplex Pipe.
+# It runs one loop, serve_requests, over (fn, args, kwargs) tasks, the
+# function pickled by reference.  A reply is (True, value) or (False,
+# exception): the exception object itself, so the caller can raise its
+# type, with the worker's traceback as its __cause__.  Once a reply is
+# sent, the loop stages the window the answer left.  Generation 0
+# arrives pickled with a pool worker's start; every other generation
+# (and every generation a shard server serves) is restored lazily from
+# the (directory, generation) spec its task carries.
 
 #: Connection failures that mean the peer is gone.
 CLOSED_ERRORS = (EOFError, OSError)
 
-#: The serving thread's :class:`WorkerEngines`: a pool process's main
-#: thread, or one shard-server connection's thread.
-_WORKER = threading.local()
+#: The worker process's :class:`WorkerEngines`, set by :func:`serve_requests`.
+_WORKER: WorkerEngines | None = None
 
 
 def _send(conn, data) -> bool:
@@ -500,9 +500,9 @@ def read_reply(conn) -> tuple:
 def serve_requests(conn, engines: WorkerEngines) -> bool:
     """The one worker loop: run every task on *conn* until it ends.
 
-    A task ``(fn, args, kwargs)`` runs with *engines* as the serving
-    thread's generation cache (what :func:`_process_run_group` serves
-    from) and is answered with ``(True, fn(*args, **kwargs))``, or with
+    A task ``(fn, args, kwargs)`` runs with *engines* as the process's
+    generation cache (what :func:`_process_run_group` serves from) and
+    is answered with ``(True, fn(*args, **kwargs))``, or with
     ``(False, exc)`` when unpickling or running it raised *exc* (the
     traceback arrives as ``exc.__cause__``); a value that does not
     pickle is answered with its pickling error.  Once each reply is
@@ -511,7 +511,8 @@ def serve_requests(conn, engines: WorkerEngines) -> bool:
     task — the stop request, which gets no reply — and ``False`` once
     the peer is gone.
     """
-    _WORKER.engines = engines
+    global _WORKER
+    _WORKER = engines
     while True:
         try:
             data = conn.recv_bytes()
@@ -541,15 +542,31 @@ _STOP = pickle.dumps(None)
 _BROKEN = "a worker process exited unasked; the pool is not usable anymore"
 
 
-def _pool_worker(conn, payload: bytes, prefetch_config) -> None:
-    """A pool process: load generation 0, then run tasks from *conn*.
-    Stopped, it sends what no answer reported as one last ``(None,
-    report)`` message."""
+def _pool_worker(conn, payload: bytes | None, prefetch_config) -> None:
+    """A worker process: load generation 0 from *payload*, then run
+    tasks from *conn*.  A shard server's *payload* is ``None``: it
+    restores every generation from the spec its tasks carry.  Stopped,
+    it sends what no answer reported as one last ``(None, report)``
+    message."""
     engines = WorkerEngines(prefetch_config, owns_indexes=True)
-    index = pickle.loads(payload)
-    engines.get(0, lambda: index)
+    if payload is not None:
+        index = pickle.loads(payload)
+        engines.get(0, lambda: index)
     if serve_requests(conn, engines):
         _send(conn, pickle.dumps((None, engines.unreported())))
+
+
+def _start_worker(context, payload: bytes | None, prefetch_config) -> tuple:
+    """Start one worker process, a pool process or a shard server: a
+    daemon *context* process running :func:`_pool_worker`, joined to the
+    caller by a duplex Pipe whose child end is closed here.  Returns
+    ``(process, the caller's end)``."""
+    conn, child = context.Pipe()
+    process = context.Process(target=_pool_worker, daemon=True,
+                              args=(child, payload, prefetch_config))
+    process.start()
+    child.close()
+    return process, conn
 
 
 def _restore_generation(generation: int, spec):
@@ -567,13 +584,13 @@ def _restore_generation(generation: int, spec):
 def _process_run_group(generation: int, spec, queries, cold: bool, hint=None,
                        k: int | None = None, stage_now: bool = False) -> tuple:
     """A worker process's task: :meth:`WorkerEngines.serve` on the
-    serving thread's clone of *generation*, restored from *spec* on
+    process's clone of *generation*, restored from *spec* on
     first use.  The hint is staged after the reply is sent unless
     *stage_now* asks for it before.
 
     Returns ``(pid, *WorkerEngines.serve(...))``.
     """
-    return (os.getpid(), *_WORKER.engines.serve(
+    return (os.getpid(), *_WORKER.serve(
         generation, lambda: _restore_generation(generation, spec), queries,
         cold, hint, k, stage_now,
     ))
@@ -583,11 +600,10 @@ def _worker_status(generation: int, spec) -> tuple:
     """A status task: ``(pid, element count of generation, stagings no
     answer reported yet)``, restoring *generation* from *spec* if the
     worker does not hold it."""
-    engines = _WORKER.engines
-    engine, _prefetcher = engines.get(
+    engine, _prefetcher = _WORKER.get(
         generation, lambda: _restore_generation(generation, spec)
     )
-    return os.getpid(), int(engine.element_count), engines.unreported()
+    return os.getpid(), int(engine.element_count), _WORKER.unreported()
 
 
 class _ProcessPool:
@@ -621,11 +637,7 @@ class _ProcessPool:
         #: ``(process, reader thread, connection)`` per worker.
         self._workers = []
         for _ in range(workers):
-            conn, child = context.Pipe()
-            process = context.Process(target=_pool_worker, daemon=True,
-                                      args=(child, payload, prefetch_config))
-            process.start()
-            child.close()
+            process, conn = _start_worker(context, payload, prefetch_config)
             reader = threading.Thread(target=self._read, args=(conn,), daemon=True)
             self._workers.append((process, reader, conn))
             self._idle.append(conn)

@@ -4,13 +4,17 @@ Every answer the cluster gives — scattered range/point/kNN batches,
 delta-overlaid gathers, queries racing a rolling update, queries after
 a server was killed — must be byte-identical to the same query against
 the in-process :class:`~repro.core.sharded.ShardedFLATIndex`.  The
-shard servers are real processes talking over sockets; the tests keep
-the fleets small (3 shards) so the suite stays fast.
+shard servers are real processes, pool workers each joined to the
+router by a Pipe; the tests keep the fleets small (3 shards) so the
+suite stays fast.
 """
 
 import multiprocessing
+import os
 import pickle
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -655,20 +659,82 @@ class TestOneShardParity:
         assert cluster.prefetch_consumed == pool.prefetch_consumed
 
 
+def data_files(pid, under) -> set:
+    """The ``.dat`` files below *under* that process *pid* holds open
+    or maps, from ``/proc``."""
+    proc = Path("/proc") / str(pid)
+    names = set()
+    for fd in (proc / "fd").iterdir():
+        try:
+            names.add(os.readlink(fd))
+        except OSError:  # closed since the listing
+            pass
+    for line in (proc / "maps").read_text().splitlines():
+        fields = line.split(maxsplit=5)
+        if len(fields) == 6:
+            names.add(fields[5])
+    return {Path(name) for name in names
+            if name.endswith(".dat") and Path(name).is_relative_to(under)}
+
+
 class TestLifecycle:
-    def test_server_dying_before_it_listens_raises_cluster_error(
+    def test_server_dying_before_it_answers_raises_cluster_error(
             self, snapshot_root, monkeypatch):
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("servers inherit the patched listener only by fork")
+            pytest.skip("servers inherit the patched loop only by fork")
         root, _oracle, _queries, _points = snapshot_root
 
-        def refuse(*args, **kwargs):
-            raise OSError("cannot listen")
+        def refuse(conn, engines):
+            raise OSError("cannot serve")
 
-        monkeypatch.setattr(cluster_module, "Listener", refuse)
-        with pytest.raises(ClusterError, match=r"shard server 0 \(primary\) "
-                           r"exited with code 1 before it listened"):
+        monkeypatch.setattr(service_module, "serve_requests", refuse)
+        running = set(multiprocessing.active_children())
+        with pytest.raises(ClusterError, match=r"^shard server 0 \(primary\) "
+                           r"exited with code 1 before it answered$"):
             ClusterRouter.launch(root)
+        assert set(multiprocessing.active_children()) == running
+
+    def test_silent_server_raises_cluster_error(self, snapshot_root,
+                                                monkeypatch):
+        """A server that never answers its warm-up fails the launch once
+        the start bound runs out, and is stopped with the fleet."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("servers inherit the patched loop only by fork")
+        root, _oracle, _queries, _points = snapshot_root
+
+        def silent(conn, engines):
+            time.sleep(2.0)
+            return False
+
+        monkeypatch.setattr(service_module, "serve_requests", silent)
+        monkeypatch.setattr(cluster_module, "START_TIMEOUT", 0.2)
+        running = set(multiprocessing.active_children())
+        with pytest.raises(ClusterError, match=r"^shard server 0 \(primary\) "
+                           r"did not answer within 0.2 s$"):
+            ClusterRouter.launch(root)
+        assert set(multiprocessing.active_children()) == running
+
+    def test_each_server_holds_only_its_own_data_file(self, tmp_path):
+        """Every server starts before the router restores its control
+        replica, so no server inherits another shard's data file: each
+        one's descriptors and mappings name a ``.dat`` file of the fleet
+        only in the directory its own tasks name."""
+        if not Path("/proc/self/maps").exists():
+            pytest.skip("needs /proc")
+        built = ShardedFLATIndex.build(random_mbrs(2500, seed=8), SHARDS,
+                                       space_mbr=SPACE)
+        built.snapshot(tmp_path / "root")
+        fleet = tmp_path.resolve()
+        with ClusterRouter.launch(tmp_path / "root",
+                                  replica_root=tmp_path / "replicas") as router:
+            handles = router._primaries + router._replicas
+            assert len(handles) == 2 * SHARDS
+            for handle in handles:
+                held = data_files(handle.process.pid, fleet)
+                assert held, f"{handle.role} {handle.shard_id} holds no data file"
+                assert {path.parent for path in held} == {
+                    handle.directory.resolve()
+                }
 
     def test_failed_warm_up_stops_every_server(self, snapshot_root, tmp_path,
                                                monkeypatch):
