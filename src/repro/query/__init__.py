@@ -29,7 +29,6 @@ from repro.query.knn import expanding_radius_knn
 from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.prefetch import (
     PrefetchArea,
-    PrefetchConfig,
     Prefetcher,
     SessionTracker,
     TrajectoryModel,
@@ -59,7 +58,6 @@ __all__ = [
     "PAPER_LSS_FRACTION",
     "PAPER_SN_FRACTION",
     "PrefetchArea",
-    "PrefetchConfig",
     "Prefetcher",
     "QUERY_COUNT",
     "QueryEngine",

@@ -86,7 +86,7 @@ import numpy as np
 
 from repro.geometry.mbr import point_as_box
 from repro.query.planner import QueryPlan, QueryPlanner
-from repro.query.prefetch import PrefetchConfig, SessionTracker
+from repro.query.prefetch import SessionTracker
 from repro.query.service import (
     CLOSED_ERRORS,
     _process_run_group,
@@ -137,7 +137,7 @@ class ShardServerHandle:
         #: The snapshot directory this server restores generations from.
         self.directory = Path(directory)
         self.process, self.conn = _start_worker(
-            multiprocessing.get_context(), None, PrefetchConfig()
+            multiprocessing.get_context(), None, True
         )
         self.alive = True
 
@@ -272,7 +272,7 @@ class ClusterRouter:
         self._served: dict = {}
         #: One trajectory model per session, over every box the session
         #: sends; a due window rides with the session query's tasks.
-        self._sessions = SessionTracker(PrefetchConfig())
+        self._sessions = SessionTracker()
         #: Staging crawls that raised, per shard, as the answers report them.
         self._prefetch_failures = Counter()
         self._closed = False

@@ -13,11 +13,11 @@ buffer pool *before* the next query arrives:
   around unpredictably prefetches nothing at all;
 * :class:`Prefetcher` crawls the predicted window with the demand
   crawl kernel (:func:`~repro.core.crawl.crawl`, filter off, started at
-  every record on the seed leaves whose key meets the window; the
-  :class:`~repro.query.planner.QueryPlanner` first prunes shards of a
-  sharded index) on a private **staging clone** whose caches are never
-  cleared, and stages every page the crawl touches into a
-  :class:`PrefetchArea`;
+  every record on the seed leaves whose key meets the window) on a
+  private **staging clone** of one monolithic index whose caches are
+  never cleared, and stages every page the crawl touches into a
+  :class:`PrefetchArea` (a sharded session prefetches shard by shard,
+  on each shard server of a :class:`~repro.query.cluster.ClusterRouter`);
 * the worker's own demand store consults its prefetcher's area on
   every buffer miss (:meth:`PageStore.read
   <repro.storage.pagestore.PageStore.read>`): a staged page is consumed
@@ -31,14 +31,14 @@ buffer pool *before* the next query arrives:
   once, and re-staging waits until the next predicted box walks out of
   it.
 
-Every serving worker — a pool thread, a pool process or a shard-server
-connection — owns its prefetchers (one per index generation, see
+Every serving worker — a pool thread, a pool process or a shard
+server — owns its prefetchers (one per index generation, see
 :class:`~repro.query.service.WorkerEngines`) and stages a hint only
 after answering the query that carried it: a pool thread before its
-task returns, a pool process or a shard-server connection once the
-answer is sent and before it reads its next request.  The staging then
-runs while the client reads the answer and submits its next query, and
-the worker's stores see the same page sequence either way.
+task returns, a pool process or a shard server once the answer is sent
+and before it reads its next request.  The staging then runs while the
+client reads the answer and submits its next query, and the worker's
+stores see the same page sequence either way.
 
 **Accounting contract.**  Prefetching only ever moves reads *earlier*
 — it never changes what a query returns or which pages it logically
@@ -59,13 +59,35 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.storage.decoded_cache import DECODE_ELEMENT
 from repro.storage.pagestore import PageStore
 from repro.storage.stats import IOStats
+
+#: Query boxes remembered per session.
+HISTORY = 5
+#: Observed boxes required before any prediction is attempted.
+MIN_HISTORY = 3
+#: Minimum cosine similarity between consecutive step vectors; a
+#: session whose heading flips around is gated off and prefetches
+#: nothing.
+MIN_ALIGNMENT = 0.5
+#: Maximum ratio between the fastest and slowest recent step; a session
+#: that teleports is unpredictable however straight the average heading
+#: looks.
+MAX_SPEED_RATIO = 4.0
+#: Predicted extents are inflated by this factor to absorb prediction
+#: error (volume cost is cubic — keep it modest).
+INFLATE = 1.25
+#: Future steps one staging crawl covers (the predicted window is the
+#: union box of this many extrapolated boxes); the serving layer skips
+#: re-prefetching while the next predicted box is still inside the last
+#: staged window.
+LOOKAHEAD = 3
+#: Staged pages kept per area before LRU eviction.
+AREA_CAPACITY = 8192
 
 
 class PrefetchArea:
@@ -86,7 +108,7 @@ class PrefetchArea:
     was never taken simply stays wasted.
     """
 
-    def __init__(self, capacity: int = 8192):
+    def __init__(self, capacity: int = AREA_CAPACITY):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -169,64 +191,22 @@ class StagingPageStore(PageStore):
         return elements
 
 
-@dataclass(frozen=True)
-class PrefetchConfig:
-    """Knobs of the trajectory model and the staging area."""
-
-    #: Query boxes remembered per session.
-    history: int = 5
-    #: Observed boxes required before any prediction is attempted.
-    min_history: int = 3
-    #: Minimum cosine similarity between consecutive step vectors; a
-    #: session whose heading flips around stays ungated and prefetches
-    #: nothing.
-    min_alignment: float = 0.5
-    #: Maximum ratio between the fastest and slowest recent step; a
-    #: session that teleports is unpredictable however straight the
-    #: average heading looks.
-    max_speed_ratio: float = 4.0
-    #: Predicted extents are inflated by this factor to absorb
-    #: prediction error (volume cost is cubic — keep it modest).
-    inflate: float = 1.25
-    #: Future steps one staging crawl covers (the predicted window is
-    #: the union box of this many extrapolated boxes); the serving
-    #: layer skips re-prefetching while the next predicted box is
-    #: still inside the last staged window.
-    lookahead: int = 3
-    #: Staged pages kept per area before LRU eviction.
-    area_capacity: int = 8192
-
-    def __post_init__(self):
-        if self.history < 2 or self.min_history < 2:
-            raise ValueError("history and min_history must be >= 2")
-        if self.min_history > self.history:
-            raise ValueError("min_history cannot exceed history")
-        if not -1.0 <= self.min_alignment <= 1.0:
-            raise ValueError("min_alignment must be a cosine in [-1, 1]")
-        if self.max_speed_ratio < 1.0:
-            raise ValueError("max_speed_ratio must be >= 1")
-        if self.inflate < 1.0:
-            raise ValueError("inflate must be >= 1")
-        if self.lookahead < 1:
-            raise ValueError("lookahead must be >= 1")
-
-
 class TrajectoryModel:
     """Per-session next-box predictor: velocity/extent extrapolation.
 
-    Keeps the last ``history`` observed boxes.  A prediction is the
+    Keeps the last :data:`HISTORY` observed boxes.  A prediction is the
     last centroid advanced by the mean recent step, wrapped in the mean
-    recent extents inflated by ``config.inflate`` — but only when the
-    session is *confidently* on a trajectory: enough history, steps
-    aligned (pairwise cosine above ``min_alignment``) and of comparable
-    magnitude.  A stationary session (steps ~0) predicts the current
-    box again — re-fetching the same neighborhood is the one prediction
-    that is always safe.
+    recent extents inflated by :data:`INFLATE` — but only when the
+    session is *confidently* on a trajectory: at least
+    :data:`MIN_HISTORY` boxes, steps aligned (pairwise cosine above
+    :data:`MIN_ALIGNMENT`) and of comparable magnitude (at most
+    :data:`MAX_SPEED_RATIO` apart).  A stationary session (steps ~0)
+    predicts the current box again — re-fetching the same neighborhood
+    is the one prediction that is always safe.
     """
 
-    def __init__(self, config: PrefetchConfig | None = None):
-        self.config = config or PrefetchConfig()
-        self._boxes: deque = deque(maxlen=self.config.history)
+    def __init__(self):
+        self._boxes: deque = deque(maxlen=HISTORY)
 
     def observe(self, box: np.ndarray) -> None:
         """Record one executed query box of this session."""
@@ -253,9 +233,8 @@ class TrajectoryModel:
         """
         if lookahead < 1:
             raise ValueError(f"lookahead must be >= 1, got {lookahead}")
-        cfg = self.config
         boxes = self._boxes
-        if len(boxes) < cfg.min_history:
+        if len(boxes) < MIN_HISTORY:
             return None
         centers = [
             (
@@ -284,12 +263,12 @@ class TrajectoryModel:
             slowest = min(speeds)
             if slowest <= 0.0:
                 return None
-            if fastest / slowest > cfg.max_speed_ratio:
+            if fastest / slowest > MAX_SPEED_RATIO:
                 return None
             for i in range(len(steps) - 1):
                 a, b = steps[i], steps[i + 1]
                 dot = a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-                if dot < cfg.min_alignment * speeds[i] * speeds[i + 1]:
+                if dot < MIN_ALIGNMENT * speeds[i] * speeds[i + 1]:
                     return None
             n = float(len(steps))
             step = (
@@ -298,7 +277,7 @@ class TrajectoryModel:
                 sum(s[2] for s in steps) / n,
             )
         m = float(len(boxes))
-        scale_half = cfg.inflate * 0.5 / m
+        scale_half = INFLATE * 0.5 / m
         center = centers[-1]
         out = np.empty(6, dtype=np.float64)
         for k in range(3):
@@ -316,8 +295,8 @@ class SessionTracker:
     """Per-session trajectory models behind one covered-window rule.
 
     :meth:`hint` feeds a session's query box to its
-    :class:`TrajectoryModel` and returns the ``lookahead``-step window
-    to stage — but only when the next predicted box is not already
+    :class:`TrajectoryModel` and returns the :data:`LOOKAHEAD`-step
+    window to stage — but only when the next predicted box is not already
     inside the window last staged for that session, so a confident
     straight-line session pays one staging crawl per *window*, not per
     query.  Sessions are kept in LRU order up to :attr:`KEPT_SESSIONS`.
@@ -326,8 +305,7 @@ class SessionTracker:
     #: Sessions remembered before the least recently used is dropped.
     KEPT_SESSIONS = 1024
 
-    def __init__(self, config: PrefetchConfig):
-        self.config = config
+    def __init__(self):
         self._lock = threading.Lock()
         #: session id -> [TrajectoryModel, last staged window or None]
         self._sessions: OrderedDict = OrderedDict()
@@ -340,9 +318,7 @@ class SessionTracker:
         with self._lock:
             entry = self._sessions.get(session_id)
             if entry is None:
-                entry = self._sessions[session_id] = [
-                    TrajectoryModel(self.config), None
-                ]
+                entry = self._sessions[session_id] = [TrajectoryModel(), None]
                 while len(self._sessions) > self.KEPT_SESSIONS:
                     self._sessions.popitem(last=False)
             else:
@@ -357,18 +333,17 @@ class SessionTracker:
                     and np.all(covered[:3] <= next_box[:3])
                     and np.all(covered[3:] >= next_box[3:])):
                 return None
-            entry[1] = model.predict(self.config.lookahead)
+            entry[1] = model.predict(LOOKAHEAD)
             return entry[1]
 
 
 class Prefetcher:
-    """Warms a generation's buffer pools ahead of a session's next box.
+    """Warms a generation's buffer pool ahead of a session's next box.
 
-    Owns one staging clone of the served index (monolithic or sharded)
-    whose caches are never cleared, plus the :class:`PrefetchArea` (one
-    per shard, for a sharded index) that the worker's demand store(s)
-    consume from.  :meth:`attach` wires a worker clone's store(s) to
-    the area(s); :meth:`prefetch` crawls one predicted box.
+    Owns one staging clone of a monolithic index whose caches are never
+    cleared, plus the :class:`PrefetchArea` a worker's demand store
+    consumes from once the worker sets the store's ``prefetch_area`` to
+    :attr:`area`; :meth:`prefetch` crawls one predicted box.
 
     One prefetcher belongs to one index generation of one worker: page
     ids are only meaningful within a generation, so each worker builds
@@ -376,61 +351,14 @@ class Prefetcher:
     generation's engine clone.
     """
 
-    def __init__(self, index, config: PrefetchConfig | None = None):
-        self.config = config or PrefetchConfig()
+    def __init__(self, index):
         self._lock = threading.Lock()
-        self._sharded = hasattr(index, "shards") and hasattr(index, "with_views")
-        if self._sharded:
-            self._planner = index.planner
-            self.areas = [
-                PrefetchArea(self.config.area_capacity) for _ in index.shards
-            ]
-            self._stores = [
-                StagingPageStore(shard.store.backend, area)
-                for shard, area in zip(index.shards, self.areas)
-            ]
-            self._engines = [
-                shard.index.with_store(store)
-                for shard, store in zip(index.shards, self._stores)
-            ]
-        else:
-            self._planner = None
-            self.areas = [PrefetchArea(self.config.area_capacity)]
-            self._stores = [StagingPageStore(index.store.backend, self.areas[0])]
-            self._engines = [index.with_store(self._stores[0])]
-
-    def attach(self, clone) -> None:
-        """Point a worker clone's store(s) at the staging area(s)."""
-        if self._sharded:
-            for shard, area in zip(clone.shards, self.areas):
-                shard.store.prefetch_area = area
-        else:
-            clone.store.prefetch_area = self.areas[0]
-
-    def attach_store(self, store) -> None:
-        """Point a bare (monolithic) worker store at the staging area."""
-        store.prefetch_area = self.areas[0]
+        self.area = PrefetchArea()
+        self._store = StagingPageStore(index.store.backend, self.area)
+        self._engine = index.with_store(self._store)
 
     def prefetch(self, box: np.ndarray) -> int:
         """Crawl *box* on the staging clone, staging every touched page.
-
-        Returns the number of pages newly staged.  Serialized
-        internally: the staging clone's caches are not thread-safe, so
-        concurrent predictions for different sessions take turns.
-        """
-        box = np.asarray(box, dtype=np.float64).reshape(6)
-        with self._lock:
-            before = sum(area.staged for area in self.areas)
-            if self._sharded:
-                for shard_id in self._planner.shards_for_box(box):
-                    sid = int(shard_id)
-                    self._stage_crawl(sid, box)
-            else:
-                self._stage_crawl(0, box)
-            return sum(area.staged for area in self.areas) - before
-
-    def _stage_crawl(self, engine_id: int, window: np.ndarray) -> None:
-        """Stage every page a demand crawl inside *window* could read.
 
         Staging needs the *page set* of a crawl, not its result ids, so
         this runs the demand crawl kernel (:func:`~repro.core.crawl.crawl`)
@@ -443,32 +371,25 @@ class Prefetcher:
         reads — including leaves whose tree key misses the window but
         that the BFS reaches over neighbor links.  Extras count as
         waste, never as hits that did not happen.
+
+        Returns the number of pages newly staged.  Serialized
+        internally: the staging clone's caches are not thread-safe, so
+        concurrent predictions for different sessions take turns.
         """
         # Function-local: repro.core imports repro.query at module level.
         from repro.core.crawl import crawl
 
-        engine = self._engines[engine_id]
-        seed = engine.seed_index
-        leaves = seed.leaves_meeting(window)
-        if leaves:
-            rids = np.concatenate([seed.leaf_record_ids[leaf] for leaf in leaves])
-            crawl(engine, window[None, :], rids,
-                  np.zeros(len(rids), dtype=np.int64), collect=False)
-
-    # -- reporting -------------------------------------------------------
+        box = np.asarray(box, dtype=np.float64).reshape(6)
+        with self._lock:
+            before = self.area.staged
+            seed = self._engine.seed_index
+            leaves = seed.leaves_meeting(box)
+            if leaves:
+                rids = np.concatenate([seed.leaf_record_ids[leaf] for leaf in leaves])
+                crawl(self._engine, box[None, :], rids,
+                      np.zeros(len(rids), dtype=np.int64), collect=False)
+            return self.area.staged - before
 
     def io_stats(self) -> IOStats:
-        """The staging clone's physical I/O, merged across shards."""
-        merged = IOStats()
-        for store in self._stores:
-            merged.merge(store.stats)
-        return merged
-
-    def counters(self) -> dict:
-        """Staged/consumed totals summed over every area."""
-        totals = {"staged": 0, "consumed": 0}
-        for area in self.areas:
-            snap = area.counters()
-            totals["staged"] += snap["staged"]
-            totals["consumed"] += snap["consumed"]
-        return totals
+        """A snapshot of the staging clone's physical I/O."""
+        return self._store.stats.snapshot()

@@ -85,11 +85,10 @@ at a few thousand elements per second.  With ``delta_threshold > 0``
 the service instead runs an LSM-style write path: small batches are
 *absorbed* into an in-RAM :class:`~repro.core.delta.DeltaIndex`
 (memtable + tombstones) over the committed base index, and only once
-the buffered delta crosses the threshold (or
-``merge_interval_seconds`` elapses, or :meth:`flush_delta` forces it)
-is the whole delta *merged* — a generation boundary, where the live
-set is bulkloaded afresh, like an LSM merge rewriting its run, instead
-of patching pages in place.  Both kinds of commit are full service
+the buffered delta crosses the threshold (or :meth:`flush_delta`
+forces it) is the whole delta *merged* — a generation boundary, where
+the live set is bulkloaded afresh, like an LSM merge rewriting its
+run, instead of patching pages in place.  Both kinds of commit are full service
 versions with the same copy-on-write discipline (the delta is copied, the copy
 absorbs the batch, the copy is published), so snapshot isolation is
 unchanged.  The delta never reaches a worker: workers only ever serve
@@ -136,7 +135,9 @@ Works with any engine exposing ``range_query`` plus ``store`` and
 ``with_store`` (or ``shards``/``planner``/``with_views`` for the
 sharded layout); page payloads of a published generation are immutable,
 so concurrent reads need no locking anywhere in the storage layer.
-Sharded indexes are served by the thread pool only.
+Sharded indexes are served by the thread pool only, without prefetch:
+a sharded session prefetches shard by shard through
+:class:`~repro.query.cluster.ClusterRouter`.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ from multiprocessing.pool import ExceptionWithTraceback
 import numpy as np
 
 from repro.core.delta import DeltaIndex
-from repro.query.prefetch import PrefetchConfig, Prefetcher, SessionTracker
+from repro.query.prefetch import Prefetcher, SessionTracker
 from repro.storage.pagestore import PageStoreError
 from repro.storage.stats import IOStats
 
@@ -317,13 +318,12 @@ class WorkerEngines:
     :meth:`get` returns the worker's ``(engine, prefetcher)`` for a
     generation, building both on first use from the index ``load()``
     returns: the engine is a stat-isolated clone over store views, and
-    when *prefetch_config* is given the generation's
-    :class:`~repro.query.prefetch.Prefetcher` is attached to the
-    clone's store(s) before its first query.  A task that captured
-    generation *g* therefore always runs on a clone of *g* — the
-    snapshot-isolation guarantee — and only the
-    :data:`KEPT_GENERATIONS` most recently used generations stay
-    alive.  With *owns_indexes*, an evicted generation's own index
+    with *prefetch* the clone's store consumes from the area of the
+    generation's :class:`~repro.query.prefetch.Prefetcher` from its
+    first query on.  A task that captured generation *g* therefore
+    always runs on a clone of *g* — the snapshot-isolation guarantee —
+    and only the :data:`KEPT_GENERATIONS` most recently used generations
+    stay alive.  With *owns_indexes*, an evicted generation's own index
     store is closed as well (pool processes and shard servers restore
     theirs privately).
 
@@ -337,9 +337,8 @@ class WorkerEngines:
     :meth:`unreported` until the worker's next answer takes it.
     """
 
-    def __init__(self, prefetch_config: PrefetchConfig | None = None,
-                 owns_indexes: bool = False):
-        self.prefetch_config = prefetch_config
+    def __init__(self, prefetch: bool = False, owns_indexes: bool = False):
+        self.prefetch = prefetch
         self._owns_indexes = owns_indexes
         #: generation -> (engine clone, Prefetcher or None, source index)
         self._entries: OrderedDict = OrderedDict()
@@ -362,9 +361,9 @@ class WorkerEngines:
         else:
             engine = index.with_store(index.store.view())
         prefetcher = None
-        if self.prefetch_config is not None:
-            prefetcher = Prefetcher(index, self.prefetch_config)
-            prefetcher.attach(engine)
+        if self.prefetch:
+            prefetcher = Prefetcher(index)
+            engine.store.prefetch_area = prefetcher.area
         self._entries[generation] = (engine, prefetcher, index)
         while len(self._entries) > KEPT_GENERATIONS:
             old = self._entries.popitem(last=False)[1][2]
@@ -398,7 +397,7 @@ class WorkerEngines:
         engine, prefetcher = self.get(generation, load)
         store = engine.store
         if prefetcher is not None:
-            consumed = prefetcher.counters()["consumed"]
+            consumed = prefetcher.area.counters()["consumed"]
         before = store.stats.snapshot()
         t0 = time.perf_counter()
         if len(queries) > 1:
@@ -417,7 +416,7 @@ class WorkerEngines:
                                               plan.shards_pruned)
         info = None
         if prefetcher is not None:
-            consumed = prefetcher.counters()["consumed"] - consumed
+            consumed = prefetcher.area.counters()["consumed"] - consumed
             if hint is not None:
                 self._pending = (prefetcher, hint)
             if stage_now:
@@ -437,7 +436,7 @@ class WorkerEngines:
             return 0
         (prefetcher, hint), self._pending = self._pending, None
         # Only a staging crawl reads through the prefetcher's store.
-        io, staged = prefetcher.io_stats(), prefetcher.counters()["staged"]
+        io, staged = prefetcher.io_stats(), prefetcher.area.counters()["staged"]
         failed = 0
         try:
             prefetcher.prefetch(hint)
@@ -445,7 +444,7 @@ class WorkerEngines:
             failed = 1
         report = self._unreported
         report["io"].merge(prefetcher.io_stats().diff(io))
-        report["staged"] += prefetcher.counters()["staged"] - staged
+        report["staged"] += prefetcher.area.counters()["staged"] - staged
         report["failures"] += failed
         return failed
 
@@ -473,6 +472,12 @@ CLOSED_ERRORS = (EOFError, OSError)
 
 #: The worker process's :class:`WorkerEngines`, set by :func:`serve_requests`.
 _WORKER: WorkerEngines | None = None
+
+#: The caller's end of every worker's Pipe, in the process that started
+#: the worker.  A forked worker inherits copies of them all, its own
+#: front end included, and closes them before it serves, so a front
+#: that dies, even by SIGKILL, leaves its workers an end-of-file.
+_FRONT_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 
 def _send(conn, data) -> bool:
@@ -542,13 +547,15 @@ _STOP = pickle.dumps(None)
 _BROKEN = "a worker process exited unasked; the pool is not usable anymore"
 
 
-def _pool_worker(conn, payload: bytes | None, prefetch_config) -> None:
+def _pool_worker(conn, payload: bytes | None, prefetch: bool) -> None:
     """A worker process: load generation 0 from *payload*, then run
-    tasks from *conn*.  A shard server's *payload* is ``None``: it
-    restores every generation from the spec its tasks carry.  Stopped,
-    it sends what no answer reported as one last ``(None, report)``
-    message."""
-    engines = WorkerEngines(prefetch_config, owns_indexes=True)
+    tasks from *conn* until they stop or the front's end closes.  A
+    shard server's *payload* is ``None``: it restores every generation
+    from the spec its tasks carry.  Stopped, it sends what no answer
+    reported as one last ``(None, report)`` message."""
+    for front in list(_FRONT_ENDS):  # inherited through a fork
+        front.close()
+    engines = WorkerEngines(prefetch, owns_indexes=True)
     if payload is not None:
         index = pickle.loads(payload)
         engines.get(0, lambda: index)
@@ -556,14 +563,16 @@ def _pool_worker(conn, payload: bytes | None, prefetch_config) -> None:
         _send(conn, pickle.dumps((None, engines.unreported())))
 
 
-def _start_worker(context, payload: bytes | None, prefetch_config) -> tuple:
+def _start_worker(context, payload: bytes | None, prefetch: bool) -> tuple:
     """Start one worker process, a pool process or a shard server: a
     daemon *context* process running :func:`_pool_worker`, joined to the
-    caller by a duplex Pipe whose child end is closed here.  Returns
-    ``(process, the caller's end)``."""
+    caller by a duplex Pipe whose child end is closed here and whose
+    caller's end joins :data:`_FRONT_ENDS`.  Returns ``(process, the
+    caller's end)``."""
     conn, child = context.Pipe()
+    _FRONT_ENDS.add(conn)
     process = context.Process(target=_pool_worker, daemon=True,
-                              args=(child, payload, prefetch_config))
+                              args=(child, payload, prefetch))
     process.start()
     child.close()
     return process, conn
@@ -621,7 +630,7 @@ class _ProcessPool:
     kept for :meth:`shutdown`.
     """
 
-    def __init__(self, workers: int, context, payload: bytes, prefetch_config):
+    def __init__(self, workers: int, context, payload: bytes, prefetch: bool):
         # Re-entrant: a garbage collection inside a locked section may
         # run the owning service's finalizer, which calls stop().
         self._lock = threading.RLock()
@@ -637,7 +646,7 @@ class _ProcessPool:
         #: ``(process, reader thread, connection)`` per worker.
         self._workers = []
         for _ in range(workers):
-            process, conn = _start_worker(context, payload, prefetch_config)
+            process, conn = _start_worker(context, payload, prefetch)
             reader = threading.Thread(target=self._read, args=(conn,), daemon=True)
             self._workers.append((process, reader, conn))
             self._idle.append(conn)
@@ -841,10 +850,6 @@ class QueryService:
         threshold — the LSM-style fast write path, and the one to use
         for small commits, since a merge costs time in proportion to
         the live set.
-    merge_interval_seconds:
-        Optional staleness bound: a commit also merges when this much
-        wall time passed since the last generation boundary, however
-        small the delta.
     prefetch:
         Enable trajectory prefetching: queries submitted with a
         ``session_id`` feed a per-session
@@ -852,28 +857,20 @@ class QueryService:
         next-box predictions ride with the query's task; the worker
         stages them after answering.  Results and demand accounting
         are unchanged — hits move into
-        :attr:`ServiceReport.prefetch_hits_by_category`.
-    prefetch_config:
-        Optional :class:`~repro.query.prefetch.PrefetchConfig`
-        overriding the model/staging knobs (requires ``prefetch=True``).
+        :attr:`ServiceReport.prefetch_hits_by_category`.  Sharded
+        indexes are served without prefetch; serve sharded sessions
+        through :class:`~repro.query.cluster.ClusterRouter`.
     """
 
     def __init__(self, index, workers: int = 4, clear_cache_per_query: bool = True,
                  mode: str = MODE_THREAD, batch_queries: int = 1,
                  mp_context=None, delta_threshold: int = 0,
-                 merge_interval_seconds: float | None = None,
-                 prefetch: bool = False,
-                 prefetch_config: PrefetchConfig | None = None):
+                 prefetch: bool = False):
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         if delta_threshold < 0:
             raise ValueError(
                 f"delta_threshold must be >= 0, got {delta_threshold}"
-            )
-        if merge_interval_seconds is not None and merge_interval_seconds <= 0:
-            raise ValueError(
-                "merge_interval_seconds must be positive or None, got "
-                f"{merge_interval_seconds}"
             )
         if mode not in (MODE_THREAD, MODE_PROCESS):
             raise ValueError(
@@ -888,6 +885,11 @@ class QueryService:
                 "sharded indexes are served by thread workers only; their "
                 "shard set does not travel across processes"
             )
+        if _is_sharded(index) and prefetch:
+            raise ValueError(
+                "sharded indexes are served without prefetch; a sharded "
+                "session prefetches shard by shard through ClusterRouter"
+            )
         if _is_sharded(index) and batch_queries > 1:
             raise ValueError(
                 "batch_queries > 1 needs a monolithic index; sharded "
@@ -898,16 +900,12 @@ class QueryService:
                 f"batch_queries > 1 needs an engine with range_query_multi; "
                 f"{type(index).__name__} has none"
             )
-        if prefetch_config is not None and not prefetch:
-            raise ValueError("prefetch_config given but prefetch is False")
         #: The committed index workers serve; merges start here.
         self._base = index
         #: Buffered :class:`DeltaIndex`, or ``None`` — copy-on-write:
         #: commits copy it, mutate the copy and publish the copy.
         self._delta = None
         self.delta_threshold = int(delta_threshold)
-        self.merge_interval_seconds = merge_interval_seconds
-        self._last_merge = time.monotonic()
         #: Commits so far, absorbed or merged.
         self._version = 0
         #: Merges so far: the generation of :attr:`_base`, under which
@@ -924,15 +922,9 @@ class QueryService:
         self.clear_cache_per_query = clear_cache_per_query
         self._mode = mode
         self._batch = batch_queries
-        self._prefetch_cfg = (
-            (prefetch_config or PrefetchConfig()) if prefetch else None
-        )
         #: Session models live in the parent: hints are computed at
         #: dispatch and travel with the task.
-        self._sessions = (
-            None if self._prefetch_cfg is None
-            else SessionTracker(self._prefetch_cfg)
-        )
+        self._sessions = SessionTracker() if prefetch else None
         #: Thread mode: pool thread ident -> that thread's WorkerEngines.
         self._engines: dict = {}
         #: Lifetime totals of finished tasks: demand I/O, the workers
@@ -950,7 +942,7 @@ class QueryService:
             clean = index if with_store is None else with_store(index.store.view())
             self._pool = _ProcessPool(
                 workers, mp_context or multiprocessing.get_context(),
-                pickle.dumps(clean), self._prefetch_cfg,
+                pickle.dumps(clean), prefetch,
             )
             # The pool's reader threads keep it alive, so a service
             # dropped unclosed stops its workers here.
@@ -975,7 +967,7 @@ class QueryService:
         ident = threading.get_ident()
         engines = self._engines.get(ident)
         if engines is None:
-            engines = self._engines[ident] = WorkerEngines(self._prefetch_cfg)
+            engines = self._engines[ident] = WorkerEngines(self.prefetch_enabled)
         return (ident, *engines.serve(generation, lambda: index, queries,
                                       self.clear_cache_per_query, hint, k))
 
@@ -1013,7 +1005,7 @@ class QueryService:
     @property
     def prefetch_enabled(self) -> bool:
         """Whether trajectory prefetching is on for this service."""
-        return self._prefetch_cfg is not None
+        return self._sessions is not None
 
     @property
     def prefetch_failures(self) -> int:
@@ -1211,8 +1203,8 @@ class QueryService:
           :class:`~repro.core.delta.DeltaIndex` and the commit swaps in
           the new delta over the unchanged base index — no page is
           touched, which is what makes sustained ingest cheap.
-        * **Merged** (threshold crossed, ``merge_interval_seconds``
-          elapsed, ``force_merge=True``, or ``delta_threshold == 0``):
+        * **Merged** (threshold crossed, ``force_merge=True``, or
+          ``delta_threshold == 0``):
           the accumulated delta plus this batch drains into
           :meth:`~repro.core.flat_index.FLATIndex.merged`, which
           bulkloads the live set afresh — every element id kept, only
@@ -1277,11 +1269,6 @@ class QueryService:
             force_merge
             or self.delta_threshold <= 0
             or new_delta.size >= self.delta_threshold
-            or (
-                self.merge_interval_seconds is not None
-                and time.monotonic() - self._last_merge
-                >= self.merge_interval_seconds
-            )
         )
         spec = None
         if merge:
@@ -1329,7 +1316,6 @@ class QueryService:
                 self._delta = None
                 self._generation += 1
                 self._spec = spec
-                self._last_merge = time.monotonic()
             else:
                 self._delta = new_delta
         if stale is not None:

@@ -298,11 +298,7 @@ class PageStore:
         #: keeps the read path byte-identical to the pre-prefetch engine.
         self.prefetch_area = None
 
-    def view(
-        self,
-        buffer: BufferPool | None = None,
-        decoded: DecodedPageCache | None = None,
-    ) -> "PageStore":
+    def view(self) -> "PageStore":
         """A stat-isolated store over the same pages.
 
         The returned store shares this store's backend (same page ids,
@@ -310,7 +306,7 @@ class PageStore:
         :class:`IOStats`, so concurrent readers never contend on — or
         pollute — each other's caches and counters.
         """
-        return PageStore(buffer=buffer, decoded=decoded, backend=self.backend)
+        return PageStore(backend=self.backend)
 
     def close(self) -> None:
         """Release the file and mapping the pages are read from, if any.

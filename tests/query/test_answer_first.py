@@ -22,7 +22,6 @@ from repro.core import FLATIndex, ShardedFLATIndex
 from repro.query import (
     MODE_PROCESS,
     ClusterRouter,
-    PrefetchConfig,
     Prefetcher,
     QueryService,
     SessionTracker,
@@ -66,7 +65,7 @@ def hinted_queries(walk) -> list:
     session model at the front, as ``QueryService`` and
     ``ClusterRouter`` keep it, whose due window rides with every task
     of the query."""
-    tracker = SessionTracker(PrefetchConfig())
+    tracker = SessionTracker()
     return [i for i, box in enumerate(walk)
             if tracker.hint("walker", box) is not None]
 

@@ -323,7 +323,7 @@ class TestConnectionGenerations:
             restore_index,
             snapshot_index,
         )
-        from repro.query import PrefetchConfig, SessionTracker
+        from repro.query import SessionTracker
         from repro.query.service import (
             KEPT_GENERATIONS,
             WorkerEngines,
@@ -336,11 +336,11 @@ class TestConnectionGenerations:
                                 space_mbr=SPACE)
         snapshot_index(built, tmp_path)
         index = restore_index(tmp_path)
-        engines = WorkerEngines(PrefetchConfig(), owns_indexes=True)
+        engines = WorkerEngines(prefetch=True, owns_indexes=True)
         client, server = multiprocessing.Pipe()
         loop = threading.Thread(target=serve_requests, args=(server, engines))
         loop.start()
-        sessions = SessionTracker(PrefetchConfig())
+        sessions = SessionTracker()
         restored = {}
         walk = trajectory_range_queries(SPACE, 2e-5, 7, seed=13)
         generation = 0

@@ -10,7 +10,8 @@ per page category, with byte-identical results — on the in-memory
 backend and the mmap-backed file store alike.  A hypothesis test pins
 that law under arbitrary interleavings; deterministic tests pin the
 model's confidence gating and the service/session integration in
-thread, process and sharded modes.
+thread and process modes (a sharded service refuses prefetch: sharded
+sessions prefetch through ``ClusterRouter``).
 """
 
 import multiprocessing
@@ -26,13 +27,21 @@ from repro.core import FLATIndex, ShardedFLATIndex
 from repro.geometry.intersect import boxes_intersect_box
 from repro.query import (
     MODE_PROCESS,
+    ClusterRouter,
     PrefetchArea,
-    PrefetchConfig,
     Prefetcher,
     QueryService,
     SessionTracker,
     TrajectoryModel,
     trajectory_range_queries,
+)
+from repro.query.prefetch import (
+    HISTORY,
+    INFLATE,
+    LOOKAHEAD,
+    MAX_SPEED_RATIO,
+    MIN_ALIGNMENT,
+    MIN_HISTORY,
 )
 from repro.storage import PageStore
 from repro.storage.serial import decode_node_page
@@ -165,16 +174,41 @@ class TestTrajectoryModel:
             TrajectoryModel().predict(lookahead=0)
 
     @pytest.mark.parametrize("kwargs", [
-        {"history": 1},
-        {"min_history": 6, "history": 5},
-        {"min_alignment": 2.0},
-        {"max_speed_ratio": 0.5},
-        {"inflate": 0.9},
-        {"lookahead": 0},
+        {"HISTORY": 1},
+        {"MIN_HISTORY": 6, "HISTORY": 5},
+        {"MIN_ALIGNMENT": 2.0},
+        {"MAX_SPEED_RATIO": 0.5},
+        {"INFLATE": 0.9},
+        {"LOOKAHEAD": 0},
     ])
     def test_config_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PrefetchConfig(**kwargs)
+        """The model's settings are module constants: they keep the
+        ranges the model relies on, and each setting here leaves one."""
+        assert settings_in_range(MODEL_SETTINGS)
+        assert not settings_in_range({**MODEL_SETTINGS, **kwargs})
+
+
+#: The trajectory model's settings, by constant name.
+MODEL_SETTINGS = {
+    "HISTORY": HISTORY,
+    "MIN_HISTORY": MIN_HISTORY,
+    "MIN_ALIGNMENT": MIN_ALIGNMENT,
+    "MAX_SPEED_RATIO": MAX_SPEED_RATIO,
+    "INFLATE": INFLATE,
+    "LOOKAHEAD": LOOKAHEAD,
+}
+
+
+def settings_in_range(settings: dict) -> bool:
+    """Whether trajectory-model *settings* keep the ranges the model
+    relies on: a history long enough to hold a step and at least the
+    boxes a prediction needs, an alignment gate that is a cosine, and a
+    speed ratio, inflation and lookahead of at least one."""
+    return (2 <= settings["MIN_HISTORY"] <= settings["HISTORY"]
+            and -1.0 <= settings["MIN_ALIGNMENT"] <= 1.0
+            and settings["MAX_SPEED_RATIO"] >= 1.0
+            and settings["INFLATE"] >= 1.0
+            and settings["LOOKAHEAD"] >= 1)
 
 
 # -- staging crawl + accounting identity ---------------------------------
@@ -230,7 +264,7 @@ class TestAccountingIdentity:
         prefetcher = Prefetcher(index)
         store = index.store.view()
         engine = index.with_store(store)
-        prefetcher.attach_store(store)
+        store.prefetch_area = prefetcher.area
         for query, base_ids, base_read, boxes in zip(
             queries, base_results, base_reads, prefetch_plan
         ):
@@ -260,7 +294,7 @@ class TestAccountingIdentity:
         prefetcher = Prefetcher(index)
         store = index.store.view()
         engine = index.with_store(store)
-        prefetcher.attach_store(store)
+        store.prefetch_area = prefetcher.area
         assert prefetcher.prefetch(query) > 0
         store.clear_cache()
         before = store.stats.snapshot()
@@ -271,7 +305,7 @@ class TestAccountingIdentity:
         # every demand read is absorbed.
         assert diff.total_reads == 0
         assert sum(diff.prefetch_hits.values()) == sum(base_reads[0].values())
-        counters = prefetcher.counters()
+        counters = prefetcher.area.counters()
         assert counters["consumed"] > 0
         assert counters["staged"] >= counters["consumed"]
 
@@ -349,41 +383,40 @@ class TestStagedPageSet:
         prefetcher = Prefetcher(index)
         prefetcher.prefetch(window)
         assert_area_holds_exactly(
-            prefetcher.areas[0], reference_staged_pages(index, window)
+            prefetcher.area, reference_staged_pages(index, window)
         )
 
     @pytest.mark.parametrize("window", STAGING_WINDOWS)
     def test_sharded_prefetch_stages_exactly_per_shard(self, sharded_index,
                                                        window):
-        prefetcher = Prefetcher(sharded_index)
-        prefetcher.prefetch(window)
-        selected = set(sharded_index.planner.shards_for_box(window).tolist())
-        for shard, area in zip(sharded_index.shards, prefetcher.areas):
-            expected = (
-                reference_staged_pages(shard.index, window)
-                if shard.shard_id in selected
-                else set()
+        """A sharded session stages shard by shard, as the shard servers
+        of a ``ClusterRouter`` do: each shard's prefetcher serves that
+        shard as one monolithic index and stages exactly its protocol
+        set."""
+        for shard in sharded_index.shards:
+            prefetcher = Prefetcher(shard.index)
+            prefetcher.prefetch(window)
+            assert_area_holds_exactly(
+                prefetcher.area, reference_staged_pages(shard.index, window)
             )
-            assert_area_holds_exactly(area, expected)
 
 
 class TestSessionTracker:
     def test_one_staging_window_per_covered_stretch(self):
-        config = PrefetchConfig()
-        tracker = SessionTracker(config)
+        tracker = SessionTracker()
         boxes = walk_boxes(count=12)
         hints = [tracker.hint("walker", box) for box in boxes]
-        # No prediction before min_history boxes were observed.
-        assert all(hint is None for hint in hints[:config.min_history - 1])
+        # No prediction before MIN_HISTORY boxes were observed.
+        assert all(hint is None for hint in hints[:MIN_HISTORY - 1])
         windows = [hint for hint in hints if hint is not None]
-        assert 0 < len(windows) < len(boxes) - config.min_history + 1
-        model = TrajectoryModel(config)
-        for box in boxes[:config.min_history]:
+        assert 0 < len(windows) < len(boxes) - MIN_HISTORY + 1
+        model = TrajectoryModel()
+        for box in boxes[:MIN_HISTORY]:
             model.observe(box)
-        assert np.array_equal(windows[0], model.predict(config.lookahead))
+        assert np.array_equal(windows[0], model.predict(LOOKAHEAD))
 
     def test_sessions_are_lru_bounded(self):
-        tracker = SessionTracker(PrefetchConfig())
+        tracker = SessionTracker()
         box = walk_boxes(count=1)[0]
         for session in range(SessionTracker.KEPT_SESSIONS + 2):
             tracker.hint(session, box)
@@ -463,22 +496,38 @@ class TestServiceSessions:
                 == baseline.reads_by_category.get(c, 0)
             )
 
-    def test_sharded_session_results_identical(self):
+    def test_sharded_session_results_identical(self, tmp_path):
+        """A sharded session prefetches shard by shard on the shard
+        servers of a ``ClusterRouter``, and every answer is the sharded
+        index's own."""
         rng = np.random.default_rng(4)
         lo = rng.uniform(0, 100, size=(3000, 3))
         mbrs = np.concatenate(
             [lo, lo + rng.uniform(0.01, 2, size=(3000, 3))], axis=1
         )
         sharded = ShardedFLATIndex.build(mbrs, 3, space_mbr=SPACE)
+        sharded.snapshot(tmp_path)
         queries = trajectory_range_queries(SPACE, 5e-5, 20, seed=21)
         expected = [sharded.range_query(q) for q in queries]
-        with QueryService(
-            sharded, workers=2, clear_cache_per_query=True, prefetch=True
-        ) as service:
-            for query, want in zip(queries, expected):
-                got = service.submit(query, session_id="walker").result()
+        with ClusterRouter.launch(tmp_path) as router:
+            results, report = router.run(queries, session_id="walker")
+            for got, want in zip(results, expected):
                 assert np.array_equal(got, want)
-            assert service.prefetch_failures == 0
+            assert report.prefetch_staged > 0
+            assert all(shard["prefetch_failures"] == 0
+                       for shard in router.status())
+
+    def test_sharded_service_refuses_prefetch(self):
+        """A sharded service serves without prefetch: a sharded session
+        prefetches through ``ClusterRouter`` instead."""
+        rng = np.random.default_rng(4)
+        lo = rng.uniform(0, 100, size=(300, 3))
+        mbrs = np.concatenate(
+            [lo, lo + rng.uniform(0.01, 2, size=(300, 3))], axis=1
+        )
+        sharded = ShardedFLATIndex.build(mbrs, 3, space_mbr=SPACE)
+        with pytest.raises(ValueError, match="ClusterRouter"):
+            QueryService(sharded, workers=2, prefetch=True)
 
     def test_uncorrelated_session_never_stages(self, session_setup):
         flat, _queries, _expected = session_setup
@@ -489,11 +538,6 @@ class TestServiceSessions:
         assert report.total_prefetch_hits == 0
         assert report.prefetch_staged == 0
         assert report.total_prefetch_reads == 0
-
-    def test_prefetch_config_requires_prefetch_flag(self, session_setup):
-        flat, _queries, _expected = session_setup
-        with pytest.raises(ValueError):
-            QueryService(flat, workers=1, prefetch_config=PrefetchConfig())
 
     def test_staging_failures_are_counted_in_both_modes(self, session_setup,
                                                          monkeypatch):

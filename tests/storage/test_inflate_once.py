@@ -212,7 +212,7 @@ class TestPoolHitsSkipTheCodec:
             prefetcher = Prefetcher(restored)
             store = restored.store.view()
             engine = restored.with_store(store)
-            prefetcher.attach_store(store)
+            store.prefetch_area = prefetcher.area
             query = queries[0]
             assert prefetcher.prefetch(query) > 0
             decodes.clear()
