@@ -6,7 +6,7 @@ benchmark through :class:`~repro.query.service.QueryService` across a
 (mode × workers × cache) matrix — thread workers at batch 1 (the
 legacy pinned path) and process workers over shared mmap pages with the
 multi-query batched crawl, cold caches (the paper's regime: every query
-drops its worker's buffer + decoded cache) and warm (caches accumulate
+drops its worker's buffer pool + decode memo) and warm (caches accumulate
 across queries).  The restored index must return exactly the per-query
 results and per-category page reads of the in-memory build; every cold
 run, whatever its mode or batching, must reproduce the harness's page

@@ -43,7 +43,6 @@ from repro.geometry.mbr import (
 from repro.query.knn import expanding_radius_knn
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import OBJECT_PAGE_CAPACITY
-from repro.storage.decoded_cache import DecodedPageCache
 from repro.storage.pagestore import (
     MemoryPageBackend,
     OverlayPageBackend,
@@ -334,9 +333,8 @@ class FLATIndex:
         generation's page table, so publishing the rebuild never reuses
         a logical page id of a published generation —
         ``categories.bin`` is one sidecar for every generation of a
-        directory.  The new store keeps this store's bounds — buffer
-        pool entries and bytes, decoded-cache entries — and its
-        :class:`IOStats` continue this store's counts.
+        directory.  The new store's pool keeps this store's byte budget,
+        and its :class:`IOStats` continue this store's counts.
         """
         store = self.store
         backend = store.backend
@@ -344,13 +342,7 @@ class FLATIndex:
             backend = MemoryPageBackend(codec=backend.codec)
         else:
             backend = OverlayPageBackend(getattr(backend, "base", backend))
-        rebuilt = PageStore(
-            decoded=DecodedPageCache(store.decoded.capacity), backend=backend
-        )
-        pool = store.buffer
-        rebuilt.buffer = pool if pool is None else BufferPool(
-            pool.capacity, pool.byte_capacity
-        )
+        rebuilt = PageStore(BufferPool(store.buffer.byte_capacity), backend)
         rebuilt.stats = store.stats.snapshot()
         return rebuilt
 
@@ -372,8 +364,7 @@ class FLATIndex:
         return snapshot_index(self, directory, codec=codec)
 
     @classmethod
-    def restore(cls, directory, generation=None, buffer=None,
-                decoded=None) -> "FLATIndex":
+    def restore(cls, directory, generation=None, buffer=None) -> "FLATIndex":
         """Reopen a snapshot over a read-only mmap-backed file store.
 
         Loads the latest published generation unless *generation* names
@@ -383,9 +374,7 @@ class FLATIndex:
         """
         from repro.core.snapshot import restore_index
 
-        return restore_index(
-            directory, generation=generation, buffer=buffer, decoded=decoded
-        )
+        return restore_index(directory, generation=generation, buffer=buffer)
 
     def with_store(self, store: PageStore) -> "FLATIndex":
         """A shallow clone of this index served from *store*.
@@ -684,7 +673,7 @@ class FLATIndex:
     def _element_distances(self, ids: np.ndarray, point: np.ndarray) -> np.ndarray:
         """MBR distances of the given element ids to *point*.
 
-        Reads go through the store (buffer + decoded cache), so pages
+        Reads go through the store (buffer pool + decode memo), so pages
         the crawl just visited cost no further physical I/O.
         """
         if "element_page" not in self._knn_state:

@@ -368,7 +368,7 @@ class SeedIndex:
         tested with one comparison of their record-table bounds with the
         query's key (:func:`query_keys`); candidates are probed in slot
         order.  Probed object pages go
-        through the store's decoded-page cache, so the crawl that
+        through the store's decode memo, so the crawl that
         follows never re-decodes a page the seed phase already parsed.
         """
         query = np.asarray(query, dtype=np.float64)

@@ -244,14 +244,14 @@ def ship_index_generation(source_dir, dest_dir, generation=None):
     return report
 
 
-def restore_index(directory, generation=None, buffer=None, decoded=None):
+def restore_index(directory, generation=None, buffer=None):
     """Reopen a snapshot generation as a ``FLATIndex`` over an mmap store.
 
     ``generation=None`` picks the latest published generation.
-    ``buffer`` / ``decoded`` configure the restored store's caches,
-    exactly as in the :class:`~repro.storage.pagestore.PageStore`
-    constructor.  The heavy page payloads stay on disk; only the
-    directories (a few arrays) are loaded into RAM.
+    ``buffer`` is the restored store's buffer pool, exactly as in the
+    :class:`~repro.storage.pagestore.PageStore` constructor.  The heavy
+    page payloads stay on disk; only the directories (a few arrays) are
+    loaded into RAM.
     """
     from repro.core.flat_index import BuildReport, FLATIndex
     from repro.core.seed_index import SeedIndex
@@ -335,8 +335,7 @@ def restore_index(directory, generation=None, buffer=None, decoded=None):
         for i, pid in enumerate(object_page_ids)
     }
 
-    store = PageStore(buffer=buffer, decoded=decoded,
-                      backend=FilePageBackend.open(directory, generation))
+    store = PageStore(buffer, FilePageBackend.open(directory, generation))
     seed_fanout = meta.get("seed_fanout")
     seed = SeedIndex(
         store,

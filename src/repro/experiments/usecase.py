@@ -30,7 +30,7 @@ def total_page_reads(
     """Figs. 12/16: total page reads per index vs density.
 
     Page *decodes* (the CPU work of parsing fetched pages, counted by
-    the decoded-page cache) are reported next to the reads: FLAT's
+    the store's decode memo) are reported next to the reads: FLAT's
     batched crawl decodes each touched page once per query, so its
     decode column tracks its read column instead of its frontier sizes.
     """

@@ -2,7 +2,7 @@
 
 Runs a batch of queries against any
 :class:`~repro.query.engine.QueryEngine` over a :class:`PageStore`,
-clearing the buffer (and the decoded-page cache) before every query
+clearing the buffer pool (and the decode memo) before every query
 exactly as the paper does ("Before each query is executed, the OS
 caches and disk buffers are cleared").  Alongside page reads, the
 harness aggregates page-*decode* counters, so CPU-side parsing work is
@@ -54,7 +54,7 @@ class QueryRunResult:
     reads_by_category: dict = field(default_factory=dict)
     #: Logical page decodes by decode kind ("metadata" / "element").
     decodes_by_kind: dict = field(default_factory=dict)
-    #: Decodes absorbed by the decoded-page cache, by decode kind.
+    #: Decodes absorbed by the store's decode memo, by decode kind.
     decode_hits_by_kind: dict = field(default_factory=dict)
     cpu_seconds: float = 0.0
     #: Peak BFS bookkeeping bytes per query (FLAT only), for Sec. VII-E.2.

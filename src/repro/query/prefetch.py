@@ -22,8 +22,8 @@ buffer pool *before* the next query arrives:
   every buffer miss (:meth:`PageStore.read
   <repro.storage.pagestore.PageStore.read>`): a staged page is consumed
   without physical I/O and counted as a **prefetch hit** in its
-  category, and a staged element page's decoded array seeds the
-  worker's decoded-page cache.  Metadata leaves carry no staged decoded
+  category, and a staged element page's decoded array enters the
+  worker store's decode memo.  Metadata leaves carry no staged decoded
   form: the staging clone shares the generation's record table with
   every worker clone, so the staging crawl's parse already serves them;
 * :class:`SessionTracker` keeps one model per session and decides when
@@ -62,9 +62,8 @@ from collections import OrderedDict, deque
 
 import numpy as np
 
-from repro.storage.decoded_cache import DECODE_ELEMENT
 from repro.storage.pagestore import PageStore
-from repro.storage.stats import IOStats
+from repro.storage.stats import DECODE_ELEMENT, IOStats
 
 #: Query boxes remembered per session.
 HISTORY = 5

@@ -13,7 +13,7 @@ bridges the two without giving up the accounting:
   <repro.core.flat_index.FLATIndex.with_store>` for a monolithic index,
   :meth:`ShardedFLATIndex.with_views
   <repro.core.sharded.ShardedFLATIndex.with_views>` for a sharded one),
-  so buffer pools, decoded-page caches, crawl scratch and
+  so buffer pools, decode memos, crawl scratch and
   :class:`~repro.storage.stats.IOStats` are worker-private while the
   page bytes (e.g. one read-only ``mmap``) are shared;
 * every task runs one body, :meth:`WorkerEngines.serve`: answer the
@@ -822,7 +822,7 @@ class QueryService:
         Pool size; each worker serves from its own store view(s).
     clear_cache_per_query:
         ``True`` (default) reproduces the paper's cold-cache regime —
-        each worker drops its buffer and decoded-page caches before
+        each worker drops its buffer pool and decode memo before
         every query.  ``False`` serves warm: caches accumulate across
         queries within each worker.
     mode:

@@ -26,7 +26,7 @@ from repro.storage.serial import (
     encode_node_page,
 )
 
-# Leaf element pages are decoded through the store's DecodedPageCache
+# Leaf element pages are decoded through the store's decode memo
 # (PageStore.read_elements) on the query paths, so repeated visits to a
 # leaf within one query cost one decode; validate() keeps the direct
 # decoder since read_silent carries no accounting.

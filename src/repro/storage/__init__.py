@@ -17,11 +17,11 @@ substitute for the authors' SAS disk array:
   store writer in :mod:`~repro.storage.filestore`: an export, a
   rebuild's publish, a replica ship.
 * :class:`~repro.storage.buffer.BufferPool` — an LRU page buffer that
-  models the OS page cache.  The paper clears caches before every query;
-  the query executor does the same via :meth:`PageStore.clear_cache`.
-* :class:`~repro.storage.decoded_cache.DecodedPageCache` — the CPU-side
-  analogue of the buffer pool: memoizes decoded page contents per page
-  id so batched crawls parse each touched page at most once per query.
+  models the OS page cache, unbounded or byte-budgeted.  Beside it each
+  store keeps a decode memo (:attr:`PageStore.decoded`), so a crawl
+  decodes each touched element page at most once per query.  The paper
+  clears caches before every query; the query executor does the same
+  via :meth:`PageStore.clear_cache`, which empties both.
 * :class:`~repro.storage.diskmodel.DiskModel` — converts page-read
   counts into simulated I/O time for a 10 kRPM SAS disk, reproducing the
   paper's observation that query time is I/O-bound (97.8–98.8 %).
@@ -42,6 +42,8 @@ from repro.storage.stats import (
     CATEGORY_RTREE_INTERNAL,
     CATEGORY_RTREE_LEAF,
     CATEGORY_SEED_INTERNAL,
+    DECODE_ELEMENT,
+    DECODE_METADATA,
     IOStats,
 )
 from repro.storage.buffer import BufferPool
@@ -53,11 +55,6 @@ from repro.storage.codec import (
     available_codecs,
     get_codec,
     register_codec,
-)
-from repro.storage.decoded_cache import (
-    DECODE_ELEMENT,
-    DECODE_METADATA,
-    DecodedPageCache,
 )
 from repro.storage.diskmodel import DiskModel
 from repro.storage.pagestore import (
@@ -84,7 +81,6 @@ __all__ = [
     "DECODE_ELEMENT",
     "DECODE_METADATA",
     "DEFAULT_CODEC",
-    "DecodedPageCache",
     "CATEGORY_METADATA",
     "CATEGORY_OBJECT",
     "CATEGORY_RTREE_INTERNAL",

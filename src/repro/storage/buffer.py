@@ -4,8 +4,9 @@ The paper runs every query on cold caches ("Before each query is
 executed, the OS caches and disk buffers are cleared") but pages fetched
 *during* one query stay resident — the machine has 4 GB of RAM and the
 working set of a single query is far smaller.  The query executor
-therefore attaches an unbounded pool and clears it between queries;
-capacity-bounded pools are available for cache-sensitivity ablations.
+therefore attaches an unbounded pool and clears it between queries; a
+byte-budgeted pool models a fixed memory grant smaller than the
+working set.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ from collections import OrderedDict
 class BufferPool:
     """A least-recently-used page buffer.
 
-    ``capacity=None`` means unbounded (the within-a-query OS cache).
-    Keys and values are opaque to the pool; the decoded-page cache
-    reuses these LRU mechanics with ``(kind, page_id)`` keys.
-
-    ``byte_capacity`` bounds the pool by *bytes* instead of (or on top
-    of) entry count: each :meth:`put` charges the entry's cost (its
-    physical stored size, passed by the caller, or ``len(page)``), and
-    LRU entries are evicted until the budget holds.  This is how the
-    scale benchmark models a fixed grant over stores whose physical
-    pages differ in size — a compressed store fits proportionally more
-    pages into the same *charged* budget.
+    ``byte_capacity=None`` means unbounded (the within-a-query OS
+    cache).  With a ``byte_capacity`` each :meth:`put` charges the
+    entry's cost (its physical stored size, passed by the caller, or
+    ``len(page)``), and LRU entries are evicted until the budget holds.
+    This is how the scale benchmark models a fixed grant over stores
+    whose physical pages differ in size — a compressed store fits
+    proportionally more pages into the same *charged* budget.
 
     What a :class:`~repro.storage.pagestore.PageStore` pools is what its
     read needed (see :meth:`~repro.storage.pagestore.PageStore.read`):
@@ -38,25 +35,21 @@ class BufferPool:
     ``len()``: the RAM the pool holds (:attr:`held_bytes`) counts
     inflated pages at their logical size and blobs at their stored one,
     so over a compressed store it exceeds the charge
-    (:attr:`resident_bytes`) by the inflated pages alone.
+    (:attr:`resident_bytes`) by the inflated pages alone.  Hits and
+    misses are counted by the store's
+    :class:`~repro.storage.stats.IOStats`, not here.
     """
 
-    def __init__(self, capacity: int | None = None,
-                 byte_capacity: int | None = None):
-        if capacity is not None and capacity <= 0:
-            raise ValueError(f"capacity must be positive or None, got {capacity}")
+    def __init__(self, byte_capacity: int | None = None):
         if byte_capacity is not None and byte_capacity <= 0:
             raise ValueError(
                 f"byte_capacity must be positive or None, got {byte_capacity}"
             )
-        self.capacity = capacity
         self.byte_capacity = byte_capacity
         #: page id -> pooled value: page bytes or a stored blob.
         self._pages: OrderedDict = OrderedDict()
         self._costs: dict[int, int] = {}
         self._resident_bytes = 0
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
@@ -68,11 +61,8 @@ class BufferPool:
     def get(self, page_id: int) -> bytes | None:
         """Return the cached page and refresh its recency, or ``None``."""
         page = self._pages.get(page_id)
-        if page is None:
-            self.misses += 1
-            return None
-        self._pages.move_to_end(page_id)
-        self.hits += 1
+        if page is not None:
+            self._pages.move_to_end(page_id)
         return page
 
     def put(self, page_id: int, page: bytes, cost: int | None = None) -> None:
@@ -90,8 +80,6 @@ class BufferPool:
                 self._resident_bytes += cost - self._costs[page_id]
                 self._costs[page_id] = cost
             return
-        if self.capacity is not None and len(self._pages) >= self.capacity:
-            self._evict_one()
         if self.byte_capacity is not None:
             cost = len(page) if cost is None else cost
             while self._pages and self._resident_bytes + cost > self.byte_capacity:
@@ -102,7 +90,7 @@ class BufferPool:
 
     def _evict_one(self) -> None:
         evicted_id, _page = self._pages.popitem(last=False)
-        self._resident_bytes -= self._costs.pop(evicted_id, 0)
+        self._resident_bytes -= self._costs.pop(evicted_id)
         self.evictions += 1
 
     @property
@@ -136,19 +124,9 @@ class BufferPool:
         """
         return list(self._pages.keys())
 
-    @property
-    def lookups(self) -> int:
-        """Total :meth:`get` calls (hits + misses)."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the buffer."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def __repr__(self) -> str:
-        cap = "unbounded" if self.capacity is None else self.capacity
+        cap = "unbounded" if self.byte_capacity is None else self.byte_capacity
         return (
-            f"BufferPool(capacity={cap}, size={len(self)}, hits={self.hits}, "
-            f"misses={self.misses}, evictions={self.evictions})"
+            f"BufferPool(byte_capacity={cap}, size={len(self)}, "
+            f"evictions={self.evictions})"
         )

@@ -1,6 +1,6 @@
 """Pluggable physical page codecs: logical 4 KiB pages, smaller on disk.
 
-Everything above the byte backends — crawl accounting, decoded caches,
+Everything above the byte backends — crawl accounting, decode memos,
 snapshot pins — speaks in *logical* pages of exactly
 :data:`~repro.storage.constants.PAGE_SIZE` bytes.  A codec sits strictly
 at the storage boundary and maps each logical page to a variable-length

@@ -47,7 +47,7 @@ it.  Malformed or incomplete directories surface as
 and the problem.
 
 Accounting semantics are identical to the memory store: the backend
-only supplies bytes; buffer pool, decoded-page cache and per-category
+only supplies bytes; buffer pool, decode memo and per-category
 :class:`~repro.storage.stats.IOStats` live in the owning store.
 """
 

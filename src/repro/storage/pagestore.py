@@ -13,7 +13,7 @@ published as the base directory's next generation.  A store over a
 file backend is a plain :class:`PageStore`; :meth:`PageStore.close`
 releases the file, through an overlay too.
 
-Reads are counted per page *category* unless absorbed by the attached
+Reads are counted per page *category* unless absorbed by the store's
 buffer pool.
 """
 
@@ -22,13 +22,13 @@ from __future__ import annotations
 from repro.storage.buffer import BufferPool
 from repro.storage.codec import StoredBlob, get_codec
 from repro.storage.constants import PAGE_SIZE
-from repro.storage.decoded_cache import (
+from repro.storage.serial import decode_element_page, decode_metadata_page
+from repro.storage.stats import (
+    ALL_CATEGORIES,
     DECODE_ELEMENT,
     DECODE_METADATA,
-    DecodedPageCache,
+    IOStats,
 )
-from repro.storage.serial import decode_element_page, decode_metadata_page
-from repro.storage.stats import ALL_CATEGORIES, IOStats
 
 
 class PageStoreError(Exception):
@@ -172,8 +172,7 @@ class OverlayPageBackend:
         RAM, base pages report the base's stored size."""
         if page_id >= self._base_len:
             return PAGE_SIZE
-        stored = getattr(self._base, "stored_bytes", None)
-        return PAGE_SIZE if stored is None else stored(page_id)
+        return self._base.stored_bytes(page_id)
 
     def category(self, page_id: int) -> str:
         if page_id >= self._base_len:
@@ -257,15 +256,11 @@ class PageStore:
     Parameters
     ----------
     buffer:
-        Optional :class:`BufferPool` absorbing repeated reads.  By
-        default an *unbounded* pool is attached, modeling the OS page
-        cache within one query; call :meth:`clear_cache` to simulate the
-        paper's cache clearing between queries.
-    decoded:
-        Optional :class:`DecodedPageCache` memoizing decoded element
-        pages and counting metadata lookups (the CPU-side analogue of
-        the buffer pool), invalidated together with the buffer by
-        :meth:`clear_cache`.
+        The :class:`BufferPool` absorbing repeated reads.  By default an
+        *unbounded* pool, modeling the OS page cache within one query;
+        pass ``BufferPool(byte_capacity=...)`` for a fixed memory grant.
+        Call :meth:`clear_cache` to simulate the paper's cache clearing
+        between queries.
     backend:
         Where the page bytes live.  Defaults to a fresh
         :class:`MemoryPageBackend`; pass a shared backend (or use
@@ -273,15 +268,16 @@ class PageStore:
         stats over the same pages — e.g. one per serving worker.
     """
 
-    def __init__(
-        self,
-        buffer: BufferPool | None = None,
-        decoded: DecodedPageCache | None = None,
-        backend=None,
-    ):
+    def __init__(self, buffer: BufferPool | None = None, backend=None):
         self.backend = MemoryPageBackend() if backend is None else backend
         self.buffer = BufferPool() if buffer is None else buffer
-        self.decoded = DecodedPageCache() if decoded is None else decoded
+        #: The decode memo, emptied with the pool by :meth:`clear_cache`:
+        #: ``(decode kind, page id)`` -> a decoded element array, or
+        #: ``True`` for a metadata leaf looked up since the last clear
+        #: (a leaf's decoded form is the seed index's record table).
+        #: Decoded arrays are shared between callers: read-only.  A page
+        #: never changes once written, so no entry goes stale.
+        self.decoded: dict = {}
         self.stats = IOStats()
         #: Set by :meth:`read_metadata` for its one :meth:`read` of a
         #: leaf it will not parse: that read needs no page bytes.  Like
@@ -302,7 +298,7 @@ class PageStore:
         """A stat-isolated store over the same pages.
 
         The returned store shares this store's backend (same page ids,
-        same bytes) but has its own buffer pool, decoded-page cache and
+        same bytes) but has its own buffer pool, decode memo and
         :class:`IOStats`, so concurrent readers never contend on — or
         pollute — each other's caches and counters.
         """
@@ -372,8 +368,8 @@ class PageStore:
         A buffer miss consults the attached prefetch area (if any)
         before charging physical I/O: consuming a staged page counts a
         *prefetch hit* in its category instead of a read, and a decoded
-        element array staged with the page seeds this store's decoded
-        cache — the work moved earlier, it never disappears, so
+        element array staged with the page enters this store's decode
+        memo uncounted — the work moved earlier, it never disappears, so
         ``reads + prefetch_hits`` always equals the reads of a
         prefetch-free run.  A physical read records the page's stored
         bytes next to the read.
@@ -383,38 +379,31 @@ class PageStore:
         if backend.closed:
             raise PageStoreError(f"cannot read page {page_id}: the store is closed")
         buffer = self.buffer
-        if buffer is not None:
-            cached = buffer.get(page_id)
-            if cached is not None:
-                self.stats.record_cache_hit()
-                if type(cached) is StoredBlob and not self._blob_read:
-                    cached = cached.inflate()
-                    buffer.put(page_id, cached)
-                return cached
+        cached = buffer.get(page_id)
+        if cached is not None:
+            self.stats.record_cache_hit()
+            if type(cached) is StoredBlob and not self._blob_read:
+                cached = cached.inflate()
+                buffer.put(page_id, cached)
+            return cached
         if self._blob_read:
             payload = backend.blob(page_id)
         else:
             payload = backend.payload(page_id)
-        if buffer is not None:
-            if buffer.byte_capacity is None:
-                buffer.put(page_id, payload)
-            else:
-                # A byte-budgeted pool charges each page its *physical*
-                # footprint: compressed stores fit more pages into the
-                # same budget — the larger-than-RAM win.
-                buffer.put(page_id, payload, self.stored_bytes(page_id))
+        # A byte-budgeted pool charges each page its *physical*
+        # footprint: compressed stores fit more pages into the same
+        # budget — the larger-than-RAM win.
+        stored = backend.stored_bytes(page_id)
+        buffer.put(page_id, payload, stored)
         area = self.prefetch_area
         if area is not None:
             staged = area.take(page_id)
             if staged is not None:
                 self.stats.record_prefetch_hit(backend.category(page_id))
-                if self.decoded is not None:
-                    for kind, decoded in staged.items():
-                        self.decoded.seed(kind, page_id, decoded)
+                for kind, decoded in staged.items():
+                    self.decoded[kind, page_id] = decoded
                 return payload
-        self.stats.record_read(
-            backend.category(page_id), 1, self.stored_bytes(page_id)
-        )
+        self.stats.record_read(backend.category(page_id), 1, stored)
         return payload
 
     # -- decoded reads -------------------------------------------------
@@ -424,9 +413,9 @@ class PageStore:
         """Read a metadata page, count its decode, and parse it if *parse*.
 
         The page always goes through :meth:`read`, so it is charged and
-        pooled like any page.  The *logical* decode is counted under the
-        decoded-cache protocol — a miss the first time the page is read
-        since :meth:`clear_cache`, a hit after — or, with
+        pooled like any page.  The *logical* decode is counted through
+        the decode memo — a miss the first time the page is read since
+        :meth:`clear_cache`, a hit after — or, with
         ``cached=False`` (the scalar reference path), as a miss every
         time.  Parsing is the caller's decision: the seed index keeps
         each leaf's records in its per-generation
@@ -445,25 +434,33 @@ class PageStore:
                 self.read(page_id)
             finally:
                 self._blob_read = False
+        key = DECODE_METADATA, page_id
+        self.stats.record_decode(DECODE_METADATA, hit=cached and key in self.decoded)
         if cached:
-            self.decoded.touch(DECODE_METADATA, page_id, self.stats)
-        else:
-            self.stats.record_decode(DECODE_METADATA, hit=False)
+            self.decoded[key] = True
         if not parse:
             return None
         self.stats.record_parse(DECODE_METADATA)
         return decode_metadata_page(payload)
 
     def read_elements(self, page_id: int, cached: bool = True):
-        """Read + decode an element page (object page or R-Tree leaf)."""
+        """Read + decode an element page (object page or R-Tree leaf).
+
+        The decoded array comes from the decode memo when it holds the
+        page (a decode hit), else from one parse that the memo keeps;
+        with ``cached=False`` (the scalar reference path) every call
+        parses and the memo is left alone.
+        """
         payload = self.read(page_id)
-        if not cached:
-            self.stats.record_decode(DECODE_ELEMENT, hit=False)
+        key = DECODE_ELEMENT, page_id
+        elements = self.decoded.get(key) if cached else None
+        self.stats.record_decode(DECODE_ELEMENT, hit=elements is not None)
+        if elements is None:
             self.stats.record_parse(DECODE_ELEMENT)
-            return decode_element_page(payload)
-        return self.decoded.get_or_decode(
-            DECODE_ELEMENT, page_id, payload, decode_element_page, self.stats
-        )
+            elements = decode_element_page(payload)
+            if cached:
+                self.decoded[key] = elements
+        return elements
 
     def read_elements_many(self, page_ids) -> list:
         """Decoded element arrays for a batch of pages.
@@ -486,10 +483,8 @@ class PageStore:
 
     def stored_bytes(self, page_id: int) -> int:
         """Bytes one physical read of the page fetches: the backend's
-        stored blob length, or ``PAGE_SIZE`` for a backend that keeps
-        pages verbatim and reports no size."""
-        stored = getattr(self.backend, "stored_bytes", None)
-        return PAGE_SIZE if stored is None else stored(page_id)
+        stored blob length."""
+        return self.backend.stored_bytes(page_id)
 
     def _check_bounds(self, page_id: int) -> None:
         if not 0 <= page_id < len(self.backend):
@@ -501,10 +496,8 @@ class PageStore:
 
     def clear_cache(self) -> None:
         """Drop buffered pages *and* decoded pages (per-query cache clearing)."""
-        if self.buffer is not None:
-            self.buffer.clear()
-        if self.decoded is not None:
-            self.decoded.clear()
+        self.buffer.clear()
+        self.decoded.clear()
 
     # -- introspection ---------------------------------------------------
 

@@ -31,6 +31,11 @@ ALL_CATEGORIES = (
     CATEGORY_RTREE_INTERNAL,
 )
 
+#: Decode kinds: the keys of the decode counters below and of a store's
+#: decode memo (:attr:`~repro.storage.pagestore.PageStore.decoded`).
+DECODE_METADATA = "metadata"
+DECODE_ELEMENT = "element"
+
 
 @dataclass
 class IOStats:
@@ -38,11 +43,11 @@ class IOStats:
 
     Alongside the I/O counters, *decode* counters track the CPU-side
     work of parsing fetched pages, in two kinds like the bytes below
-    (decode kinds are ``"metadata"`` / ``"element"``).  *Logical*
-    decodes follow the per-query decoded-cache protocol:
-    ``decode_misses[kind]`` counts the pages it would parse and
-    ``decode_hits[kind]`` the lookups a
-    :class:`~repro.storage.decoded_cache.DecodedPageCache` absorbs —
+    (:data:`DECODE_METADATA` / :data:`DECODE_ELEMENT`).  *Logical*
+    decodes follow the per-query protocol of the store's decode memo
+    (:attr:`~repro.storage.pagestore.PageStore.decoded`, emptied by
+    ``clear_cache``): ``decode_misses[kind]`` counts the first lookup
+    of a page since then and ``decode_hits[kind]`` every later one —
     what the paper-style figures and the crawl benchmark's decode
     reduction read.  *Physical* parses (:attr:`parses`) count the
     parses that actually ran.  For element pages the two agree; a
@@ -139,12 +144,12 @@ class IOStats:
 
     @property
     def total_decodes(self) -> int:
-        """Total full page decodes (decoded-cache misses + uncached)."""
+        """Total full page decodes (decode-memo misses + uncached)."""
         return sum(self.decode_misses.values())
 
     @property
     def total_decode_hits(self) -> int:
-        """Total decodes absorbed by the decoded-page cache."""
+        """Total decodes absorbed by the decode memo."""
         return sum(self.decode_hits.values())
 
     @property

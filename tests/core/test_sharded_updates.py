@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import ShardedFLATIndex
-from repro.storage import BufferPool, DecodedPageCache, PageStore
+from repro.storage import BufferPool, PageStore
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_center, mbr_contains_mbr, mbr_distance_to_point
 
@@ -230,8 +230,7 @@ class TestShardedForkAndRestore:
         index = ShardedFLATIndex.build(
             random_mbrs(400, seed=44), shard_count=2,
             store_factory=lambda _shard_id: PageStore(
-                buffer=BufferPool(capacity=900, byte_capacity=262144),
-                decoded=DecodedPageCache(64),
+                buffer=BufferPool(byte_capacity=262144),
             ),
         )
         index.range_query(np.array([-10.0, -10, -10, 110, 110, 110]))
@@ -245,10 +244,7 @@ class TestShardedForkAndRestore:
         for shard, old, count in rebuilt:
             store = shard.store
             assert store is not old.store
-            assert (store.buffer.capacity, store.buffer.byte_capacity) == (
-                900, 262144
-            )
-            assert store.decoded.capacity == 64
+            assert store.buffer.byte_capacity == 262144
             assert count.total_reads > 0
             assert store.stats.reads == count.reads
             assert store.stats.cache_hits == count.cache_hits

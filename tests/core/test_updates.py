@@ -16,7 +16,7 @@ import pytest
 from repro.core import FLATIndex
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_distance_to_point
-from repro.storage import BufferPool, DecodedPageCache, PageStore, PageStoreError
+from repro.storage import BufferPool, PageStore, PageStoreError
 from repro.storage.pagestore import OverlayPageBackend
 
 PAGE_CAPACITY = 12
@@ -272,13 +272,12 @@ class TestUpdateApi:
 
 
 class TestRebuildStore:
-    """A rebuild's store keeps the replaced store's bounds and counts,
-    and closing it releases a restored index's file."""
+    """A rebuild's store keeps the replaced store's pool budget and
+    counts, and closing it releases a restored index's file."""
 
     @staticmethod
     def bounded():
-        return {"buffer": BufferPool(capacity=900, byte_capacity=262144),
-                "decoded": DecodedPageCache(64)}
+        return {"buffer": BufferPool(byte_capacity=262144)}
 
     @staticmethod
     def insert_after_queries(flat):
@@ -294,9 +293,7 @@ class TestRebuildStore:
     @staticmethod
     def assert_carried_over(store, replaced, before, rebuilt_pages):
         assert store is not replaced and store.buffer is not replaced.buffer
-        assert store.buffer.capacity == 900
         assert store.buffer.byte_capacity == 262144
-        assert store.decoded.capacity == 64
         assert store.stats.reads == before.reads
         assert store.stats.cache_hits == before.cache_hits
         assert store.stats.decode_misses == before.decode_misses

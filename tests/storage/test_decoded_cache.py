@@ -1,15 +1,15 @@
-"""Tests for the decoded-page cache and the store's decoded-read API."""
+"""Tests for the store's decode memo and its decoded-read API."""
 
 import numpy as np
-import pytest
 
+from repro.query.prefetch import PrefetchArea
 from repro.storage import (
     CATEGORY_METADATA,
     CATEGORY_OBJECT,
     DECODE_ELEMENT,
     DECODE_METADATA,
-    DecodedPageCache,
-    IOStats,
+    PAGE_SIZE,
+    BufferPool,
     PageStore,
 )
 from repro.storage.serial import encode_element_page, encode_metadata_page
@@ -31,68 +31,83 @@ def metadata_page(store):
 
 
 class TestDecodedPageCache:
+    """The store's decoded-page cache: the memo ``PageStore.decoded``."""
+
     def test_memoizes_decodes(self):
-        cache = DecodedPageCache()
-        calls = []
-
-        def decoder(payload):
-            calls.append(payload)
-            return len(payload)
-
-        assert cache.get_or_decode("element", 3, b"abc", decoder) == 3
-        assert cache.get_or_decode("element", 3, b"abc", decoder) == 3
-        assert len(calls) == 1
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.lookups == 2
-        assert cache.hit_rate == pytest.approx(0.5)
+        # The memo is the store's, not the pool's: a page the one-page
+        # pool evicted is read again but not parsed again.
+        store = PageStore(buffer=BufferPool(byte_capacity=PAGE_SIZE))
+        first, mbrs = element_page(store, seed=0)
+        second, _mbrs = element_page(store, seed=1)
+        a = store.read_elements(first)
+        store.read_elements(second)
+        b = store.read_elements(first)
+        assert a is b
+        assert np.array_equal(a, mbrs)
+        assert store.buffer.evictions == 2
+        assert store.stats.reads == {CATEGORY_OBJECT: 3}
+        assert store.stats.parses == {DECODE_ELEMENT: 2}
+        assert store.stats.decode_misses == {DECODE_ELEMENT: 2}
+        assert store.stats.decode_hits == {DECODE_ELEMENT: 1}
 
     def test_kinds_do_not_collide(self):
-        cache = DecodedPageCache()
-        cache.get_or_decode("element", 1, b"x", lambda p: "element")
-        assert cache.get_or_decode("metadata", 1, b"x", lambda p: "metadata") == (
-            "metadata"
-        )
-        assert len(cache) == 2
+        # A leaf lookup and an element decode of one page id are two
+        # entries: the lookup's ``True`` is never taken for an array.
+        store = PageStore()
+        page_id, mbrs = element_page(store)
+        assert store.read_metadata(page_id, parse=False) is None
+        elements = store.read_elements(page_id)
+        assert np.array_equal(elements, mbrs)
+        assert len(store.decoded) == 2
+        assert store.decoded[DECODE_METADATA, page_id] is True
+        assert store.decoded[DECODE_ELEMENT, page_id] is elements
+        assert store.stats.decode_misses == {DECODE_METADATA: 1,
+                                             DECODE_ELEMENT: 1}
+        assert store.stats.parses == {DECODE_ELEMENT: 1}
 
     def test_clear_drops_entries_but_keeps_counters(self):
-        cache = DecodedPageCache()
-        cache.get_or_decode("element", 1, b"x", len)
-        cache.clear()
-        assert len(cache) == 0
-        cache.get_or_decode("element", 1, b"x", len)
-        assert cache.misses == 2
+        store = PageStore()
+        element_id, _mbrs = element_page(store)
+        leaf_id = metadata_page(store)
+        store.read_elements(element_id)
+        store.read_metadata(leaf_id, parse=False)
+        counted = store.stats.snapshot()
+        store.clear_cache()
+        assert store.decoded == {} and len(store.buffer) == 0
+        assert store.stats == counted
+        store.read_elements(element_id)
+        store.read_metadata(leaf_id, parse=False)
+        assert store.stats.decode_misses == {DECODE_ELEMENT: 2,
+                                             DECODE_METADATA: 2}
+        assert store.stats.decode_hits == {}
 
-    def test_bounded_capacity_evicts_lru(self):
-        cache = DecodedPageCache(capacity=2)
-        cache.get_or_decode("element", 1, b"a", len)
-        cache.get_or_decode("element", 2, b"bb", len)
-        cache.get_or_decode("element", 1, b"a", len)  # refresh 1
-        cache.get_or_decode("element", 3, b"ccc", len)
-        assert cache.evictions == 1
-        assert ("element", 2) not in cache
-        assert ("element", 1) in cache and ("element", 3) in cache
+    def test_staged_array_enters_the_memo_uncounted(self):
+        # Consuming a staged page plants its decoded array in the memo
+        # without a count; the read that follows is a decode hit.
+        store = PageStore()
+        page_id, mbrs = element_page(store)
+        area = PrefetchArea()
+        store.prefetch_area = area
+        staged = mbrs.copy()
+        area.stage(page_id)
+        area.stage_decoded(page_id, DECODE_ELEMENT, staged)
+        assert store.read_elements(page_id) is staged
+        assert store.decoded[DECODE_ELEMENT, page_id] is staged
+        assert store.stats.reads == {}
+        assert store.stats.prefetch_hits == {CATEGORY_OBJECT: 1}
+        assert store.stats.decode_hits == {DECODE_ELEMENT: 1}
+        assert store.stats.decode_misses == {} and store.stats.parses == {}
 
-    def test_touch_counts_like_a_memoized_decode(self):
-        cache = DecodedPageCache()
-        stats = IOStats()
-        cache.touch("metadata", 5, stats)
-        cache.touch("metadata", 5, stats)
-        assert stats.decode_misses == {"metadata": 1}
-        assert stats.decode_hits == {"metadata": 1}
-        assert stats.parses == {}
-        cache.clear()
-        cache.touch("metadata", 5, stats)
-        assert stats.decode_misses == {"metadata": 2}
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            DecodedPageCache(capacity=0)
-
-    def test_repr(self):
-        cache = DecodedPageCache(capacity=4)
-        cache.get_or_decode("element", 1, b"a", len)
-        text = repr(cache)
-        assert "capacity=4" in text and "misses=1" in text
+    def test_views_keep_their_own_memo(self):
+        store = PageStore()
+        page_id, _mbrs = element_page(store)
+        view = store.view()
+        a = store.read_elements(page_id)
+        assert view.decoded == {}
+        b = view.read_elements(page_id)
+        assert a is not b and np.array_equal(a, b)
+        assert store.stats.decode_misses == view.stats.decode_misses == {
+            DECODE_ELEMENT: 1}
 
 
 class TestStoreDecodedReads:
@@ -121,6 +136,20 @@ class TestStoreDecodedReads:
         assert store.stats.reads == {CATEGORY_METADATA: 1}
         assert store.stats.cache_hits == 2
         assert len(store.decoded) == 1
+
+    def test_metadata_lookup_counts_like_a_memoized_decode(self):
+        # A leaf lookup that parses nothing is a logical miss the first
+        # time since clear_cache and a hit after, as a memoized decode.
+        store = PageStore()
+        page_id = metadata_page(store)
+        store.read_metadata(page_id, parse=False)
+        store.read_metadata(page_id, parse=False)
+        assert store.stats.decode_misses == {DECODE_METADATA: 1}
+        assert store.stats.decode_hits == {DECODE_METADATA: 1}
+        assert store.stats.parses == {}
+        store.clear_cache()
+        store.read_metadata(page_id, parse=False)
+        assert store.stats.decode_misses == {DECODE_METADATA: 2}
 
     def test_uncached_reads_always_decode(self):
         store = PageStore()

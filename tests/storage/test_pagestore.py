@@ -73,13 +73,22 @@ class TestReadAccounting:
         store.read(pid)
         assert store.stats.total_reads == 2
 
-    def test_no_buffer_counts_every_read(self):
-        store = PageStore(buffer=None)
-        store.buffer = None
+    def test_every_store_has_a_pool(self):
+        # A store always reads through a pool: an unbounded one unless
+        # it is given a budgeted one, and a view gets a pool of its own.
+        store = PageStore()
+        view = store.view()
+        for each in (store, view, PageStore(buffer=None)):
+            assert type(each.buffer) is BufferPool
+            assert each.buffer.byte_capacity is None
+        assert view.buffer is not store.buffer
         pid = store.allocate(make_page(), CATEGORY_OBJECT)
         store.read(pid)
-        store.read(pid)
-        assert store.stats.total_reads == 2
+        view.read(pid)
+        view.read(pid)
+        assert store.stats.total_reads == view.stats.total_reads == 1
+        assert (store.stats.cache_hits, view.stats.cache_hits) == (0, 1)
+        assert pid in store.buffer and pid in view.buffer
 
     def test_read_silent_is_free(self):
         store = PageStore()
@@ -106,7 +115,7 @@ class TestReadAccounting:
 
 class TestBufferPool:
     def test_lru_eviction_order(self):
-        pool = BufferPool(capacity=2)
+        pool = BufferPool(byte_capacity=2)
         pool.put(1, b"a")
         pool.put(2, b"b")
         pool.get(1)  # refresh 1; 2 is now LRU
@@ -123,19 +132,12 @@ class TestBufferPool:
         assert len(pool) == 1000
         assert pool.evictions == 0
 
-    def test_hit_rate(self):
-        pool = BufferPool()
-        pool.put(1, b"a")
-        pool.get(1)
-        pool.get(2)
-        assert pool.hit_rate == pytest.approx(0.5)
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
-            BufferPool(capacity=0)
+            BufferPool(byte_capacity=0)
 
     def test_put_existing_updates(self):
-        pool = BufferPool(capacity=1)
+        pool = BufferPool(byte_capacity=1)
         pool.put(1, b"a")
         pool.put(1, b"b")
         assert pool.get(1) == b"b"
