@@ -11,7 +11,7 @@ run on a replicated fleet:
   the replica with byte-identical results and exactly one server lost;
 * **rolling update** — apply an insert/delete batch shard-by-shard while
   querying; after every shard swap the answers must match the mixed
-  old/new-generation oracle, and post-roll the fork oracle — with every
+  old/new-generation oracle, and post-roll the merged oracle — with every
   replica ship incremental (each rebuilt shard's tail increment, never a
   full copy); the roll's shipped bytes per rolled row are recorded.
 
@@ -100,7 +100,7 @@ def _serve_sweep(workdir, mbrs, space_mbr, queries, knn_points, knn_k,
                     "cold_qps": report.throughput_qps,
                     "wall_seconds": report.wall_seconds,
                     "total_page_reads": report.total_page_reads,
-                    "shard_requests": report.shard_requests,
+                    "shard_tasks": report.shard_tasks,
                     "shards_pruned": report.shards_pruned,
                     "result_elements": report.result_elements,
                 }
@@ -118,12 +118,14 @@ def _failover_drill(workdir, mbrs, space_mbr, queries, server_count) -> dict:
     ) as router:
         warm_results, _ = router.run(queries)
         router.kill_server(0, "primary")
+        lost_before = router.servers_lost
         results, report = router.run(queries)
         return {
             "server_count": router.shard_count,
             "pre_kill_exact": _exact(warm_results, oracle, queries),
             "post_kill_exact": _exact(results, oracle, queries),
-            "servers_lost": report.servers_lost,
+            # Servers the router declared dead during the post-kill batch.
+            "servers_lost": router.servers_lost - lost_before,
             "post_kill_qps": report.throughput_qps,
             "launch_full_copies": sum(
                 1 for entry in router.replication_log if entry["full_copy"]
@@ -146,8 +148,11 @@ def _rolling_update_drill(workdir, mbrs, space_mbr, queries, server_count,
     oracle.snapshot(root)
     inserts = _random_inserts(space_mbr, insert_count, seed + 808)
     deletes = _random_deletes(oracle, delete_count, seed + 909)
-    new_oracle = oracle.fork()
-    new_oracle.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+    # The fleet after the roll, in RAM: the batch merged, its inserts
+    # numbered from the watermark.
+    first = oracle.next_element_id
+    new_oracle = oracle.merged(np.arange(first, first + len(inserts)),
+                               inserts, deletes, first + len(inserts))
     mid_queries = queries[:MID_ROLL_QUERIES]
     mid_exact = True
     done = []
@@ -312,7 +317,7 @@ def main(argv=None) -> int:
     for run in report["serve_sweep"]:
         print(f"  servers={run['actual_servers']}: "
               f"cold {run['cold_qps']:8.1f} q/s "
-              f"({run['shard_requests']} requests, "
+              f"({run['shard_tasks']} shard tasks, "
               f"{run['shards_pruned']} pruned, "
               f"{run['total_page_reads']} page reads)")
     failover = report["failover"]

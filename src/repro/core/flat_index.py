@@ -422,9 +422,12 @@ class FLATIndex:
     # (:meth:`_rebuild_store`), so with_store clones, forks and readers
     # still crawling the old pages are never perturbed.  The cost is a
     # rebuild of the live set per commit: small commits belong in a
-    # :class:`~repro.core.delta.DeltaIndex`, which
-    # :meth:`repro.query.service.QueryService.apply_updates` drains into
-    # :meth:`merged`.
+    # :class:`~repro.core.delta.DeltaIndex`, which both serving tiers'
+    # ``apply_updates`` drain into :meth:`merged`
+    # (:func:`repro.query.service.absorb_batch`).  No other module of
+    # the package calls :meth:`fork`, :meth:`apply_batch` or the
+    # wrappers over it; they stay because the repository benchmark's
+    # tracer wraps ``fork`` and ``apply_batch``.
 
     def insert(self, element_mbrs: np.ndarray) -> np.ndarray:
         """Insert elements; returns their newly assigned element ids.
@@ -465,8 +468,24 @@ class FLATIndex:
         anything is replaced.  An empty batch is a cheap no-op that may
         still advance the watermark.  Returns the inserted elements' ids.
         """
-        return merge_in_place(self, insert_mbrs, delete_ids, insert_ids,
-                              next_id)
+        if insert_mbrs is None:
+            insert_mbrs = np.empty((0, 6))
+        insert_mbrs = validate_mbrs(np.atleast_2d(insert_mbrs))
+        delete_ids = np.atleast_1d(np.asarray(
+            [] if delete_ids is None else delete_ids, dtype=np.int64))
+        watermark = self._next_id
+        if insert_ids is None:
+            insert_ids = np.arange(watermark, watermark + len(insert_mbrs))
+        insert_ids = np.atleast_1d(np.asarray(insert_ids, dtype=np.int64))
+        if len(insert_ids):
+            watermark = max(watermark, int(insert_ids.max()) + 1)
+        if next_id is not None:
+            watermark = max(watermark, int(next_id))
+        if len(insert_mbrs) or len(delete_ids):
+            rebuilt = self.merged(insert_ids, insert_mbrs, delete_ids, watermark)
+            self.__dict__.update(rebuilt.__dict__)
+        self._next_id = watermark
+        return insert_ids
 
     # -- querying -------------------------------------------------------------
 
@@ -764,34 +783,3 @@ class FLATIndex:
         """Neighbor pointer count -> number of partitions (Fig. 20)."""
         values, counts = np.unique(self.build_report.pointer_counts, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-def merge_in_place(index, insert_mbrs, delete_ids, insert_ids,
-                   next_id) -> np.ndarray:
-    """The one write path of :class:`FLATIndex` and
-    :class:`~repro.core.sharded.ShardedFLATIndex`: apply a batch to
-    *index* as a merge it adopts wholesale.
-
-    Inserts take ids from the watermark unless *insert_ids* replays
-    assigned ones; the watermark passes them and *next_id*; then
-    ``index.merged`` rebuilds and *index* takes over every attribute of
-    the rebuild.  Returns the inserted ids.
-    """
-    if insert_mbrs is None:
-        insert_mbrs = np.empty((0, 6))
-    insert_mbrs = validate_mbrs(np.atleast_2d(insert_mbrs))
-    delete_ids = np.atleast_1d(np.asarray(
-        [] if delete_ids is None else delete_ids, dtype=np.int64))
-    watermark = index.next_element_id
-    if insert_ids is None:
-        insert_ids = np.arange(watermark, watermark + len(insert_mbrs))
-    insert_ids = np.atleast_1d(np.asarray(insert_ids, dtype=np.int64))
-    if len(insert_ids):
-        watermark = max(watermark, int(insert_ids.max()) + 1)
-    if next_id is not None:
-        watermark = max(watermark, int(next_id))
-    if len(insert_mbrs) or len(delete_ids):
-        rebuilt = index.merged(insert_ids, insert_mbrs, delete_ids, watermark)
-        index.__dict__.update(rebuilt.__dict__)
-    index._next_id = watermark
-    return insert_ids

@@ -20,20 +20,24 @@ candidate.  The planner's decision for the most recent query is kept in
 :attr:`ShardedFLATIndex.last_plan` so harnesses report pruning next to
 the paper's page accounting.
 
-Updates have one path: :meth:`ShardedFLATIndex.apply_batch` (and
-``insert`` / ``delete`` over it) assigns global ids from the watermark
-and adopts :meth:`ShardedFLATIndex.merged`, which routes the batch to
-shards by centroid (widening a box an insert protrudes from, so pruning
-stays exact) and bulkloads every touched shard afresh; untouched shards
-are carried over as the same objects, which is how a cluster roll finds
-the shards it must publish.
+A shard set is never changed in place.  A write is a merge:
+:meth:`ShardedFLATIndex.merged` routes a drained batch to shards by
+centroid (widening a box an insert protrudes from, so pruning stays
+exact) and returns a new shard set in which every touched shard is
+bulkloaded afresh; untouched shards are carried over as the same
+objects, which is how a cluster roll finds the shards it must publish.
+Both serving tiers reach it through one commit
+(:func:`~repro.query.service.absorb_batch`): ids from the watermark,
+deletes validated atomically, the batch drained into ``merged``.
 
 Persistence composes the monolithic machinery: ``snapshot()`` writes a
 shard manifest plus one self-describing FLAT snapshot directory per
 shard (each with its own ``pages.dat``), and ``restore()`` reopens
 every shard as a :class:`~repro.storage.pagestore.PageStore` over a
-read-only mmap-backed :class:`~repro.storage.filestore.FilePageBackend`.
-A mutated restored shard reads through an overlay over that backend;
+read-only mmap-backed :class:`~repro.storage.filestore.FilePageBackend`,
+at the generation the root's ``shards.json`` names for it — the one its
+id map in ``shards.npz`` belongs to.  A merge of a restored shard set
+rebuilds onto overlays over those backends;
 :meth:`ShardedFLATIndex.close` closes every shard's backend either way.
 """
 
@@ -66,7 +70,7 @@ from repro.storage.pagestore import (
     PageStoreGroup,
     SnapshotError,
 )
-from repro.core.flat_index import CrawlStats, FLATIndex, merge_in_place
+from repro.core.flat_index import CrawlStats, FLATIndex
 from repro.core.partition import compute_partitions
 from repro.core.snapshot import restore_index, snapshot_index
 
@@ -212,20 +216,6 @@ class ShardedFLATIndex:
             shards, self.planner, self.element_count, next_id=self._next_id
         )
 
-    def fork(self) -> "ShardedFLATIndex":
-        """A clone that can be mutated independently of this index.
-
-        It shares every shard, the planner and the routing directory; a
-        mutation (:meth:`apply_batch`) goes through :meth:`merged`,
-        which copies the planner and routing directory and replaces
-        only the shards it rebuilds, and the clone adopts the result,
-        so this index and readers still crawling it are never perturbed.
-        """
-        clone = ShardedFLATIndex(list(self.shards), self.planner,
-                                 self.element_count, next_id=self._next_id)
-        clone._element_shard = self._element_shard
-        return clone
-
     # -- updates ---------------------------------------------------------
 
     def _routing_directory(self) -> dict:
@@ -245,43 +235,6 @@ class ShardedFLATIndex:
                         routing[int(shard.element_ids[int(local)])] = pos
             self._element_shard = routing
         return self._element_shard
-
-    def insert(self, element_mbrs: np.ndarray) -> np.ndarray:
-        """Insert elements; returns their newly assigned global ids.
-
-        Each element routes to the shard whose box contains its
-        centroid (smallest such box; the closest box for outliers), and
-        a box the element's MBR protrudes from widens, so planner
-        pruning stays exact.  Ids are assigned in batch order,
-        monotonically increasing, which keeps every shard's
-        local-to-global id map sorted and the ``(distance, id)``
-        tie-break consistent between local and global views.
-        """
-        return self.apply_batch(insert_mbrs=element_mbrs)
-
-    def delete(self, element_ids) -> None:
-        """Delete elements by global id; unknown ids raise ``KeyError``."""
-        self.apply_batch(delete_ids=element_ids)
-
-    def apply_batch(
-        self,
-        insert_mbrs: np.ndarray | None = None,
-        delete_ids=None,
-        *,
-        insert_ids: np.ndarray | None = None,
-        next_id: int | None = None,
-    ) -> np.ndarray:
-        """Apply one commit's inserts and deletes across the shard set.
-
-        The sharded mirror of :meth:`FLATIndex.apply_batch
-        <repro.core.flat_index.FLATIndex.apply_batch>`, with the same
-        contract: ids come from the global watermark (or replay
-        *insert_ids*), :meth:`merged` rebuilds every touched shard, and
-        this index adopts the result — untouched shards stay the same
-        objects.
-        """
-        return merge_in_place(self, insert_mbrs, delete_ids, insert_ids,
-                              next_id)
 
     def _route(self, insert_mbrs: np.ndarray, new_ids: np.ndarray,
                delete_ids: np.ndarray) -> tuple:
@@ -347,7 +300,10 @@ class ShardedFLATIndex:
         gains or loses an element is rebuilt by its index's ``merged``
         (shard-local ids kept, inserts appended to its id map), and
         every other shard is carried over as the same object.  This
-        index is left as it is.
+        index is left as it is.  *insert_ids* exceed every id of the set
+        (a drained delta's come from the watermark), so each shard's id
+        map stays sorted and local ``(distance, id)`` tie-breaks agree
+        with global ones.
         """
         insert_mbrs = validate_mbrs(np.atleast_2d(insert_mbrs))
         insert_ids = np.atleast_1d(np.asarray(insert_ids, dtype=np.int64))
@@ -474,18 +430,22 @@ class ShardedFLATIndex:
                 directory / _shard_dirname(shard.shard_id),
                 codec=codec,
             )
-        self.write_shard_manifest(directory)
+        self.write_shard_manifest(directory, [0] * len(self.shards))
         return directory
 
-    def write_shard_manifest(self, directory) -> Path:
+    def write_shard_manifest(self, directory, generations) -> Path:
         """Publish just the root manifest + array bundle into *directory*.
 
         The per-shard snapshot directories version themselves (numbered
         generations published in place by the write path), but the
-        root-level shard boxes, id maps and watermark live here.  The
+        root-level shard boxes, id maps and watermark live here, with
+        *generations*: per shard position, the generation of the shard's
+        directory those id maps belong to (all 0 at an export).  The
         cluster's rolling update calls this after publishing per-shard
         generations so a fresh :meth:`restore` of the root sees the
-        updated shard set — each shard at its latest generation.
+        updated shard set; until then the root names the generations it
+        named before, so a roll that dies between shards leaves a root
+        that still restores its old state.
 
         Both files go through the store writer's small-file step
         (:func:`~repro.storage.filestore.publish_files`: temp name,
@@ -516,6 +476,7 @@ class ShardedFLATIndex:
             "shard_count": len(self.shards),
             "element_count": int(self.element_count),
             "next_element_id": int(self._next_id),
+            "generations": [int(generation) for generation in generations],
             "bundle_crc32": zlib.crc32(bundle),
         }
         publish_files(directory, {SHARD_ARRAYS_FILENAME: bundle})
@@ -541,10 +502,13 @@ class ShardedFLATIndex:
     def restore(cls, directory) -> "ShardedFLATIndex":
         """Reopen a sharded snapshot, every shard over a read-only mmap.
 
-        Each shard restores at its own *latest* published generation —
-        after the cluster's rolling updates publish per-shard
-        generations and :meth:`write_shard_manifest` refreshes the
-        root, a restore here reproduces the fleet's committed state.
+        Each shard restores at the generation the root's manifest names
+        for it, the one its id map belongs to — after a cluster roll
+        refreshes the root (:meth:`write_shard_manifest`), a restore here
+        reproduces the fleet's committed state, and a generation a
+        roll published without refreshing the root is not served.  A
+        root written before the manifest named generations restores
+        each shard's latest.
         """
         directory = Path(directory)
         meta = cls.read_meta(directory)
@@ -561,9 +525,13 @@ class ShardedFLATIndex:
             offsets = arrays["element_offsets"]
             element_ids = arrays["element_ids"]
 
+        generations = meta.get("generations")  # absent in older roots
         shards = []
         for shard_id in range(int(meta["shard_count"])):
-            index = restore_index(directory / _shard_dirname(shard_id))
+            index = restore_index(
+                directory / _shard_dirname(shard_id),
+                generation=None if generations is None else generations[shard_id],
+            )
             shards.append(
                 Shard(
                     shard_id=shard_id,

@@ -3,7 +3,6 @@ the cold-cache harness and the concurrent serving layer."""
 
 from repro.query.cluster import (
     ClusterError,
-    ClusterReport,
     ClusterRouter,
     ClusterUpdateReport,
     ShardServerHandle,
@@ -50,7 +49,6 @@ __all__ = [
     "BenchmarkSpec",
     "CallableEngine",
     "ClusterError",
-    "ClusterReport",
     "ClusterRouter",
     "ClusterUpdateReport",
     "MODE_PROCESS",

@@ -41,29 +41,37 @@ those pieces to a serving *fleet*:
   hint of the session query's tasks, as ``QueryService`` does; it
   counts each shard's staging failures from the answers.
   Batches pipeline: up to a window of requests stay in flight per
-  server, so aggregate throughput scales with the server count.
+  server, so aggregate throughput scales with the server count.  A
+  batch is reported as a ``QueryService`` batch is: a
+  :class:`~repro.query.service.ServiceReport`, folded from the same
+  task outcomes by :func:`~repro.query.service.fold_outcomes`.
 * **Replication & failover** — a replica fleet is populated by
   *shipping* each shard's snapshot generation directory
   (:func:`~repro.core.snapshot.ship_index_generation`): ``pages.dat``
   is append-only and a generation only appends, so an up-to-date
   replica receives only the tail pages a new generation appended,
-  never the unchanged prefix.  When a server dies mid-request the
-  router marks it, replays the in-flight requests of that server on
-  the shard's replica and keeps routing there — reads are
-  idempotent, so replay is safe.
-* **Rolling updates** — :meth:`ClusterRouter.apply_updates` applies an
-  insert/delete batch to a fork of the control replica, which rebuilds
-  every shard the batch touches
-  (:meth:`~repro.core.sharded.ShardedFLATIndex.merged`, the bulkload a
-  single-machine merge runs), then walks the rebuilt shards one at a
-  time: publish the shard's rebuild as its next generation, ship that
-  tail increment to the replica, then switch the shard's ``(generation,
-  id map)`` pair in one assignment — the next task names the new
-  generation, and each server restores it from its own directory.  The
-  fleet serves continuously; a query observes, per shard,
-  either the old or the new generation — never a torn page state — and
-  the planner adopts the fork's (grow-only) widened shard boxes up
-  front so pruning stays exact throughout the roll.
+  never the unchanged prefix; a relaunch over a replica that already
+  holds the served generation ships nothing.  When a server dies
+  mid-request the router marks it, replays the in-flight requests of
+  that server on the shard's replica and keeps routing there — reads
+  are idempotent, so replay is safe.
+* **Rolling updates** — :meth:`ClusterRouter.apply_updates` computes
+  the commit a ``QueryService`` computes
+  (:func:`~repro.query.service.absorb_batch`, drained into
+  :meth:`~repro.core.sharded.ShardedFLATIndex.merged`, the bulkload a
+  single-machine merge runs), which rebuilds every shard the batch
+  touches, then walks the rebuilt shards one at a time: publish the
+  shard's rebuild as its next generation, ship that tail increment to
+  the replica, then switch the shard's ``(generation, id map)`` pair
+  in one assignment — the next task names the new generation, and
+  each server restores it from its own directory.  The fleet serves
+  continuously; a query observes, per shard, either the old or the
+  new generation — never a torn page state — and the planner adopts
+  the merge's (grow-only) widened shard boxes up front so pruning
+  stays exact throughout the roll.  The root's ``shards.json`` names
+  every shard's served generation and is rewritten only after the
+  last shard, so a restore or a launch after a roll that died midway
+  serves the pre-roll state.
 
 The router is single-threaded by design: one logical request stream
 per server, over the Pipe it started the server with.  Correctness is
@@ -79,7 +87,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,12 +97,16 @@ from repro.query.planner import QueryPlan, QueryPlanner
 from repro.query.prefetch import SessionTracker
 from repro.query.service import (
     CLOSED_ERRORS,
+    MODE_PROCESS,
+    ServiceReport,
     _process_run_group,
     _start_worker,
     _worker_status,
+    absorb_batch,
+    fold_outcomes,
     read_reply,
 )
-from repro.storage.stats import IOStats
+from repro.storage.filestore import ShipStats, manifest_filename
 
 # repro.core imports stay function-local: repro.core.flat_index imports
 # repro.query at module level, so a top-level import here would close an
@@ -156,66 +168,6 @@ class ShardServerHandle:
         """
         self.process.terminate()
         self.process.join(timeout=10)
-
-
-@dataclass
-class ClusterReport:
-    """Aggregated outcome of one query batch served by the cluster."""
-
-    query_count: int = 0
-    result_elements: int = 0
-    wall_seconds: float = 0.0
-    #: Requests actually sent to shard servers (one per touched shard
-    #: per query).
-    shard_requests: int = 0
-    #: Shard executions skipped by planner pruning, summed over queries.
-    shards_pruned: int = 0
-    #: Every server's per-request :class:`~repro.storage.stats.IOStats`
-    #: diff, merged: reads, physical bytes, cache hits, decode counters
-    #: and prefetch hits, as an in-process run would count them.
-    stats: IOStats = field(default_factory=IOStats)
-    per_query_results: list = field(default_factory=list)
-    #: Session id the batch was served under (``None`` = no prefetching).
-    session_id: str | None = None
-    #: Physical page reads the servers' prefetchers performed, per
-    #: category, as :class:`~repro.query.service.ServiceReport` counts
-    #: them: a staging is reported with its server's next answer.
-    prefetch_reads_by_category: dict = field(default_factory=dict)
-    #: Pages staged by the stagings this batch's answers report.
-    prefetch_staged: int = 0
-    #: Staged pages consumed by this batch's demand reads.
-    prefetch_consumed: int = 0
-    #: Servers the router declared dead while serving this batch.
-    servers_lost: int = 0
-
-    @property
-    def reads_by_category(self) -> dict:
-        """Physical page reads summed over every server's replies."""
-        return dict(sorted(self.stats.reads.items()))
-
-    @property
-    def prefetch_hits_by_category(self) -> dict:
-        """Demand reads absorbed by server-side prefetch areas.
-
-        Kept separate from physical reads so the accounting identity
-        ``reads + prefetch_hits == prefetch-free reads`` is checkable at
-        the router.
-        """
-        return dict(sorted(self.stats.prefetch_hits.items()))
-
-    @property
-    def total_page_reads(self) -> int:
-        return self.stats.total_reads
-
-    @property
-    def total_prefetch_hits(self) -> int:
-        return self.stats.total_prefetch_hits
-
-    @property
-    def throughput_qps(self) -> float:
-        if self.wall_seconds <= 0.0:
-            return float("nan")
-        return self.query_count / self.wall_seconds
 
 
 @dataclass
@@ -296,12 +248,16 @@ class ClusterRouter:
         restores lazily, so it needs only the shard count from the
         root's manifest, and no server inherits a file of the control
         replica, which is restored next.  The replicas are shipped
-        after that, then every server restores its shard's generation
-        (a status task) before this returns.  A server that exits before
-        it answers raises :class:`ClusterError` (``shard server N (role)
-        exited with code C before it answered``), and so does one silent
-        for :data:`START_TIMEOUT` seconds; every other reply owed is read
-        first, and a launch that fails stops every server it started.
+        after that — a replica directory that already holds the served
+        generation, its manifest byte-identical to the primary's (an
+        earlier launch's ship), is not shipped again and logs a
+        zero-byte entry — then every server restores its shard's
+        generation (a status task) before this returns.  A server that
+        exits before it answers raises :class:`ClusterError` (``shard
+        server N (role) exited with code C before it answered``), and so
+        does one silent for :data:`START_TIMEOUT` seconds; every other
+        reply owed is read first, and a launch that fails stops every
+        server it started.
         """
         from repro.core.sharded import ShardedFLATIndex
         from repro.core.snapshot import ship_index_generation
@@ -322,11 +278,18 @@ class ClusterRouter:
                 ))
             router._adopt(ShardedFLATIndex.restore(root))
             for primary, replica in zip(router._primaries, router._replicas):
-                if replica is not None:
-                    router.replication_log.append(ship_index_generation(
-                        primary.directory, replica.directory,
-                        router._served[primary.shard_id][0],
-                    ).as_dict())
+                if replica is None:
+                    continue
+                generation = router._served[primary.shard_id][0]
+                name = manifest_filename(generation)
+                held = replica.directory / name
+                if held.exists() and held.read_bytes() == (
+                        primary.directory / name).read_bytes():
+                    ship = ShipStats(generation, 0, 0, full_copy=False)
+                else:
+                    ship = ship_index_generation(
+                        primary.directory, replica.directory, generation)
+                router.replication_log.append(ship.as_dict())
             router._warm_up()
         except BaseException:
             router.close()
@@ -495,19 +458,20 @@ class ClusterRouter:
 
     def _gather(self, requests: list) -> list:
         """:meth:`_request_many` over ``_process_run_group`` tasks; one
-        ``(global ids or (ids, distances), IOStats diff, prefetch info)``
-        per request, its staging failures counted for its shard."""
+        outcome per request, as the task returns it but with its answer
+        in global ids (ids, or kNN ``(ids, distances)``), its staging
+        failures counted for its shard."""
         gathered = []
         for (pos, _fn, _args), reply in zip(requests,
                                               self._request_many(requests)):
-            _pid, (answer,), stats, prefetch, _seconds, _shards = reply
+            pid, (answer,), stats, prefetch, seconds, shards = reply
             element_ids = self._served[pos][1]
             if isinstance(answer, tuple):
                 answer = (element_ids[answer[0]], answer[1])
             else:
                 answer = element_ids[answer]
             self._prefetch_failures[pos] += prefetch["failures"]
-            gathered.append((answer, stats, prefetch))
+            gathered.append((pid, (answer,), stats, prefetch, seconds, shards))
         return gathered
 
     # -- querying -------------------------------------------------------
@@ -548,7 +512,7 @@ class ClusterRouter:
         delta = self.delta
 
         def visit(pos: int, shard_k: int) -> tuple:
-            ((answer, _stats, _prefetch),) = self._gather(
+            ((_pid, (answer,), *_rest),) = self._gather(
                 [(pos, _process_run_group, (point[None, :], cold, None, shard_k))]
             )
             return answer
@@ -579,19 +543,27 @@ class ClusterRouter:
         model at the router, and a due window rides as the hint of that
         query's requests: each server stages it once its reply is sent
         and reports the staging with its next answer on the connection.
-        Each reply carries the
-        server's whole :class:`~repro.storage.stats.IOStats` diff for
-        the request; the report merges them with
-        :meth:`~repro.storage.stats.IOStats.merge`, which keeps
-        prefetch hits separate from physical reads, and folds in the
-        reply's prefetch info (staging reads, staged and consumed pages).
+        Returns a :class:`~repro.query.service.ServiceReport`, folded by
+        :func:`~repro.query.service.fold_outcomes` as a ``QueryService``
+        batch is: each reply's whole
+        :class:`~repro.storage.stats.IOStats` diff merges into
+        ``stats`` (prefetch hits kept apart from physical reads), its
+        prefetch info (staging reads, staged and consumed pages) into
+        the prefetch fields; ``shard_tasks`` counts the requests sent,
+        ``workers_used`` the servers that answered.  Servers lost during
+        the batch show in :attr:`servers_lost`.
         """
         self._check_open()
         queries = np.asarray(queries, dtype=np.float64)
         if queries.ndim != 2 or queries.shape[1] != 6:
             raise ValueError(f"expected (N, 6) query boxes, got {queries.shape}")
-        report = ClusterReport(session_id=session_id)
-        lost_before = self.servers_lost
+        report = ServiceReport(
+            index_name=type(self._control).__name__,
+            worker_count=self.shard_count,
+            execution_mode=MODE_PROCESS,
+            session_id=session_id,
+            prefetch_enabled=session_id is not None,
+        )
         requests: list = []
         spans: list = []
         cold = self.clear_cache_per_query
@@ -601,7 +573,7 @@ class ClusterRouter:
                 self.shard_count, [int(pos) for pos in selected]
             )
             spans.append((len(requests), len(selected), query))
-            report.shard_requests += len(selected)
+            report.shard_tasks += len(selected)
             report.shards_pruned += self.shard_count - len(selected)
             hint = (None if session_id is None
                     else self._sessions.hint(session_id, query))
@@ -610,27 +582,18 @@ class ClusterRouter:
                 for pos in selected
             )
         t0 = time.perf_counter()
-        replies = self._gather(requests)
+        outcomes = self._gather(requests)
         report.wall_seconds = time.perf_counter() - t0
         results = []
-        prefetch_io = IOStats()
         for start, count, query in spans:
-            parts = []
-            for ids, stats, prefetch in replies[start:start + count]:
-                parts.append(ids)
-                report.stats.merge(stats)
-                prefetch_io.merge(prefetch["io"])
-                report.prefetch_staged += prefetch["staged"]
-                report.prefetch_consumed += prefetch["consumed"]
-            ids = QueryPlanner.merge_sorted_ids(parts)
+            ids = QueryPlanner.merge_sorted_ids(
+                [answers[0] for _pid, answers, *_rest
+                 in outcomes[start:start + count]]
+            )
             if self.delta is not None:
                 ids = self.delta.overlay(ids, query)
             results.append(ids)
-        report.prefetch_reads_by_category = dict(sorted(prefetch_io.reads.items()))
-        report.query_count = len(results)
-        report.per_query_results = [len(ids) for ids in results]
-        report.result_elements = sum(report.per_query_results)
-        report.servers_lost = self.servers_lost - lost_before
+        fold_outcomes(report, outcomes, results)
         return results, report
 
     def status(self) -> list:
@@ -659,30 +622,34 @@ class ClusterRouter:
                       on_shard_updated=None) -> ClusterUpdateReport:
         """Apply an insert/delete batch as a rolling, shard-by-shard update.
 
-        The batch lands on a fork of the control replica (routing,
-        shard-box widening and id assignment are exactly
-        :meth:`ShardedFLATIndex.apply_batch
-        <repro.core.sharded.ShardedFLATIndex.apply_batch>`), which
-        rebuilds every shard the batch touches on an overlay over the
-        shard's directory.  The shards the fork replaced — found by
-        object identity — then roll one at a time: the rebuild is
-        published as the shard's next generation (atomic manifest
-        rename), that increment is shipped to the shard's replica, and
-        the shard's ``(generation, id map)`` pair switches in one
-        assignment; each server restores the new generation from its own
-        directory when a task first names it.  Untouched shards are
-        never published.  The fleet
+        The commit is the one a ``QueryService`` computes: the batch is
+        absorbed into a fresh delta over the control replica
+        (:func:`~repro.query.service.absorb_batch` — ids from the
+        watermark, deletes validated atomically) and drained into
+        :meth:`ShardedFLATIndex.merged
+        <repro.core.sharded.ShardedFLATIndex.merged>`, which routes it,
+        widens shard boxes and rebuilds every shard the batch touches on
+        an overlay over the shard's directory.  The shards ``merged``
+        replaced — found by object identity — then roll one at a time:
+        the rebuild is published as the shard's next generation (atomic
+        manifest rename), that increment is shipped to the shard's
+        replica, and the shard's ``(generation, id map)`` pair switches
+        in one assignment; each server restores the new generation from
+        its own directory when a task first names it.  Untouched shards
+        are never published.  The fleet
         serves throughout; after each shard finishes,
         *on_shard_updated(pos, generation)* fires — the hook the
         exactness harnesses use to query mid-roll.
 
-        The planner adopts the fork's widened shard boxes *before* any
+        The planner adopts the merge's widened shard boxes *before* any
         shard switches: boxes only grow, so pruning stays exact against
         old and new generations alike.  After the roll the root's shard
-        manifest is refreshed
+        manifest is refreshed with every shard's served generation
         (:meth:`~repro.core.sharded.ShardedFLATIndex.write_shard_manifest`)
         and the control replica re-restores from disk, so the next batch
-        rebuilds on each shard's latest generation.
+        rebuilds on each shard's latest generation.  A roll that dies
+        before that leaves the root naming the generations it named
+        before, so a restore or a launch serves the pre-roll state.
         """
         from repro.core.sharded import ShardedFLATIndex
         from repro.core.snapshot import (
@@ -692,27 +659,23 @@ class ClusterRouter:
 
         self._check_open()
         t0 = time.perf_counter()
-        fork = self._control.fork()
-        inserted = fork.apply_batch(
-            insert_mbrs=insert_mbrs, delete_ids=delete_ids
-        )
-        deleted = 0 if delete_ids is None else len(np.atleast_1d(
-            np.asarray(delete_ids, dtype=np.int64)
-        ))
+        delta, inserted, deleted = absorb_batch(self._control, None,
+                                                insert_mbrs, delete_ids)
+        merged = self._control.merged(*delta.drain())
         # Widened boxes are safe for every generation (grow-only), and
         # queries racing the roll must already see them for shards whose
         # new generation lands mid-batch.
-        self.planner = fork.planner
+        self.planner = merged.planner
         touched = [
             pos for pos, (old, new) in enumerate(
-                zip(self._control.shards, fork.shards)
+                zip(self._control.shards, merged.shards)
             ) if new is not old
         ]
 
         generations: dict = {}
         shipping: list = []
         for pos in touched:
-            shard = fork.shards[pos]
+            shard = merged.shards[pos]
             _directory, generation = publish_fork_generation(shard.index)
             generations[pos] = generation
             replica = self._replicas[pos]
@@ -735,7 +698,9 @@ class ClusterRouter:
         # Refresh the on-disk root manifest and swap the control replica
         # to a clean restore of each shard's latest generation, the only
         # base a shard's next rebuild can be published over.
-        fork.write_shard_manifest(self._root)
+        merged.write_shard_manifest(self._root, [
+            self._served[pos][0] for pos in range(self.shard_count)
+        ])
         old_control = self._control
         self._adopt(ShardedFLATIndex.restore(self._root))
         old_control.close()

@@ -24,7 +24,9 @@ bridges the two without giving up the accounting:
   request.  The task returns its results, its
   :class:`~repro.storage.stats.IOStats` *delta* and its prefetch
   counts, and the parent merges the deltas in submission order —
-  deterministic totals regardless of worker completion order;
+  deterministic totals regardless of worker completion order — into
+  one :class:`ServiceReport` with :func:`fold_outcomes`, the fold a
+  :class:`~repro.query.cluster.ClusterRouter` batch is reported by too;
 * a **sharded** index is served like any other engine: one task per
   query, on the worker's clone, whose own ``range_query`` prunes,
   crawls the touched shards in turn and merges.
@@ -62,8 +64,11 @@ task, amortizing per-page decode work across every query in the group
 while the cold-cache accounting stays per-query byte-exact.
 
 **Queries under updates.**  :meth:`QueryService.apply_updates` changes
-the served index with snapshot isolation: a merge builds the next
-generation as a new index (:meth:`FLATIndex.merged
+the served index with snapshot isolation.  Every commit is computed by
+:func:`absorb_batch`, the function
+:meth:`~repro.query.cluster.ClusterRouter.apply_updates` commits a roll
+with: the batch lands in a copy of the delta, and a merge drains it
+into the next generation, built as a new index (:meth:`FLATIndex.merged
 <repro.core.flat_index.FLATIndex.merged>`, a bulkload of the live set
 on a store of its own), so in-flight queries keep crawling the
 untouched old generation; the commit then atomically swaps the
@@ -179,7 +184,9 @@ KEPT_GENERATIONS = 4
 
 @dataclass
 class ServiceReport:
-    """Aggregated outcome of one query batch served concurrently."""
+    """Aggregated outcome of one query batch served concurrently, by a
+    :class:`QueryService` pool or a
+    :class:`~repro.query.cluster.ClusterRouter` fleet."""
 
     index_name: str
     worker_count: int
@@ -193,12 +200,13 @@ class ServiceReport:
     #: Per-query submit-to-done latency, in request order.  Queries
     #: grouped into one task share their task's latency.
     latencies_seconds: list = field(default_factory=list)
-    #: Physical page reads summed over the batch's task deltas.
-    reads_by_category: dict = field(default_factory=dict)
-    #: Logical page decodes by decode kind, summed over the tasks.
-    decodes_by_kind: dict = field(default_factory=dict)
-    cache_hits: int = 0
-    #: Workers (threads or processes) that ran at least one task.
+    #: Demand I/O of the batch: every task's
+    #: :class:`~repro.storage.stats.IOStats` diff, merged — reads,
+    #: physical bytes, cache hits, decodes, parses and prefetch hits, as
+    #: a serial run counts them.
+    stats: IOStats = field(default_factory=IOStats)
+    #: Workers (threads, processes or shard servers) that ran at least
+    #: one task.
     workers_used: int = 0
     #: Shards visited (sharded indexes; one per touched shard per
     #: query, from the planner's decision for the query).
@@ -210,11 +218,6 @@ class ServiceReport:
     session_id: str | None = None
     #: Whether the serving service had trajectory prefetching on.
     prefetch_enabled: bool = False
-    #: Demand reads absorbed by staged prefetched pages, per category.
-    #: Separate from :attr:`reads_by_category` so the paper's exactness
-    #: pins stay meaningful: ``reads + prefetch_hits`` per category
-    #: equals the reads of a prefetch-disabled run.
-    prefetch_hits_by_category: dict = field(default_factory=dict)
     #: Physical page reads the *prefetcher* performed, per category —
     #: reads moved earlier, never part of the demand totals.  Like
     #: :attr:`prefetch_staged`, counted with the answer that reports
@@ -230,14 +233,41 @@ class ServiceReport:
     #: with the answer whose reads consumed them.
     prefetch_consumed: int = 0
 
+    # Views of :attr:`stats`, keys sorted: reports of identical batches
+    # compare equal (and serialize identically) whatever the scheduling.
+
+    @property
+    def reads_by_category(self) -> dict:
+        """Physical page reads per category."""
+        return dict(sorted(self.stats.reads.items()))
+
+    @property
+    def decodes_by_kind(self) -> dict:
+        """Logical page decodes by decode kind."""
+        return dict(sorted(self.stats.decode_misses.items()))
+
+    @property
+    def cache_hits(self) -> int:
+        return self.stats.cache_hits
+
+    @property
+    def prefetch_hits_by_category(self) -> dict:
+        """Demand reads absorbed by staged prefetched pages, per category.
+
+        Separate from :attr:`reads_by_category` so the paper's exactness
+        pins stay meaningful: ``reads + prefetch_hits`` per category
+        equals the reads of a prefetch-disabled run.
+        """
+        return dict(sorted(self.stats.prefetch_hits.items()))
+
     @property
     def total_page_reads(self) -> int:
-        return sum(self.reads_by_category.values())
+        return self.stats.total_reads
 
     @property
     def total_prefetch_hits(self) -> int:
         """Demand reads absorbed by prefetched pages."""
-        return sum(self.prefetch_hits_by_category.values())
+        return self.stats.total_prefetch_hits
 
     @property
     def total_prefetch_reads(self) -> int:
@@ -759,6 +789,66 @@ def _corrected(delta, queries, results, k: int | None = None) -> list:
     return [delta.overlay(ids, query) for ids, query in zip(results, queries)]
 
 
+def fold_outcomes(report: ServiceReport, outcomes, results: list) -> tuple:
+    """Fold a served batch into *report*: its :func:`_process_run_group`
+    outcomes, in submission order, and its gathered per-query *results*.
+
+    The one accounting path of :class:`QueryService` and
+    :class:`~repro.query.cluster.ClusterRouter` batches: each outcome's
+    demand :class:`~repro.storage.stats.IOStats` merges into
+    :attr:`ServiceReport.stats`, its worker into ``workers_used``, its
+    shard counts into ``shard_tasks`` / ``shards_pruned`` and its
+    prefetch info into the prefetch fields.  Returns ``(workers,
+    staging failures)`` for the caller's lifetime totals.
+    """
+    prefetch_io = IOStats()
+    workers: set = set()
+    failures = 0
+    for worker, _answers, io, prefetch, _seconds, shards in outcomes:
+        report.stats.merge(io)
+        workers.add(worker)
+        report.shard_tasks += shards[0]
+        report.shards_pruned += shards[1]
+        if prefetch is not None:
+            prefetch_io.merge(prefetch["io"])
+            report.prefetch_staged += prefetch["staged"]
+            report.prefetch_consumed += prefetch["consumed"]
+            failures += prefetch["failures"]
+    report.workers_used = len(workers)
+    report.prefetch_reads_by_category = dict(sorted(prefetch_io.reads.items()))
+    report.query_count = len(results)
+    report.per_query_results = [len(ids) for ids in results]
+    report.result_elements = sum(report.per_query_results)
+    return workers, failures
+
+
+def absorb_batch(base, delta, inserts=None, delete_ids=None) -> tuple:
+    """The one commit computation: a batch absorbed into a copy of
+    *delta* (a fresh :class:`~repro.core.delta.DeltaIndex` over *base*
+    when ``None``).
+
+    Inserts take ids from the watermark — the delta's, which starts at
+    ``base.next_element_id`` — and deletes are validated atomically
+    against the memtable and ``base.contains_elements`` (``KeyError``
+    names every unknown id, duplicates raise ``ValueError``, and *delta*
+    is never touched).  Both ``apply_updates`` —
+    :meth:`QueryService.apply_updates` and
+    :meth:`~repro.query.cluster.ClusterRouter.apply_updates` — commit
+    through here, and a merge drains the result into
+    ``base.merged(*new_delta.drain())``.  Returns ``(new delta,
+    inserted ids, deleted count)``.
+    """
+    new_delta = (DeltaIndex(next_id=base.next_element_id) if delta is None
+                 else delta.copy())
+    inserted = np.empty(0, dtype=np.int64)
+    if inserts is not None and len(inserts):
+        inserted = new_delta.insert(inserts)
+    deleted = 0 if delete_ids is None else len(np.atleast_1d(delete_ids))
+    if deleted:
+        new_delta.delete(delete_ids, base.contains_elements)
+    return new_delta, inserted, deleted
+
+
 class _ProcessFuture:
     """The future :meth:`QueryService.submit` returns, in either mode.
 
@@ -1160,34 +1250,10 @@ class QueryService:
         captured (``deltas[i]`` for the queries ``groups[i]``).
         """
         results = []
-        demand = IOStats()
-        prefetch_io = IOStats()
-        workers: set = set()
-        failures = 0
         for outcome, delta, group in zip(outcomes, deltas, groups):
-            worker, task_results, io, prefetch, _seconds, shards = outcome
-            results.extend(_corrected(delta, group, task_results, k))
-            demand.merge(io)
-            workers.add(worker)
-            report.shard_tasks += shards[0]
-            report.shards_pruned += shards[1]
-            if prefetch is not None:
-                prefetch_io.merge(prefetch["io"])
-                report.prefetch_staged += prefetch["staged"]
-                report.prefetch_consumed += prefetch["consumed"]
-                failures += prefetch["failures"]
-        self._absorb(demand, workers, failures)
-        report.query_count = len(results)
-        report.per_query_results = [len(hits) for hits in results]
-        report.result_elements = sum(report.per_query_results)
-        report.workers_used = len(workers)
-        # Sorted keys: reports of identical batches compare equal (and
-        # serialize identically) regardless of worker scheduling.
-        report.reads_by_category = dict(sorted(demand.reads.items()))
-        report.decodes_by_kind = dict(sorted(demand.decode_misses.items()))
-        report.cache_hits = demand.cache_hits
-        report.prefetch_hits_by_category = dict(sorted(demand.prefetch_hits.items()))
-        report.prefetch_reads_by_category = dict(sorted(prefetch_io.reads.items()))
+            results.extend(_corrected(delta, group, outcome[1], k))
+        workers, failures = fold_outcomes(report, outcomes, results)
+        self._absorb(report.stats, workers, failures)
 
     # -- updates --------------------------------------------------------
 
@@ -1248,23 +1314,9 @@ class QueryService:
             base = self._base
             delta = self._delta
         t0 = time.perf_counter()
-        # Absorb the batch into a copy of the delta first, whatever the
-        # commit shape: validation (duplicate/unknown delete ids) is
-        # atomic against RAM state, id assignment continues the base
-        # watermark exactly as a direct apply_batch would, and the
-        # merge path below simply drains the copy.
-        new_delta = (
-            DeltaIndex(next_id=base.next_element_id)
-            if delta is None
-            else delta.copy()
-        )
-        inserted = np.empty(0, dtype=np.int64)
-        if inserts is not None and len(inserts):
-            inserted = new_delta.insert(inserts)
-        deleted = 0
-        if delete_ids is not None and len(delete_ids):
-            new_delta.delete(delete_ids, base.contains_elements)
-            deleted = len(delete_ids)
+        # Absorb first, whatever the commit shape; a merge drains the copy.
+        new_delta, inserted, deleted = absorb_batch(base, delta, inserts,
+                                                    delete_ids)
         merge = (
             force_merge
             or self.delta_threshold <= 0

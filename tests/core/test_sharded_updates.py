@@ -1,18 +1,21 @@
-"""Write path of the sharded index: routing, widening, fork, restore.
+"""Write path of the sharded index: routing, widening, merge, restore.
 
-Updates route to shards by element centroid; an insert whose MBR falls
-outside every shard box widens the routed shard's box (and the
-planner's copy) so pruning stays exact.  Every touched shard is
-rebuilt (``ShardedFLATIndex.merged``) and replaces the old shard
-object.  The differential bar matches the monolithic one: after any
-tested interleaving, query answers are byte-identical to a
-scratch-rebuilt index over the surviving elements.
+A shard set is never changed in place: every batch goes through the
+one commit both serving tiers run (``absorb_batch``, drained into
+``ShardedFLATIndex.merged``), which returns a new shard set.  Updates
+route to shards by element centroid; an insert whose MBR falls outside
+every shard box widens the routed shard's box (and the planner's copy)
+so pruning stays exact.  Every touched shard is rebuilt and replaces
+the old shard object.  The differential bar matches the monolithic
+one: after any tested interleaving, query answers are byte-identical
+to a scratch-rebuilt index over the surviving elements.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import ShardedFLATIndex
+from repro.query.service import absorb_batch
 from repro.storage import BufferPool, PageStore
 from repro.geometry.intersect import boxes_intersect_box
 from repro.geometry.mbr import mbr_center, mbr_contains_mbr, mbr_distance_to_point
@@ -22,6 +25,13 @@ def random_mbrs(n, seed=0, span=100.0, extent=2.0):
     rng = np.random.default_rng(seed)
     lo = rng.uniform(0, span, size=(n, 3))
     return np.concatenate([lo, lo + rng.uniform(0.01, extent, size=(n, 3))], axis=1)
+
+
+def commit(index, inserts=None, deletes=None):
+    """*index* after one batch, as both ``apply_updates`` commit it:
+    ``(merged shard set, inserted ids)``."""
+    delta, inserted, _deleted = absorb_batch(index, None, inserts, deletes)
+    return index.merged(*delta.drain()), inserted
 
 
 def random_queries(count, seed, lo=-60.0, hi=260.0):
@@ -55,7 +65,7 @@ class TestRouting:
         target = shards[2]
         center = mbr_center(target.mbr[None, :])[0]
         element = np.concatenate([center - 0.05, center + 0.05])
-        (gid,) = index.insert(element[None, :])
+        index, (gid,) = commit(index, element[None, :])
         # Only the routed shard is rebuilt; it replaces the old object.
         rebuilt = index.shards[2]
         assert rebuilt is not target
@@ -68,7 +78,7 @@ class TestRouting:
         mbrs = random_mbrs(600, seed=2)
         index = ShardedFLATIndex.build(mbrs, shard_count=4, page_capacity=16)
         outlier = np.array([[500.0, 500, 500, 504, 504, 504]])
-        (gid,) = index.insert(outlier)
+        index, (gid,) = commit(index, outlier)
         routed = index._element_shard[int(gid)]
         shard = index.shards[routed]
         assert bool(mbr_contains_mbr(shard.mbr, outlier[0]))
@@ -80,8 +90,8 @@ class TestRouting:
     def test_every_element_stays_inside_its_shard_box(self):
         mbrs = random_mbrs(500, seed=3)
         index = ShardedFLATIndex.build(mbrs, shard_count=4, page_capacity=16)
-        index.insert(random_mbrs(200, seed=4, span=300.0))
-        index.delete(list(range(0, 150)))
+        index, _ids = commit(index, random_mbrs(200, seed=4, span=300.0))
+        index, _ids = commit(index, deletes=list(range(0, 150)))
         live = dict(index._routing_directory())
         for gid, pos in live.items():
             shard = index.shards[pos]
@@ -91,21 +101,22 @@ class TestRouting:
     def test_delete_unknown_id_raises(self):
         index = ShardedFLATIndex.build(random_mbrs(100, seed=5), shard_count=2)
         with pytest.raises(KeyError, match="unknown element ids"):
-            index.delete([100])
-        index.delete([4])
+            commit(index, deletes=[100])
+        index, _ids = commit(index, deletes=[4])
         with pytest.raises(KeyError, match="unknown element ids"):
-            index.delete([4])
+            commit(index, deletes=[4])
 
     def test_failed_delete_batch_mutates_nothing(self):
         # A bad id must not strand valid ids half-removed from routing.
         index = ShardedFLATIndex.build(random_mbrs(100, seed=6), shard_count=2)
         with pytest.raises(KeyError, match=r"unknown element ids: \[999\]"):
-            index.delete([7, 8, 999])
+            commit(index, deletes=[7, 8, 999])
         assert index.element_count == 100
-        index.delete([7, 8])  # still deletable after the failed batch
+        # still deletable after the failed batch
+        index, _ids = commit(index, deletes=[7, 8])
         assert index.element_count == 98
         with pytest.raises(ValueError, match="duplicate element id"):
-            index.delete([9, 9])
+            commit(index, deletes=[9, 9])
 
 
 class TestShardedDifferential:
@@ -122,14 +133,15 @@ class TestShardedDifferential:
                     seed=100 * seed + step,
                     span=float(rng.uniform(80, 260)),
                 )
-                for gid, mbr in zip(index.insert(new), new):
+                index, new_ids = commit(index, new)
+                for gid, mbr in zip(new_ids, new):
                     live[int(gid)] = mbr
             else:
                 pool = np.fromiter(sorted(live), dtype=np.int64, count=len(live))
                 victims = rng.choice(
                     pool, size=int(rng.integers(50, len(pool) // 2)), replace=False
                 )
-                index.delete(victims)
+                index, _ids = commit(index, deletes=victims)
                 for gid in victims:
                     del live[int(gid)]
             assert_exact(index, live, query_seed=7 * seed + step)
@@ -139,8 +151,8 @@ class TestShardedDifferential:
         mbrs = random_mbrs(600, seed=20)
         index = ShardedFLATIndex.build(mbrs, shard_count=4, page_capacity=16)
         new = random_mbrs(150, seed=21, span=200.0)
-        new_ids = index.insert(new)
-        index.delete(list(range(0, 200)))
+        index, new_ids = commit(index, new)
+        index, _ids = commit(index, deletes=list(range(0, 200)))
         live = {i: mbrs[i] for i in range(200, len(mbrs))}
         for gid, mbr in zip(new_ids, new):
             live[int(gid)] = mbr
@@ -158,9 +170,8 @@ class TestShardedForkAndRestore:
         mbrs = random_mbrs(500, seed=30)
         index = ShardedFLATIndex.build(mbrs, shard_count=3, page_capacity=16)
         planner_boxes = index.planner.shard_mbrs.copy()
-        fork = index.fork()
-        fork.insert(np.array([[900.0, 900, 900, 901, 901, 901]]))
-        fork.delete([0, 1])
+        fork, _ids = commit(index, np.array([[900.0, 900, 900, 901, 901, 901]]))
+        fork, _ids = commit(fork, deletes=[0, 1])
         # The base's planner and shard boxes are untouched.
         assert np.array_equal(index.planner.shard_mbrs, planner_boxes)
         assert index.element_count == 500
@@ -175,18 +186,17 @@ class TestShardedForkAndRestore:
         # entry would pass validation and corrupt the batch).
         mbrs = random_mbrs(300, seed=40)
         index = ShardedFLATIndex.build(mbrs, shard_count=3, page_capacity=16)
-        index.delete([5, 6, 7])
+        index, _ids = commit(index, deletes=[5, 6, 7])
         index.snapshot(tmp_path / "sh")
         restored = ShardedFLATIndex.restore(tmp_path / "sh")
         try:
-            fork = restored.fork()
             with pytest.raises(KeyError, match=r"unknown element ids: \[5\]"):
-                fork.delete([10, 5])
+                commit(restored, deletes=[10, 5])
             # The failed batch left everything intact.
-            assert fork.element_count == 297
-            fork.delete([10])
-            assert fork.element_count == 296
-            assert sum(fork.shard_element_counts()) == 296
+            assert restored.element_count == 297
+            merged, _ids = commit(restored, deletes=[10])
+            assert merged.element_count == 296
+            assert sum(merged.shard_element_counts()) == 296
         finally:
             restored.close()
 
@@ -200,17 +210,17 @@ class TestShardedForkAndRestore:
         try:
             before = list(restored.shards)
             new = random_mbrs(3, seed=42)
-            gids = restored.insert(new)
-            restored.delete([0])
-            assert restored.element_count == 202
-            rebuilt = [shard for shard, old in zip(restored.shards, before)
+            merged, gids = commit(restored, new)
+            merged, _ids = commit(merged, deletes=[0])
+            assert merged.element_count == 202
+            rebuilt = [shard for shard, old in zip(merged.shards, before)
                        if shard is not old]
             assert rebuilt
             for shard in rebuilt:
                 assert isinstance(shard.store.backend, OverlayPageBackend)
             live = {i: mbrs[i] for i in range(1, 200)}
             live.update(zip(gids.tolist(), new))
-            assert_exact(restored, live, query_seed=43)
+            assert_exact(merged, live, query_seed=43)
         finally:
             restored.close()
 
@@ -221,9 +231,10 @@ class TestShardedForkAndRestore:
         restored = ShardedFLATIndex.restore(tmp_path / "sh")
         before = list(restored.shards)
         bases = [shard.store.backend for shard in before]
-        restored.delete([0, 1, 2, 3])
-        assert any(shard is not old for shard, old in zip(restored.shards, before))
-        restored.close()
+        merged, _ids = commit(restored, deletes=[0, 1, 2, 3])
+        assert any(shard is not old for shard, old in zip(merged.shards, before))
+        # Through the rebuilt shards' overlays, too.
+        merged.close()
         assert [base.closed for base in bases] == [True] * len(bases)
 
     def test_a_rebuilt_shard_keeps_its_store_bounds_and_counts(self):
@@ -236,7 +247,7 @@ class TestShardedForkAndRestore:
         index.range_query(np.array([-10.0, -10, -10, 110, 110, 110]))
         before = list(index.shards)
         counts = [shard.store.stats.snapshot() for shard in before]
-        index.delete([0, 1, 2, 3])
+        index, _ids = commit(index, deletes=[0, 1, 2, 3])
         rebuilt = [(shard, old, count)
                    for shard, old, count in zip(index.shards, before, counts)
                    if shard is not old]
@@ -253,8 +264,8 @@ class TestShardedForkAndRestore:
     def test_mutated_snapshot_round_trip_and_watermark(self, tmp_path):
         mbrs = random_mbrs(400, seed=31)
         index = ShardedFLATIndex.build(mbrs, shard_count=3, page_capacity=16)
-        index.insert(random_mbrs(80, seed=32, span=150.0))
-        index.delete(list(range(0, 120)))
+        index, _ids = commit(index, random_mbrs(80, seed=32, span=150.0))
+        index, _ids = commit(index, deletes=list(range(0, 120)))
         index.snapshot(tmp_path / "sharded")
         restored = ShardedFLATIndex.restore(tmp_path / "sharded")
         try:
@@ -262,8 +273,7 @@ class TestShardedForkAndRestore:
                 assert np.array_equal(
                     restored.range_query(query), index.range_query(query)
                 )
-            fork = restored.fork()
-            (gid,) = fork.insert(random_mbrs(1, seed=34))
+            _fork, (gid,) = commit(restored, random_mbrs(1, seed=34))
             assert int(gid) == index._next_id  # deleted ids never reused
         finally:
             restored.close()

@@ -12,6 +12,7 @@ suite stays fast.
 import multiprocessing
 import os
 import pickle
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -19,7 +20,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import DeltaIndex, ShardedFLATIndex, restore_index
+from repro.core import (
+    DeltaIndex,
+    ShardedFLATIndex,
+    publish_fork_generation,
+    restore_index,
+)
 from repro.query import (
     MODE_PROCESS,
     ClusterError,
@@ -35,6 +41,7 @@ from repro.query.workload import (
     random_range_queries,
     trajectory_range_queries,
 )
+from repro.storage import SnapshotError
 from repro.storage.stats import IOStats
 
 SPACE = np.array([0.0, 0.0, 0.0, 100.0, 100.0, 100.0])
@@ -52,6 +59,14 @@ def random_mbrs(n, seed=0):
     rng = np.random.default_rng(seed)
     lo = rng.uniform(0, 100, size=(n, 3))
     return np.concatenate([lo, lo + rng.uniform(0.01, 2.0, size=(n, 3))], axis=1)
+
+
+def merged_batch(index, inserts, deletes):
+    """*index* after one batch, merged, its inserts numbered from the
+    watermark: ``(merged shard set, inserted ids)``."""
+    first = index.next_element_id
+    ids = np.arange(first, first + len(inserts))
+    return index.merged(ids, inserts, deletes, first + len(inserts)), ids
 
 
 @pytest.fixture(scope="module")
@@ -122,9 +137,9 @@ class TestClusterPinnedToOracle:
             assert np.array_equal(got, oracle.range_query(query))
         assert report.query_count == len(queries)
         assert report.per_query_results == [len(ids) for ids in results]
-        assert report.shard_requests + report.shards_pruned == len(queries) * SHARDS
+        assert report.shard_tasks + report.shards_pruned == len(queries) * SHARDS
         assert report.total_page_reads > 0
-        assert report.servers_lost == 0
+        assert cluster_no_replicas.servers_lost == 0
         assert report.throughput_qps > 0
 
     def test_planner_prunes_before_any_request(self, snapshot_root,
@@ -175,12 +190,12 @@ class TestClusterPinnedToOracle:
             self, snapshot_root, cluster_no_replicas):
         _root, _oracle, queries, _points = snapshot_root
         probe = range_task(0, queries[0])
-        ((expected, _stats, _prefetch),) = cluster_no_replicas._gather([probe])
+        ((_pid, (expected,), *_rest),) = cluster_no_replicas._gather([probe])
         with pytest.raises(ClusterError, match="server error"):
             cluster_no_replicas._request_many([KNN_K0, range_task(0, SPACE)])
         # The full-space reply was read with the batch, so the next
         # request gets its own answer.
-        ((got, _stats, _prefetch),) = cluster_no_replicas._gather([probe])
+        ((_pid, (got,), *_rest),) = cluster_no_replicas._gather([probe])
         assert np.array_equal(got, expected)
 
 
@@ -435,7 +450,7 @@ class TestFailover:
                                           cluster_no_replicas):
         _root, _oracle, queries, _points = snapshot_root
         probes = [range_task(pos, queries[0]) for pos in (0, 1)]
-        expected = [ids for ids, _stats, _prefetch
+        expected = [answers[0] for _pid, answers, *_rest
                     in cluster_no_replicas._gather(probes)]
         cluster_no_replicas.kill_server(2, "primary")
         with pytest.raises(ClusterError, match="no live server"):
@@ -443,7 +458,7 @@ class TestFailover:
         # The surviving servers' full-space replies were read before the
         # error surfaced: each answers the next request, not that one.
         for probe, ids in zip(probes, expected):
-            ((got, _stats, _prefetch),) = cluster_no_replicas._gather([probe])
+            ((_pid, (got,), *_rest),) = cluster_no_replicas._gather([probe])
             assert np.array_equal(got, ids)
 
     def test_launch_ships_full_copy_once(self, cluster):
@@ -451,6 +466,42 @@ class TestFailover:
         assert len(log) == SHARDS
         assert all(entry["full_copy"] for entry in log)
         assert all(entry["pages_sent"] > 0 for entry in log)
+
+    def test_a_replicated_fleet_relaunches_without_shipping(self, tmp_path):
+        """Launch, close and launch again on the same roots, before and
+        after a roll: a replica that holds the served generation is not
+        shipped again (a ship of an equal generation is refused), and the
+        replicas alone answer exactly."""
+        oracle = ShardedFLATIndex.build(random_mbrs(2000, seed=51), 2,
+                                        space_mbr=SPACE)
+        root, replicas = tmp_path / "root", tmp_path / "replicas"
+        oracle.snapshot(root)
+        queries = np.vstack([random_range_queries(SPACE, 0.001, 10, seed=53),
+                             SPACE])
+        inserts = random_mbrs(30, seed=55)
+        deletes = np.arange(0, 2000, 97)
+        rolled, _ids = merged_batch(oracle, inserts, deletes)
+        with ClusterRouter.launch(root, replica_root=replicas) as router:
+            assert all(entry["full_copy"] for entry in router.replication_log)
+        for want in (oracle, rolled):
+            with ClusterRouter.launch(root, replica_root=replicas) as router:
+                served = router.shard_generations()
+                assert router.replication_log == [
+                    {"generation": served[pos], "pages_sent": 0,
+                     "bytes_sent": 0, "full_copy": False,
+                     "index_bytes_sent": 0}
+                    for pos in range(router.shard_count)
+                ]
+                for pos in range(router.shard_count):
+                    router.kill_server(pos, "primary")
+                results, _ = router.run(queries)
+                assert router.servers_lost == router.shard_count
+                for got, query in zip(results, queries):
+                    assert np.array_equal(got, want.range_query(query))
+                if want is oracle:
+                    router.apply_updates(insert_mbrs=inserts,
+                                         delete_ids=deletes)
+        assert served == {0: 1, 1: 1}
 
 
 class TestRollingUpdate:
@@ -477,10 +528,7 @@ class TestRollingUpdate:
         queries = random_range_queries(SPACE, 0.001, 12, seed=7)
         with cluster:
             inserts, deletes = self._batch(oracle, seed=11)
-            new_oracle = oracle.fork()
-            new_ids = new_oracle.apply_batch(
-                insert_mbrs=inserts, delete_ids=deletes
-            )
+            new_oracle, new_ids = merged_batch(oracle, inserts, deletes)
             done = []
 
             def on_shard(pos, generation):
@@ -515,8 +563,7 @@ class TestRollingUpdate:
         oracle, cluster = self._private_cluster(tmp_path, seed=13)
         with cluster:
             inserts, deletes = self._batch(oracle, seed=13)
-            fork = oracle.fork()
-            fork.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+            rolled, _ids = merged_batch(oracle, inserts, deletes)
             report = cluster.apply_updates(
                 insert_mbrs=inserts, delete_ids=deletes
             )
@@ -527,7 +574,7 @@ class TestRollingUpdate:
                 # Exactly the shard's rebuild travels (the oracle's
                 # in-memory rebuild holds the same pages); the
                 # generation it extends never travels again.
-                rebuilt = len(fork.shards[entry["shard"]].index.store)
+                rebuilt = len(rolled.shards[entry["shard"]].index.store)
                 assert entry["pages_sent"] == rebuilt
 
     def test_repeated_rolls_and_fresh_restore(self, tmp_path):
@@ -545,10 +592,9 @@ class TestRollingUpdate:
         with ClusterRouter.launch(root) as router:
             for seed in (31, 37):
                 inserts, deletes = self._batch(current, seed=seed)
-                fork = current.fork()
-                fork.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+                rolled, _ids = merged_batch(current, inserts, deletes)
                 router.apply_updates(insert_mbrs=inserts, delete_ids=deletes)
-                current = fork
+                current = rolled
                 results, _ = router.run(queries)
                 for got, query in zip(results, queries):
                     assert np.array_equal(got, current.range_query(query))
@@ -578,12 +624,11 @@ class TestRollingUpdate:
             # Discover the death before the roll so the roll skips it.
             router.run(queries)
             inserts, deletes = self._batch(oracle, seed=47)
-            fork = oracle.fork()
-            fork.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+            rolled, _ids = merged_batch(oracle, inserts, deletes)
             router.apply_updates(insert_mbrs=inserts, delete_ids=deletes)
             results, _ = router.run(queries)
             for got, query in zip(results, queries):
-                assert np.array_equal(got, fork.range_query(query))
+                assert np.array_equal(got, rolled.range_query(query))
 
 
     def test_replica_serves_the_rolled_generation_from_its_own_directory(
@@ -598,8 +643,7 @@ class TestRollingUpdate:
                              SPACE])
         with cluster:
             inserts, deletes = self._batch(oracle, seed=19)
-            fork = oracle.fork()
-            fork.apply_batch(insert_mbrs=inserts, delete_ids=deletes)
+            rolled, _ids = merged_batch(oracle, inserts, deletes)
             report = cluster.apply_updates(insert_mbrs=inserts,
                                            delete_ids=deletes)
             assert report.shards_updated
@@ -607,17 +651,103 @@ class TestRollingUpdate:
                 cluster.kill_server(pos, "primary")
                 directory = cluster._primaries[pos].directory
                 directory.rename(directory.with_name(directory.name + "-gone"))
-            results, batch = cluster.run(queries)
+            lost_before = cluster.servers_lost
+            results, _ = cluster.run(queries)
             for got, query in zip(results, queries):
-                assert np.array_equal(got, fork.range_query(query))
-            assert batch.servers_lost == len(report.shards_updated)
+                assert np.array_equal(got, rolled.range_query(query))
+            assert cluster.servers_lost - lost_before == len(report.shards_updated)
             status = cluster.status()
             for pos in report.shards_updated:
                 assert status[pos]["pid"] == cluster._replicas[pos].process.pid
                 assert status[pos]["generation"] == report.generations[pos]
                 assert status[pos]["element_count"] == (
-                    fork.shards[pos].index.element_count
+                    rolled.shards[pos].index.element_count
                 )
+
+    def test_a_roll_that_dies_between_shards_leaves_the_old_state(
+            self, tmp_path):
+        """A roll that published one rebuilt shard and died before the
+        root manifest: a restore and a launch of the root serve each
+        shard at the generation the root names, so they answer exactly
+        as before the roll.  The shard's dangling newer generation then
+        supersedes the one served, so the next roll over that shard is
+        refused until the directory is repaired."""
+        oracle = ShardedFLATIndex.build(random_mbrs(3000, seed=61), SHARDS,
+                                        space_mbr=SPACE)
+        root = tmp_path / "root"
+        oracle.snapshot(root)
+        inserts, deletes = random_mbrs(200, seed=63), np.arange(0, 3000, 30)
+        control = ShardedFLATIndex.restore(root)
+        try:
+            rebuilt, _ids = merged_batch(control, inserts, deletes)
+            pos = next(pos for pos, (old, new) in enumerate(
+                zip(control.shards, rebuilt.shards)) if new is not old)
+            _directory, generation = publish_fork_generation(
+                rebuilt.shards[pos].index)
+        finally:
+            control.close()
+        assert generation == 1
+        queries = np.vstack([random_range_queries(SPACE, 0.001, 10, seed=65),
+                             SPACE])
+        restored = ShardedFLATIndex.restore(root)
+        try:
+            for query in queries:
+                assert np.array_equal(restored.range_query(query),
+                                      oracle.range_query(query))
+        finally:
+            restored.close()
+        with ClusterRouter.launch(root) as router:
+            assert router.shard_generations() == {p: 0 for p in range(SHARDS)}
+            results, _ = router.run(queries)
+            for got, query in zip(results, queries):
+                assert np.array_equal(got, oracle.range_query(query))
+            with pytest.raises(SnapshotError, match="superseded"):
+                router.apply_updates(insert_mbrs=inserts, delete_ids=deletes)
+
+    def test_the_router_and_the_service_commit_alike(self, tmp_path,
+                                                     monkeypatch):
+        """One batch through ``ClusterRouter.apply_updates`` and through a
+        thread-mode ``QueryService`` at threshold 0 over a restore of a
+        copy of the same root: the same ids, count and answers."""
+        oracle, cluster = self._private_cluster(tmp_path, replicas=False,
+                                                seed=71)
+        shutil.copytree(tmp_path / "root", tmp_path / "copy")
+        inserts, deletes = self._batch(oracle, seed=73)
+        queries = random_range_queries(SPACE, 0.001, 12, seed=75)
+        points = random_points(SPACE, 6, seed=77)
+        index = ShardedFLATIndex.restore(tmp_path / "copy")
+        try:
+            with cluster, QueryService(index, workers=2) as service:
+                rolled = cluster.apply_updates(insert_mbrs=inserts,
+                                               delete_ids=deletes)
+                merged = service.apply_updates(inserts=inserts,
+                                               delete_ids=deletes)
+                assert merged.merged
+                assert np.array_equal(rolled.inserted_ids,
+                                      merged.inserted_ids)
+                assert rolled.deleted_count == merged.deleted_count
+                assert rolled.element_count == merged.element_count
+                assert cluster.element_count == merged.element_count
+                results, _ = cluster.run(queries)
+                for got, query in zip(results, queries):
+                    assert np.array_equal(got,
+                                          service.submit(query).result())
+                gathered = []
+                corrected = service_module._corrected
+
+                def spy(*args, **kwargs):
+                    answers = corrected(*args, **kwargs)
+                    gathered.extend(answers)
+                    return answers
+
+                # run_knn reports counts; the spy sees the answers.
+                monkeypatch.setattr(service_module, "_corrected", spy)
+                service.run_knn(points, 7)
+                assert len(gathered) == len(points)
+                for got, point in zip(gathered, points):
+                    assert np.array_equal(cluster.knn_query(point, 7), got)
+        finally:
+            index.close()
 
 
 class TestOneShardParity:
@@ -639,7 +769,8 @@ class TestOneShardParity:
         walk = trajectory_range_queries(SPACE, 2e-5, 32, seed=13)
         with ClusterRouter.launch(root) as router:
             results, cluster = router.run(walk, session_id="walker")
-            ((_ids, _stats, last),) = router._gather([range_task(0, walk[-1])])
+            ((_pid, _ids, _stats, last, *_rest),) = router._gather(
+                [range_task(0, walk[-1])])
         index = restore_index(ShardedFLATIndex.shard_directory(root, 0))
         try:
             with QueryService(index, workers=1, mode=MODE_PROCESS,

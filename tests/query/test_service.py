@@ -53,6 +53,28 @@ class TestServedResults:
         assert report.reads_by_category == serial.reads_by_category
         assert report.decodes_by_kind == serial.decodes_by_kind
 
+    def test_cold_physical_bytes_match_a_serial_loop(self, served_setup,
+                                                     tmp_path):
+        """A report carries its batch's whole demand ``IOStats``: over a
+        delta64 restore, the stored bytes the workers' reads fetched,
+        per category, as a serial cold loop counts them."""
+        flat, _store, queries, _serial = served_setup
+        flat.snapshot(tmp_path / "delta64", codec="delta64")
+        index = FLATIndex.restore(tmp_path / "delta64")
+        try:
+            before = index.store.stats.snapshot()
+            for query in queries:
+                index.store.clear_cache()
+                index.range_query(query)
+            want = index.store.stats.diff(before)
+            with QueryService(index, workers=2) as service:
+                report = service.run(queries)
+        finally:
+            index.store.close()
+        assert want.total_physical_bytes_read < want.total_bytes_read
+        assert report.stats.physical_bytes == want.physical_bytes
+        assert report.reads_by_category == dict(sorted(want.reads.items()))
+
     def test_warm_serving_reads_fewer_pages(self, served_setup):
         flat, _store, queries, serial = served_setup
         with QueryService(flat, workers=1, clear_cache_per_query=False) as service:

@@ -400,12 +400,13 @@ class TestShardRoot:
         directory = tmp_path / "root"
         sharded.snapshot(directory)
         watermark = sharded.next_element_id
-        sharded.insert(mbrs[:5] + 0.01)
+        sharded = sharded.merged(np.arange(watermark, watermark + 5),
+                                 mbrs[:5] + 0.01, [], watermark + 5)
         reference = Interposer()
         shutil.copytree(directory, tmp_path / "reference")
         with monkeypatch.context() as patch:
             reference.install(patch)
-            sharded.write_shard_manifest(tmp_path / "reference")
+            sharded.write_shard_manifest(tmp_path / "reference", [0, 0])
         return directory, sharded, watermark, reference.calls
 
     @staticmethod
@@ -415,7 +416,7 @@ class TestShardRoot:
         with monkeypatch.context() as patch:
             Interposer(crash_at=k).install(patch)
             with pytest.raises(Crash):
-                sharded.write_shard_manifest(trial)
+                sharded.write_shard_manifest(trial, [0, 0])
         return trial
 
     def test_crash_during_bundle_write_keeps_the_old_root(self, root,
